@@ -1,15 +1,16 @@
 // E10 -- engineering baseline: throughput of the execution engines that
 // every other experiment stands on. google-benchmark microbenchmarks:
-//   - single-thread execution sampling (coin; composed real/ideal pair,
-//     with the memoized compiled fast-path cached vs uncached),
-//   - parallel Monte-Carlo f-dist estimation across thread counts,
+//   - single-thread execution sampling (coin; composed real/ideal pair
+//     on the memoized compiled fast-path),
+//   - parallel Monte-Carlo f-dist estimation over a shared frozen
+//     snapshot across thread counts, serial and batched (E20/E21),
+//   - cold warm-up + freeze allocator traffic,
 //   - exact cone enumeration,
 //   - composite transition evaluation.
 //
 // Unless the caller passes its own --benchmark_out, results are also
 // written machine-readably to BENCH_engine.json in the working
-// directory, so the cached/uncached speedup is scriptably comparable
-// across revisions.
+// directory, so the rows are scriptably comparable across revisions.
 
 #include <benchmark/benchmark.h>
 
@@ -41,10 +42,10 @@
 
 // -- allocator traffic meter -------------------------------------------------
 // Counting global operator new/delete for this binary only: the E10
-// warm-up rows report how many heap allocations (count and bytes) one
-// cold warm_automaton + freeze performs on each interner backend. The
-// counters are atomic (warm-up itself is single-threaded, but the
-// parallel sampling rows run concurrently with nothing -- keep it safe).
+// warm-up row reports how many heap allocations (count and bytes) one
+// cold warm_automaton + freeze performs. The counters are atomic
+// (warm-up itself is single-threaded, but the parallel sampling rows run
+// concurrently with nothing -- keep it safe).
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_bytes{0};
@@ -132,35 +133,13 @@ PsioaPtr make_mac_system(const std::string& tag, bool real) {
                  compose(real ? mac.real.ptr() : mac.ideal.ptr(), adv));
 }
 
-/// The pre-memoization baseline scheduler: choose() is re-evaluated and
-/// recompiled on every step (the Scheduler default), with no per-state
-/// row memo -- pair it with set_memoization(false) for the "uncached"
-/// rows so both caching layers are off, as before this revision.
-class UncachedUniform : public Scheduler {
- public:
-  explicit UncachedUniform(std::size_t depth_bound, bool local_only)
-      : inner_(depth_bound, local_only) {}
-  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) override {
-    return inner_.choose(automaton, alpha);
-  }
-  std::string name() const override { return "uniform-uncached"; }
-
- private:
-  UniformScheduler inner_;
-};
-
 void BM_SampleComposedExecution(benchmark::State& state, bool real,
-                                bool cached, const std::string& tag) {
+                                const std::string& tag) {
   auto sys = make_mac_system(tag, real);
-  sys->set_memoization(cached);
-  UniformScheduler cached_sched(12, true);
-  UncachedUniform uncached_sched(12, true);
-  Scheduler& sched =
-      cached ? static_cast<Scheduler&>(cached_sched)
-             : static_cast<Scheduler&>(uncached_sched);
-  // Both variants warm outside the timed region. Previously the cached
-  // rows paid first-touch signature resolution and row compilation
-  // *inside* the loop, understating the steady-state cached speedup.
+  UniformScheduler sched(12, true);
+  // Warm outside the timed region, so the loop measures steady-state
+  // throughput rather than first-touch signature resolution and row
+  // compilation.
   warm_caches(*sys, sched, 12);
   Xoshiro256 rng(2);
   for (auto _ : state) {
@@ -170,42 +149,14 @@ void BM_SampleComposedExecution(benchmark::State& state, bool real,
 }
 
 void BM_SampleComposedRealCached(benchmark::State& state) {
-  BM_SampleComposedExecution(state, true, true, "e10_b");
+  BM_SampleComposedExecution(state, true, "e10_b");
 }
 BENCHMARK(BM_SampleComposedRealCached);
 
-void BM_SampleComposedRealUncached(benchmark::State& state) {
-  BM_SampleComposedExecution(state, true, false, "e10_b");
-}
-BENCHMARK(BM_SampleComposedRealUncached);
-
 void BM_SampleComposedIdealCached(benchmark::State& state) {
-  BM_SampleComposedExecution(state, false, true, "e10_g");
+  BM_SampleComposedExecution(state, false, "e10_g");
 }
 BENCHMARK(BM_SampleComposedIdealCached);
-
-void BM_SampleComposedIdealUncached(benchmark::State& state) {
-  BM_SampleComposedExecution(state, false, false, "e10_g");
-}
-BENCHMARK(BM_SampleComposedIdealUncached);
-
-void BM_ParallelFdist(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t trials = 20000;
-  ThreadPool pool(threads);
-  TraceInsight f;
-  std::uint64_t seed = 3;
-  for (auto _ : state) {
-    auto dist = parallel_sample_fdist(
-        [] { return make_coin("e10_c", Rational(1, 3)); },
-        [] { return std::make_shared<UniformScheduler>(8); }, f, trials,
-        seed++, 8, pool);
-    benchmark::DoNotOptimize(dist);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * trials));
-}
-BENCHMARK(BM_ParallelFdist)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /// Resident set size in kB from /proc/self/status, 0 where unavailable;
 /// reported as a counter on the snapshot rows to make the one-copy-of-
@@ -224,34 +175,9 @@ double rss_kb() {
   return 0.0;
 }
 
-/// The MAC system sampled through clone-per-worker fan-out: each chunk
-/// builds and warms its own automaton + scheduler instance. Comparison
-/// row for the shared-snapshot path below.
-void BM_ParallelFdistComposedClones(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t trials = 2000;
-  ThreadPool pool(threads);
-  TraceInsight f;
-  std::uint64_t seed = 4;
-  for (auto _ : state) {
-    auto dist = parallel_sample_fdist(
-        [] { return make_mac_system("e10_h", true); },
-        [] { return std::make_shared<UniformScheduler>(12, true); }, f,
-        trials, seed++, 12, pool);
-    benchmark::DoNotOptimize(dist);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * trials));
-}
-BENCHMARK(BM_ParallelFdistComposedClones)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-/// Same workload over one shared frozen snapshot: prepare() (warm-up +
-/// freeze) runs once outside the timed region, workers are thin views.
+/// The MAC system sampled serially over one shared frozen snapshot:
+/// prepare() (warm-up + freeze) runs once outside the timed region,
+/// workers are thin views.
 void BM_SnapshotParallelFdist(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const std::size_t trials = 2000;
@@ -286,19 +212,18 @@ BENCHMARK(BM_SnapshotParallelFdist)
     ->UseRealTime();
 
 /// Shared body of the batched-engine rows (E20/E21): the chosen stack
-/// over one frozen snapshot, stepped by the batched lockstep engine in
-/// the chosen mode. Emits the full BatchStats counter set into the JSON
-/// rows -- the amortization pair (action_draws vs row_lookups) plus the
-/// block-kernel accounting (rng_blocks / block_draws / singleton_skips /
-/// rejection_redraws, all zero in kBatchedPerDraw mode).
+/// over one frozen snapshot, stepped by the batched lockstep engine.
+/// Emits the full BatchStats counter set into the JSON rows -- the
+/// amortization pair (action_draws vs row_lookups) plus the block-kernel
+/// accounting (rng_blocks / block_draws / singleton_skips /
+/// rejection_redraws).
 void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
-                          std::size_t depth, SamplingMode mode,
-                          bool local_only) {
+                          std::size_t depth, bool local_only) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   // 10x the serial snapshot row's trial count: the batched rows measure
   // the draw-kernel regime (the paper's emulation checks want millions
   // of executions), and at 2000 trials the fixed per-round class
-  // bookkeeping shared by both kernels hides the kernels' difference.
+  // bookkeeping hides the kernel's cost.
   const std::size_t trials = 20000;
   ThreadPool pool(threads);
   TraceInsight f;
@@ -310,7 +235,8 @@ void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
   sampler.prepare(plan, depth);
   std::uint64_t seed = 4;
   for (auto _ : state) {
-    auto dist = sampler.sample_fdist(f, trials, seed++, depth, pool, mode);
+    auto dist = sampler.sample_fdist(f, trials, seed++, depth, pool,
+                                     SamplingMode::kBatched);
     benchmark::DoNotOptimize(dist);
   }
   state.SetItemsProcessed(
@@ -331,24 +257,12 @@ void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
   state.counters["rss_kb"] = rss_kb();
 }
 
-/// The E20 row, pinned to the PR-8 scalar per-draw kernel so it stays
-/// the "before" baseline the E21 block-kernel rows are measured against.
-void BM_BatchedAliasFdist(benchmark::State& state) {
-  BM_BatchedFdistStack(state, [] { return make_mac_system("e10_l", true); },
-                       12, SamplingMode::kBatchedPerDraw, /*local_only=*/true);
-}
-BENCHMARK(BM_BatchedAliasFdist)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-/// E21: the same MAC workload stepped by the block draw kernel -- wide
-/// RNG fills, SoA alias gathers, singleton elision.
+/// E20/E21: the MAC workload of BM_SnapshotParallelFdist stepped by the
+/// batched engine's block draw kernel -- wide RNG fills, SoA alias
+/// gathers, singleton elision.
 void BM_BlockBatchedFdist(benchmark::State& state) {
   BM_BatchedFdistStack(state, [] { return make_mac_system("e10_m", true); },
-                       12, SamplingMode::kBatched, /*local_only=*/true);
+                       12, /*local_only=*/true);
 }
 BENCHMARK(BM_BlockBatchedFdist)
     ->Arg(1)
@@ -360,25 +274,13 @@ BENCHMARK(BM_BlockBatchedFdist)
 /// E21, ledger stack: the dynamic-creation PCA ledger ensemble -- wider
 /// choice rows and genuinely probabilistic transitions, so the block
 /// kernel leans on bulk fills rather than singleton elision here.
-void BM_BatchedAliasLedgerFdist(benchmark::State& state) {
+void BM_BlockBatchedLedgerFdist(benchmark::State& state) {
   // The non-local uniform scheduler keeps a residual halt slot in every
   // choice row, so the ledger rows exercise genuine bulk fills (the MAC
   // rows above lean on singleton elision instead).
   BM_BatchedFdistStack(state,
-                       [] { return make_ledger_system(2, "e10_n").dynamic; },
-                       8, SamplingMode::kBatchedPerDraw, /*local_only=*/false);
-}
-BENCHMARK(BM_BatchedAliasLedgerFdist)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-void BM_BlockBatchedLedgerFdist(benchmark::State& state) {
-  BM_BatchedFdistStack(state,
                        [] { return make_ledger_system(2, "e10_o").dynamic; },
-                       8, SamplingMode::kBatched, /*local_only=*/false);
+                       8, /*local_only=*/false);
 }
 BENCHMARK(BM_BlockBatchedLedgerFdist)
     ->Arg(1)
@@ -392,7 +294,7 @@ BENCHMARK(BM_BlockBatchedLedgerFdist)
 /// price only the interner's fixed costs (first arena chunk, reserved
 /// tables); this pair of wide random automata, cross-wired through each
 /// other's outputs, gives the BFS warm-up hundreds of composite states
-/// to intern -- the per-key regime the arena backend targets.
+/// to intern -- the per-key regime the arena interner targets.
 PsioaPtr make_wide_ensemble(const std::string& tag) {
   Xoshiro256 rng(0x51deULL);
   RandomPsioaConfig ca;
@@ -409,19 +311,13 @@ PsioaPtr make_wide_ensemble(const std::string& tag) {
   return compose(PsioaPtr(a), PsioaPtr(b));
 }
 
-/// Cold warm-up + freeze on a chosen interner backend: every iteration
-/// builds a fresh ParallelSampler over the wide ensemble, runs the full
-/// BFS warm-up (prepare) and a short parallel sample over the frozen
-/// snapshot. This is the E10 row pair behind the arena-interning claim:
-/// map vs arena at identical semantics (the differential suite pins
-/// draw-for-draw equality), differing only in allocator traffic, probe
-/// counts and interner-attributed bytes.
-void BM_ColdWarmupFreeze(benchmark::State& state,
-                         StateInterner::Backend backend,
-                         const std::string& tag) {
+/// Cold warm-up + freeze: every iteration builds a fresh ParallelSampler
+/// over the wide ensemble, runs the full BFS warm-up (prepare) and a
+/// short parallel sample over the frozen snapshot, reporting allocator
+/// traffic, probe counts and interner-attributed bytes.
+void BM_ColdWarmupFreeze(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const StateInterner::Backend prev = StateInterner::default_backend();
-  StateInterner::set_default_backend(backend);
+  const std::string tag = "e10_k";
   ThreadPool pool(threads);
   TraceInsight f;
   std::uint64_t seed = 6;
@@ -446,7 +342,6 @@ void BM_ColdWarmupFreeze(benchmark::State& state,
     alloc_calls = g_alloc_calls.load(std::memory_order_relaxed) - c0;
     last = sampler.residue_intern_stats();
   }
-  StateInterner::set_default_backend(prev);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["alloc_bytes"] = static_cast<double>(alloc_bytes);
   state.counters["alloc_calls"] = static_cast<double>(alloc_calls);
@@ -457,21 +352,7 @@ void BM_ColdWarmupFreeze(benchmark::State& state,
   state.counters["intern_rehashes"] = static_cast<double>(last.rehashes);
   state.counters["rss_kb"] = rss_kb();
 }
-
-void BM_ColdWarmupFreezeMap(benchmark::State& state) {
-  BM_ColdWarmupFreeze(state, StateInterner::Backend::kMap, "e10_j");
-}
-BENCHMARK(BM_ColdWarmupFreezeMap)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-void BM_ColdWarmupFreezeArena(benchmark::State& state) {
-  BM_ColdWarmupFreeze(state, StateInterner::Backend::kArena, "e10_k");
-}
-BENCHMARK(BM_ColdWarmupFreezeArena)
+BENCHMARK(BM_ColdWarmupFreeze)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

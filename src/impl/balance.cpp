@@ -69,10 +69,23 @@ SampledEpsilon sampled_balance_epsilon(
     const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,
     const InsightFunction& f, std::size_t trials, std::uint64_t seed,
     std::size_t max_depth, ThreadPool& pool, double delta) {
-  const Disc<Perception, double> left = parallel_sample_fdist(
-      make_lhs, make_sigma_lhs, f, trials, seed, max_depth, pool);
-  const Disc<Perception, double> right = parallel_sample_fdist(
-      make_rhs, make_sigma_rhs, f, trials, seed + 1, max_depth, pool);
+  // A default guard neither times out nor retries, so an incomplete run
+  // means some chunk threw: report that instead of an epsilon estimated
+  // from the surviving chunks.
+  const auto side = [&](const PsioaFactory& make, const SchedulerFactory& sigma,
+                        std::uint64_t side_seed) {
+    SampleReport report;
+    Disc<Perception, double> fdist = guarded_parallel_sample_fdist(
+        make, sigma, f, trials, side_seed, max_depth, pool, SampleGuard{},
+        &report);
+    if (!report.complete) {
+      throw std::runtime_error("sampled_balance_epsilon: " + report.error);
+    }
+    return fdist;
+  };
+  const Disc<Perception, double> left = side(make_lhs, make_sigma_lhs, seed);
+  const Disc<Perception, double> right =
+      side(make_rhs, make_sigma_rhs, seed + 1);
   SampledEpsilon out;
   out.estimate = balance_distance(left, right);
   // Each empirical f-dist mass is a mean of indicators; a crude union
@@ -97,17 +110,12 @@ std::uint64_t logical_draws(const BatchStats& bs) {
   return bs.action_draws + bs.target_draws;
 }
 
-BatchKernel seq_kernel_of(SamplingMode mode) {
-  return mode == SamplingMode::kBatchedPerDraw ? BatchKernel::kPerDraw
-                                               : BatchKernel::kBlock;
-}
-
 /// Plain paired-sampling path: geometric trial stages, wave-interleaved
 /// left/right incremental runs, an estimator look after every wave.
 SequentialEpsilon plain_sequential_epsilon(
     ParallelSampler& left, ParallelSampler& right, const InsightFunction& f,
     const SequentialPolicy& policy, std::uint64_t seed, std::size_t max_depth,
-    ThreadPool& pool, SamplingMode mode) {
+    ThreadPool& pool) {
   SeqEstimator est(policy);
   Disc<Perception, double> acc_l, acc_r;  // completed-stage integer tallies
   std::uint64_t term_l = 0, term_r = 0;
@@ -126,10 +134,10 @@ SequentialEpsilon plain_sequential_epsilon(
     const std::size_t n_committed = committed + stage_trials;
     IncrementalFdistRun run_l(left, f, stage_trials,
                               seq_stage_seed(seed, stage, 0), max_depth, pool,
-                              policy.rounds_per_wave, mode);
+                              policy.rounds_per_wave);
     IncrementalFdistRun run_r(right, f, stage_trials,
                               seq_stage_seed(seed, stage, 1), max_depth, pool,
-                              policy.rounds_per_wave, mode);
+                              policy.rounds_per_wave);
     while (!run_l.done() || !run_r.done()) {
       if (!run_l.done()) run_l.step_wave();
       if (!run_r.done()) run_r.step_wave();
@@ -262,7 +270,7 @@ void run_split_stage(SplitSide& side, const ParallelSampler& sampler,
                      const InsightFunction& f, std::size_t stage_trials,
                      std::size_t min_trials, std::uint64_t stage_seed,
                      std::size_t max_depth, ThreadPool& pool,
-                     SamplingMode mode, std::uint64_t* draws) {
+                     std::uint64_t* draws) {
   const std::size_t k = side.strata.live.size();
   if (k == 0) return;
   double total_w = 0.0;
@@ -279,8 +287,7 @@ void run_split_stage(SplitSide& side, const ParallelSampler& sampler,
   }
   BatchStats stats;
   const std::vector<Disc<Perception, double>> fresh = stratified_sample_counts(
-      sampler, f, side.strata, alloc, stage_seed, max_depth, pool, mode,
-      &stats);
+      sampler, f, side.strata, alloc, stage_seed, max_depth, pool, &stats);
   for (std::size_t i = 0; i < k; ++i) {
     for (const auto& [p, c] : fresh[i].entries()) side.counts[i].add(p, c);
     side.n[i] += alloc[i];
@@ -293,7 +300,7 @@ void run_split_stage(SplitSide& side, const ParallelSampler& sampler,
 SequentialEpsilon split_sequential_epsilon(
     ParallelSampler& left, ParallelSampler& right, const InsightFunction& f,
     const SequentialPolicy& policy, std::uint64_t seed, std::size_t max_depth,
-    ThreadPool& pool, SamplingMode mode) {
+    ThreadPool& pool) {
   SplitSide l, r;
   {
     auto view_l = left.worker_view();
@@ -340,10 +347,10 @@ SequentialEpsilon split_sequential_epsilon(
     const std::size_t stage_trials =
         std::min(next_stage, policy.max_trials - committed);
     run_split_stage(l, left, f, stage_trials, policy.split_min_trials,
-                    seq_stage_seed(seed, stage, 0), max_depth, pool, mode,
+                    seq_stage_seed(seed, stage, 0), max_depth, pool,
                     &draws_done);
     run_split_stage(r, right, f, stage_trials, policy.split_min_trials,
-                    seq_stage_seed(seed, stage, 1), max_depth, pool, mode,
+                    seq_stage_seed(seed, stage, 1), max_depth, pool,
                     &draws_done);
     committed += stage_trials;
     ++stage;
@@ -386,16 +393,11 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
     const ParallelSampler& sampler, const InsightFunction& f,
     const PrefixStrata& strata, const std::vector<std::size_t>& alloc,
     std::uint64_t seed, std::size_t max_depth, ThreadPool& pool,
-    SamplingMode mode, BatchStats* stats) {
+    BatchStats* stats) {
   if (alloc.size() != strata.live.size()) {
     throw std::invalid_argument(
         "stratified_sample_counts: alloc size != live strata count");
   }
-  if (mode == SamplingMode::kSerial) {
-    throw std::invalid_argument(
-        "stratified_sample_counts: conditioning requires a batched mode");
-  }
-  const BatchKernel kernel = seq_kernel_of(mode);
   const std::size_t k = strata.live.size();
 
   // One worker view + scheduler + cursor per stratum, built on the
@@ -414,7 +416,7 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
     cursors[i].sched = sampler.worker_scheduler();
     cursors[i].bs.emplace(*cursors[i].view, *cursors[i].sched, alloc[i],
                           Xoshiro256::for_stream(seed, i), max_depth,
-                          strata.live[i].frag, kernel);
+                          strata.live[i].frag);
   }
   const InsightFunction& fn = f;
   for (Cursor& c : cursors) {
@@ -465,7 +467,7 @@ SequentialEpsilon sequential_balance_epsilon(
   if (mode == SamplingMode::kSerial) {
     throw std::invalid_argument(
         "sequential_balance_epsilon: kSerial has no round structure; use "
-        "a batched mode");
+        "kBatched");
   }
   ParallelSampler left(make_lhs, make_sigma_lhs);
   ParallelSampler right(make_rhs, make_sigma_rhs);
@@ -479,10 +481,10 @@ SequentialEpsilon sequential_balance_epsilon(
 
   if (policy.split_depth > 0) {
     return split_sequential_epsilon(left, right, f, policy, seed, max_depth,
-                                    pool, mode);
+                                    pool);
   }
   return plain_sequential_epsilon(left, right, f, policy, seed, max_depth,
-                                  pool, mode);
+                                  pool);
 }
 
 }  // namespace cdse

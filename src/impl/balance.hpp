@@ -41,7 +41,11 @@ bool balanced(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
               std::size_t max_depth, const Rational& eps);
 
 /// Sampled epsilon with Hoeffding error radius, for systems too large to
-/// enumerate. Returns (estimate, radius) at confidence 1 - delta.
+/// enumerate. Returns (estimate, radius) at confidence 1 - delta. Each
+/// side is one clone-per-worker guarded_parallel_sample_fdist run under a
+/// default SampleGuard; if any chunk's automaton or scheduler throws,
+/// this throws std::runtime_error rather than estimating from the
+/// surviving chunks.
 struct SampledEpsilon {
   double estimate = 0.0;
   double radius = 1.0;
@@ -87,7 +91,7 @@ struct SequentialEpsilon {
 /// steered toward strata whose action words show the largest cross-side
 /// cone-mass gap (policy.split_boost). The plain path stays available
 /// (split_depth == 0) as the differential reference. kSerial mode is
-/// rejected; policy.active() is required.
+/// rejected (std::invalid_argument); policy.active() is required.
 SequentialEpsilon sequential_balance_epsilon(
     const PsioaFactory& make_lhs, const SchedulerFactory& make_sigma_lhs,
     const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,
@@ -107,7 +111,7 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
     const ParallelSampler& sampler, const InsightFunction& f,
     const PrefixStrata& strata, const std::vector<std::size_t>& alloc,
     std::uint64_t seed, std::size_t max_depth, ThreadPool& pool,
-    SamplingMode mode = SamplingMode::kBatched, BatchStats* stats = nullptr);
+    BatchStats* stats = nullptr);
 
 /// Rao-style reweighted estimate: settled (exact, to double) plus
 /// sum_i cone_mass_i * counts_i / n_i over live strata -- unbiased for

@@ -25,10 +25,6 @@ class ComposedPca : public Pca {
   std::string state_label(State q) override {
     return inner_->state_label(q);
   }
-  void set_memoization(bool on) override {
-    MemoPsioa::set_memoization(on);
-    inner_->set_memoization(on);
-  }
 
   // Pca attributes: unions over components (Def 2.19).
   Configuration config(State q) override;

@@ -20,10 +20,6 @@ class HiddenPca : public Pca {
   std::string state_label(State q) override {
     return inner_->state_label(q);
   }
-  void set_memoization(bool on) override {
-    MemoPsioa::set_memoization(on);
-    inner_->set_memoization(on);
-  }
 
   Configuration config(State q) override { return inner_->config(q); }
   std::vector<Aid> created(State q, ActionId a) override {

@@ -24,11 +24,6 @@ ComposedPsioa::ComposedPsioa(std::vector<PsioaPtr> components)
   }
 }
 
-void ComposedPsioa::set_memoization(bool on) {
-  MemoPsioa::set_memoization(on);
-  for (auto& c : components_) c->set_memoization(on);
-}
-
 State ComposedPsioa::intern_tuple(const std::vector<State>& tuple) {
   return interned_.intern_tuple(tuple.data(), tuple.size());
 }

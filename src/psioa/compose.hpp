@@ -42,7 +42,6 @@ class ComposedPsioa : public MemoPsioa {
   State start_state() override;
   BitString encode_state(State q) override;
   std::string state_label(State q) override;
-  void set_memoization(bool on) override;
 
   std::size_t component_count() const { return components_.size(); }
   Psioa& component(std::size_t i) { return *components_[i]; }

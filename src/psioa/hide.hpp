@@ -27,10 +27,6 @@ class HiddenPsioa : public MemoPsioa {
   std::string state_label(State q) override {
     return inner_->state_label(q);
   }
-  void set_memoization(bool on) override {
-    MemoPsioa::set_memoization(on);
-    inner_->set_memoization(on);
-  }
   InternStats intern_stats() const override { return inner_->intern_stats(); }
   void reserve_interning(std::size_t expected_states) override {
     inner_->reserve_interning(expected_states);

@@ -5,11 +5,6 @@ namespace cdse {
 Signature MemoPsioa::signature(State q) { return signature_ref(q); }
 
 const Signature& MemoPsioa::signature_ref(State q) {
-  if (!memo_on_) {
-    ++stats_.sig_computes;
-    scratch_sig_ = compute_signature(q);
-    return scratch_sig_;
-  }
   StateMemo& m = memo_[q];
   if (!m.sig.has_value()) {
     ++stats_.sig_computes;
@@ -23,19 +18,10 @@ const Signature& MemoPsioa::signature_ref(State q) {
 }
 
 StateDist MemoPsioa::transition(State q, ActionId a) {
-  if (!memo_on_) {
-    ++stats_.row_computes;
-    return compute_transition(q, a);
-  }
   return compiled_row(q, a).dist;
 }
 
 const CompiledRow& MemoPsioa::compiled_row(State q, ActionId a) {
-  if (!memo_on_) {
-    ++stats_.row_computes;
-    scratch_ = CompiledRow::compile(compute_transition(q, a));
-    return scratch_;
-  }
   StateMemo& m = memo_[q];
   auto it = m.rows.find(a);
   if (it != m.rows.end()) {
@@ -45,11 +31,6 @@ const CompiledRow& MemoPsioa::compiled_row(State q, ActionId a) {
   ++stats_.row_computes;
   CompiledRow row = CompiledRow::compile(compute_transition(q, a));
   return m.rows.emplace(a, std::move(row)).first->second;
-}
-
-void MemoPsioa::set_memoization(bool on) {
-  memo_on_ = on;
-  if (!on) clear_memo();
 }
 
 void MemoPsioa::clear_memo() { memo_.clear(); }

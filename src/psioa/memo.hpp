@@ -16,15 +16,15 @@
 // products. signature() / transition() return the cached *exact*
 // objects, which keeps the exact cone enumerator byte-identical:
 // memoization is semantics-neutral by construction, and the property
-// suite in tests/memo_test.cpp asserts memoized == direct on random
+// suite in tests/memo_test.cpp asserts that a warm instance (rows served
+// from the memo) matches a cold clone (every row computed) on random
 // PSIOA and on composed/hidden/renamed/structured stacks.
 //
 // Caches are per-instance and unsynchronized: the one-thread-per-
-// instance rule of psioa.hpp covers compiled rows too. The parallel
+// instance rule of psioa.hpp covers compiled rows too. The guarded
 // sampler clones automata via factories, so each worker owns (and
-// warms) its own tables; set_memoization(false) restores the historical
-// recompute-per-call behaviour for benchmarking and for the "direct"
-// side of equivalence tests.
+// warms) its own tables. Memoization is always on; clear_memo() drops
+// the tables, so the next access recomputes each row once.
 //
 // freeze() (psioa/snapshot.hpp) lifts a warmed instance's tables into an
 // immutable CompiledSnapshot that thin SnapshotPsioa views share
@@ -116,14 +116,13 @@ class MemoPsioa : public Psioa {
   StateDist transition(State q, ActionId a) final;
 
   /// The cached signature by reference (computes on miss). Invalidated
-  /// by set_memoization(false) and clear_memo(). Virtual so snapshot
-  /// views can serve a shared frozen table ahead of the local memo.
+  /// by clear_memo(). Virtual so snapshot views can serve a shared
+  /// frozen table ahead of the local memo.
   virtual const Signature& signature_ref(State q);
 
-  /// The compiled sampling row for (q, a) (computes on miss). With
-  /// memoization off the row is rebuilt into a scratch slot, valid only
-  /// until the next compiled_row call on this instance. Virtual for the
-  /// same reason as signature_ref.
+  /// The compiled sampling row for (q, a) (computes on miss). The
+  /// reference stays valid until clear_memo() or invalidate_states()
+  /// drops the row. Virtual for the same reason as signature_ref.
   virtual const CompiledRow& compiled_row(State q, ActionId a);
 
   /// The cached exact transition distribution by reference: what
@@ -134,8 +133,6 @@ class MemoPsioa : public Psioa {
     return compiled_row(q, a).dist;
   }
 
-  void set_memoization(bool on) override;
-  bool memoization_enabled() const { return memo_on_; }
   void clear_memo();
 
   /// Session-GC hook: drops every cached signature/row of a state for
@@ -163,7 +160,7 @@ class MemoPsioa : public Psioa {
 
  protected:
   /// The uncached semantics, implemented by each wrapper. Called at most
-  /// once per reachable state / (state, action) while memoization is on.
+  /// once per reachable state / (state, action) between clear_memo()s.
   virtual Signature compute_signature(State q) = 0;
   virtual StateDist compute_transition(State q, ActionId a) = 0;
 
@@ -173,18 +170,14 @@ class MemoPsioa : public Psioa {
     std::unordered_map<ActionId, CompiledRow> rows;
   };
 
-  bool memo_on_ = true;
   MemoStats stats_;
   std::unordered_map<State, StateMemo> memo_;
-  CompiledRow scratch_;    // memo-off compiled_row storage
-  Signature scratch_sig_;  // memo-off signature_ref storage
   std::weak_ptr<const CompiledSnapshot> last_snapshot_;  // freeze() guard
 };
 
 /// Memoizing view over any automaton, sharing its state handles: wraps
 /// leaf automata (table-driven, protocol, crypto) that are not worth
-/// migrating onto the base class, and provides the "same semantics,
-/// caching on/off" instance pair the equivalence suite compares.
+/// migrating onto the base class.
 class MemoView : public MemoPsioa {
  public:
   explicit MemoView(PsioaPtr inner)
@@ -194,10 +187,6 @@ class MemoView : public MemoPsioa {
   BitString encode_state(State q) override { return inner_->encode_state(q); }
   std::string state_label(State q) override { return inner_->state_label(q); }
 
-  void set_memoization(bool on) override {
-    MemoPsioa::set_memoization(on);
-    inner_->set_memoization(on);
-  }
   InternStats intern_stats() const override { return inner_->intern_stats(); }
   void reserve_interning(std::size_t expected_states) override {
     inner_->reserve_interning(expected_states);

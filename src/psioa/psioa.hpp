@@ -73,24 +73,17 @@ class Psioa {
   /// Human-readable state label for traces and error messages.
   virtual std::string state_label(State q) { return std::to_string(q); }
 
-  /// Toggles transition/signature memoization on this automaton and on
-  /// every automaton it wraps. No-op for leaf automata without caches;
-  /// MemoPsioa overrides it, wrappers additionally forward to their
-  /// components. Used to benchmark cached vs uncached rows and to build
-  /// the "direct" side of the memo-equivalence property suite.
-  virtual void set_memoization(bool on) { (void)on; }
-
   /// Aggregate state-interning counters for this automaton and every
   /// automaton it wraps (util/state_interner.hpp). Zero for leaves
   /// without a handle store; interning automata add their own interner's
-  /// stats and wrappers forward like set_memoization. The E10 bench reads
+  /// stats and wrappers forward to their components. The E10 bench reads
   /// this to report warm-up allocator traffic.
   virtual InternStats intern_stats() const { return {}; }
 
   /// Pre-sizes interning tables for an expected number of reachable
   /// states, so BFS warm-up (sched/sampler's warm_automaton) discovers
   /// states without mid-walk rehashes. Advisory; forwarded through
-  /// wrappers like set_memoization.
+  /// wrappers like intern_stats.
   virtual void reserve_interning(std::size_t expected_states) {
     (void)expected_states;
   }

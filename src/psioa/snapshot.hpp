@@ -27,7 +27,7 @@
 // Determinism. Frozen rows are byte-copies of the warm instance's rows,
 // so a view's draws are draw-for-draw identical to a clone warmed by the
 // same deterministic warm-up (tests/snapshot_test.cpp proves this
-// differentially against the memo-off direct engine as well). Overflow
+// differentially against the clone recomputing its rows as well). Overflow
 // rows are compiled with their targets ordered by encode_state() rather
 // than by State handle: post-freeze handle values depend on which worker
 // faults a cold region first, but state encodings are structural, so the
@@ -182,10 +182,6 @@ class SnapshotPsioa final : public MemoPsioa {
   BitString encode_state(State q) override;
   std::string state_label(State q) override;
 
-  /// Views are always compiled; toggling memoization off would change
-  /// which engine answers, not how often, so it is a deliberate no-op.
-  void set_memoization(bool on) override { (void)on; }
-
   const CompiledSnapshot& snapshot() const { return *snap_; }
   const SnapshotStats& snapshot_stats() const { return sstats_; }
 
@@ -251,9 +247,6 @@ class QuotientPsioa final : public MemoPsioa {
   std::string state_label(State q) override {
     return "block" + std::to_string(q);
   }
-
-  /// Always compiled, like SnapshotPsioa.
-  void set_memoization(bool on) override { (void)on; }
 
   const CompiledSnapshot& snapshot() const { return *snap_; }
 

@@ -19,23 +19,18 @@ constexpr std::uint64_t kDrawBlock = 4096;
 
 BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
                            std::size_t trials, const Xoshiro256& rng,
-                           std::size_t max_depth, BatchKernel kernel)
+                           std::size_t max_depth)
     : automaton_(automaton),
       sched_(sched),
+      // Compiled-row fast path mirrors sample_execution's hoisted
+      // detection.
+      memo_(dynamic_cast<MemoPsioa*>(&automaton)),
       trials_(trials),
       max_depth_(max_depth),
-      kernel_(kernel),
-      rng_(rng) {
-  // Compiled-row fast path mirrors sample_execution's hoisted detection.
-  memo_ = dynamic_cast<MemoPsioa*>(&automaton_);
-  if (memo_ != nullptr && !memo_->memoization_enabled()) memo_ = nullptr;
-
-  if (kernel_ == BatchKernel::kBlock) {
-    // Pinned derivation: one draw from the scalar stream seeds the lane
-    // block, so the block schedule is a pure function of the stream.
-    block_.emplace(rng_());
-  }
-
+      rng_(rng),
+      // Pinned derivation: one draw from the scalar stream seeds the lane
+      // block, so the block schedule is a pure function of the stream.
+      block_(rng_()) {
   const State q0 = automaton_.start_state();
   nodes_.push_back(PathNode{-1, kInvalidAction, q0});
   if (trials_ > 0) {
@@ -47,19 +42,15 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
 
 BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
                            std::size_t trials, const Xoshiro256& rng,
-                           std::size_t max_depth, const ExecFragment& prefix,
-                           BatchKernel kernel)
+                           std::size_t max_depth, const ExecFragment& prefix)
     : automaton_(automaton),
       sched_(sched),
+      memo_(dynamic_cast<MemoPsioa*>(&automaton)),
       trials_(trials),
       max_depth_(max_depth),
-      kernel_(kernel),
       rng_(rng),
+      block_(rng_()),
       prefix_(prefix) {
-  memo_ = dynamic_cast<MemoPsioa*>(&automaton_);
-  if (memo_ != nullptr && !memo_->memoization_enabled()) memo_ = nullptr;
-  if (kernel_ == BatchKernel::kBlock) block_.emplace(rng_());
-
   // All trials start as one class at the prefix's last state; depth_
   // counts absolute execution length, so scheduler rows and the
   // max_depth cap behave exactly as in an unconditioned run that
@@ -93,13 +84,6 @@ void BatchSampler::flush_survivors() {
 void BatchSampler::tally_draws(const AliasTable& alias, std::uint64_t count,
                                std::vector<std::uint64_t>& tally) {
   const std::size_t n_slots = alias.size();
-  if (kernel_ == BatchKernel::kPerDraw) {
-    // The PR-8 reference loop: two scalar RNG calls per logical draw.
-    for (std::uint64_t k = 0; k < count; ++k) {
-      ++tally[alias.pick(rng_.below(n_slots), rng_.uniform())];
-    }
-    return;
-  }
   if (n_slots == 1) {
     // Singleton elision: one slot means the draw is determined; spend no
     // RNG at all. (Deterministic transitions dominate the stack
@@ -117,8 +101,8 @@ void BatchSampler::tally_draws(const AliasTable& alias, std::uint64_t count,
       u_buf_.resize(m);
       out_buf_.resize(m);
     }
-    stats_.rejection_redraws += block_->fill_below(idx_buf_.data(), m, bound);
-    block_->fill_uniform(u_buf_.data(), m);
+    stats_.rejection_redraws += block_.fill_below(idx_buf_.data(), m, bound);
+    block_.fill_uniform(u_buf_.data(), m);
     alias.pick_block(idx_buf_.data(), u_buf_.data(), out_buf_.data(), m);
     for (std::size_t k = 0; k < m; ++k) ++tally[out_buf_[k]];
     ++stats_.blocks_filled;
@@ -289,9 +273,8 @@ std::vector<ExecFragment> sample_executions(Psioa& automaton,
                                             Scheduler& sched, Xoshiro256& rng,
                                             std::size_t n,
                                             std::size_t max_depth,
-                                            BatchStats* stats,
-                                            BatchKernel kernel) {
-  BatchSampler bs(automaton, sched, n, rng, max_depth, kernel);
+                                            BatchStats* stats) {
+  BatchSampler bs(automaton, sched, n, rng, max_depth);
   bs.run_to_completion();
   rng = bs.scalar_rng();
   if (stats != nullptr) *stats += bs.stats();
@@ -301,8 +284,8 @@ std::vector<ExecFragment> sample_executions(Psioa& automaton,
 Disc<Perception, double> batched_sample_counts(
     Psioa& automaton, Scheduler& sched, const InsightFunction& f,
     std::size_t trials, Xoshiro256& rng, std::size_t max_depth,
-    BatchStats* stats, BatchKernel kernel) {
-  BatchSampler bs(automaton, sched, trials, rng, max_depth, kernel);
+    BatchStats* stats) {
+  BatchSampler bs(automaton, sched, trials, rng, max_depth);
   bs.run_to_completion();
   rng = bs.scalar_rng();
   if (stats != nullptr) *stats += bs.stats();
@@ -312,10 +295,10 @@ Disc<Perception, double> batched_sample_counts(
 Disc<Perception, double> sample_fdist_batched(
     Psioa& automaton, Scheduler& sched, const InsightFunction& f,
     std::size_t trials, std::uint64_t seed, std::size_t max_depth,
-    BatchStats* stats, BatchKernel kernel) {
+    BatchStats* stats) {
   Xoshiro256 rng(seed);
   const Disc<Perception, double> counts = batched_sample_counts(
-      automaton, sched, f, trials, rng, max_depth, stats, kernel);
+      automaton, sched, f, trials, rng, max_depth, stats);
   Disc<Perception, double> dist;
   for (const auto& [perc, count] : counts.entries()) {
     dist.add(perc, count / static_cast<double>(trials));

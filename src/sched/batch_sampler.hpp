@@ -25,27 +25,22 @@
 //   - Draws go through the rows' Walker alias tables (util/alias.hpp):
 //     O(1) per draw regardless of support width.
 //
-// Draw kernels (BatchKernel): the per-draw kernel is the PR-8 scalar
-// reference -- one rng.below + one rng.uniform + one alias pick per
-// logical draw, preserved unchanged as the differential baseline. The
-// block kernel (the default behind SamplingMode::kBatched) instead
-// derives a XoshiroBlock from the chunk's scalar stream and resolves a
-// class's draws in bulk: one fill_below for the slot indices, one
-// fill_uniform for the thresholds, one AliasTable::pick_block gather,
-// then a scalar tally -- with singleton rows (one slot, one target)
-// resolved algebraically without touching the RNG at all. The block
-// fills and the gather dispatch between a portable scalar loop and an
-// AVX2 body at runtime (util/rng.hpp); both produce bit-identical
-// tallies, which tests/batch_sampler_test.cpp pins end to end at every
-// worker count.
+// Draw kernel: a XoshiroBlock derived from the chunk's scalar stream
+// resolves a class's draws in bulk -- one fill_below for the slot
+// indices, one fill_uniform for the thresholds, one
+// AliasTable::pick_block gather, then a scalar tally -- with singleton
+// rows (one slot, one target) resolved algebraically without touching
+// the RNG at all. The block fills and the gather dispatch between a
+// portable scalar loop and an AVX2 body at runtime (util/rng.hpp); both
+// produce bit-identical tallies, which tests/batch_sampler_test.cpp pins
+// end to end at every worker count.
 //
 // Equivalence contract: batched results equal serial results in
 // *distribution*, not draw-for-draw -- classes consume the RNG in
 // class-sorted order and alias picks spend two uniforms where a CDF scan
-// spends one (and the two batched kernels consume the RNG differently
-// from each other). The statistical harness (tests/stat_util.hpp) pins
-// every pairing with chi-square differential tests; the serial path
-// remains the reference (SamplingMode::kSerial, the default).
+// spends one. The statistical harness (tests/stat_util.hpp) pins the
+// pairing with chi-square differential tests; the serial path remains
+// the reference (SamplingMode::kSerial).
 //
 // Scheduler contract: rounds query choice rows through synthetic
 // fragments that carry the correct last state and length but dummy
@@ -58,8 +53,8 @@
 // from it by one scalar draw, a pinned pure function), classes sorted by
 // (state, node id) each round, actions drawn in row order, targets in
 // row order -- the whole schedule is a pure function of (seed, trials,
-// max_depth) for each kernel, so batched runs are reproducible even
-// though they are not draw-for-draw aligned with the serial walk. The
+// max_depth), so batched runs are reproducible even though they are not
+// draw-for-draw aligned with the serial walk. The
 // incremental API below preserves this: pausing and resuming at any
 // round boundary replays the identical schedule
 // (run_rounds(a); run_rounds(b) == run_rounds(a + b), bit-identically).
@@ -76,14 +71,6 @@
 
 namespace cdse {
 
-/// Which draw kernel a batched run steps with.
-///   kBlock   -- bulk XoshiroBlock fills + AliasTable::pick_block
-///               gathers + singleton elision (the fast default).
-///   kPerDraw -- the PR-8 scalar loop, two scalar RNG calls per logical
-///               draw; kept bit-compatible as the differential
-///               reference for the block kernel.
-enum class BatchKernel { kBlock, kPerDraw };
-
 /// Counters of one batched run, for the E20/E21 benches and the tests:
 /// how much row-lookup amortization the class grouping bought, and how
 /// the block kernel spent (or elided) its RNG traffic.
@@ -96,7 +83,7 @@ struct BatchStats {
   std::size_t action_draws = 0;    ///< logical action draws (incl. elided)
   std::size_t target_draws = 0;    ///< logical target draws (incl. elided)
   std::size_t distinct_executions = 0;  ///< terminal classes (f.apply calls)
-  // Block-kernel accounting (zero under kPerDraw):
+  // Block-kernel accounting:
   std::size_t blocks_filled = 0;   ///< bulk fill operations issued
   std::size_t block_draws = 0;     ///< RNG values produced by bulk fills
   std::size_t singleton_skips = 0; ///< logical draws elided (1-slot rows)
@@ -129,13 +116,11 @@ struct BatchStats {
 /// outlive the sampler. One sampler per thread (no internal locking).
 class BatchSampler {
  public:
-  /// Prepares `trials` executions of `automaton` under `sched`, stepping
-  /// with `kernel`. The RNG is copied in; under kBlock one scalar draw
-  /// seeds the lane block (the pinned derivation), under kPerDraw the
-  /// scalar stream is consumed exactly as in PR 8.
+  /// Prepares `trials` executions of `automaton` under `sched`. The RNG
+  /// is copied in; one scalar draw seeds the lane block (the pinned
+  /// derivation).
   BatchSampler(Psioa& automaton, Scheduler& sched, std::size_t trials,
-               const Xoshiro256& rng, std::size_t max_depth,
-               BatchKernel kernel = BatchKernel::kBlock);
+               const Xoshiro256& rng, std::size_t max_depth);
 
   /// Prefix-conditioned variant for the importance-splitting estimator:
   /// all `trials` executions start from `prefix` (depth counts from
@@ -149,8 +134,7 @@ class BatchSampler {
   /// law given a depth-d prefix depends only on (prefix.lstate(), d).
   BatchSampler(Psioa& automaton, Scheduler& sched, std::size_t trials,
                const Xoshiro256& rng, std::size_t max_depth,
-               const ExecFragment& prefix,
-               BatchKernel kernel = BatchKernel::kBlock);
+               const ExecFragment& prefix);
 
   /// Executes up to `n` more lockstep rounds; returns how many actually
   /// ran (0 once done()). When the run completes -- every class halted
@@ -207,8 +191,7 @@ class BatchSampler {
   void one_round();
   void flush_survivors();
   void push_terminal(std::int32_t node, std::uint64_t count);
-  /// Tallies `count` draws from `alias` into tally[0..alias.size())
-  /// using the active kernel.
+  /// Tallies `count` draws from `alias` into tally[0..alias.size()).
   void tally_draws(const AliasTable& alias, std::uint64_t count,
                    std::vector<std::uint64_t>& tally);
   ExecFragment fragment_of(std::int32_t leaf) const;
@@ -218,9 +201,8 @@ class BatchSampler {
   MemoPsioa* memo_ = nullptr;
   std::size_t trials_ = 0;
   std::size_t max_depth_ = 0;
-  BatchKernel kernel_ = BatchKernel::kBlock;
   Xoshiro256 rng_;
-  std::optional<XoshiroBlock> block_;
+  XoshiroBlock block_;  // seeded by one draw from rng_
 
   /// Conditioning prefix (importance splitting); node 0 stands in for
   /// its last state, and fragment_of grafts expansions onto a copy.
@@ -262,11 +244,10 @@ class BatchSampler {
 /// deterministic class order). The batched twin of calling
 /// sample_execution n times; used by the differential tests. The
 /// caller's rng is advanced by however much the run consumed from the
-/// scalar stream (one derivation draw under kBlock).
+/// scalar stream (the one derivation draw).
 std::vector<ExecFragment> sample_executions(
     Psioa& automaton, Scheduler& sched, Xoshiro256& rng, std::size_t n,
-    std::size_t max_depth, BatchStats* stats = nullptr,
-    BatchKernel kernel = BatchKernel::kBlock);
+    std::size_t max_depth, BatchStats* stats = nullptr);
 
 /// Batched empirical f-dist from `trials` lockstep executions, as raw
 /// per-perception counts (unnormalized; callers merging chunks divide by
@@ -275,7 +256,7 @@ std::vector<ExecFragment> sample_executions(
 Disc<Perception, double> batched_sample_counts(
     Psioa& automaton, Scheduler& sched, const InsightFunction& f,
     std::size_t trials, Xoshiro256& rng, std::size_t max_depth,
-    BatchStats* stats = nullptr, BatchKernel kernel = BatchKernel::kBlock);
+    BatchStats* stats = nullptr);
 
 /// Normalized batched f-dist estimate: the batched counterpart of
 /// sample_fdist (sched/sampler.hpp), distribution-equivalent to it at
@@ -283,6 +264,6 @@ Disc<Perception, double> batched_sample_counts(
 Disc<Perception, double> sample_fdist_batched(
     Psioa& automaton, Scheduler& sched, const InsightFunction& f,
     std::size_t trials, std::uint64_t seed, std::size_t max_depth,
-    BatchStats* stats = nullptr, BatchKernel kernel = BatchKernel::kBlock);
+    BatchStats* stats = nullptr);
 
 }  // namespace cdse

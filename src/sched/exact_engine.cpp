@@ -19,14 +19,6 @@ namespace {
                          "' outside sig(lstate)");
 }
 
-/// Memoized instances serve exact rows by reference (no StateDist copy
-/// per edge); everything else falls back to the virtual transition().
-MemoPsioa* memo_engine_of(Psioa& automaton) {
-  auto* memo = dynamic_cast<MemoPsioa*>(&automaton);
-  if (memo != nullptr && !memo->memoization_enabled()) memo = nullptr;
-  return memo;
-}
-
 }  // namespace
 
 std::optional<ReducedSystem> reduce_for_enumeration(
@@ -35,10 +27,9 @@ std::optional<ReducedSystem> reduce_for_enumeration(
   // Warm through the automaton's own memo when it has one; otherwise a
   // non-owning MemoView (the caller keeps ownership of `automaton` and
   // outlives this call, which is all the view needs).
-  auto* memo = dynamic_cast<MemoPsioa*>(&automaton);
+  MemoPsioa* warm = dynamic_cast<MemoPsioa*>(&automaton);
   std::shared_ptr<MemoView> wrapper;
-  MemoPsioa* warm = memo;
-  if (memo == nullptr || !memo->memoization_enabled()) {
+  if (warm == nullptr) {
     wrapper = memoize(PsioaPtr(PsioaPtr{}, &automaton));
     warm = wrapper.get();
   }
@@ -74,7 +65,9 @@ void enumerate_cone(
   ConeStats scratch;
   ConeStats& cs = stats != nullptr ? *stats : scratch;
   if (prefix_prob.is_zero()) return;
-  MemoPsioa* memo = memo_engine_of(automaton);
+  // Memoized instances serve exact rows by reference (no StateDist copy
+  // per edge); everything else falls back to the virtual transition().
+  MemoPsioa* memo = dynamic_cast<MemoPsioa*>(&automaton);
   const std::size_t base_len = path.length();
 
   // A pending edge, not a call frame: (absolute) probability of the child
@@ -194,7 +187,7 @@ ConeFrontierCache::ConeFrontierCache(Psioa& automaton,
     : automaton_(automaton),
       f_(f),
       max_depth_(max_depth),
-      memo_(memo_engine_of(automaton)) {}
+      memo_(dynamic_cast<MemoPsioa*>(&automaton)) {}
 
 const ConeFrontier& ConeFrontierCache::insert(
     const std::vector<ActionId>& word, ConeFrontier fr) {

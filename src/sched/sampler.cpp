@@ -18,7 +18,6 @@ ExecFragment sample_execution(Psioa& automaton, Scheduler& sched,
   // Memoized automata serve compiled double-CDF rows; the detection is
   // hoisted out of the step loop (once per execution, not per step).
   auto* memo = dynamic_cast<MemoPsioa*>(&automaton);
-  if (memo != nullptr && !memo->memoization_enabled()) memo = nullptr;
   while (alpha.length() < max_depth) {
     // Draw over {halt} U actions from the scheduler's compiled row.
     const ChoiceRow* choice = sched.choice_row(automaton, alpha);
@@ -69,11 +68,6 @@ namespace {
 // chunk stream of a previous attempt.
 std::uint64_t rotate_seed(std::uint64_t seed, std::size_t attempt) {
   return seed + static_cast<std::uint64_t>(attempt) * 0x9e3779b97f4a7c15ULL;
-}
-
-BatchKernel kernel_of(SamplingMode mode) {
-  return mode == SamplingMode::kBatchedPerDraw ? BatchKernel::kPerDraw
-                                               : BatchKernel::kBlock;
 }
 
 }  // namespace
@@ -153,40 +147,6 @@ Disc<Perception, double> guarded_parallel_sample_fdist(
   return merged;
 }
 
-Disc<Perception, double> parallel_sample_fdist(
-    const PsioaFactory& make_automaton, const SchedulerFactory& make_sched,
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, SamplingMode mode) {
-  const std::size_t chunks = pool.size();
-  std::vector<Disc<Perception, double>> partial(chunks);
-  parallel_for_chunks(
-      pool, trials,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        PsioaPtr automaton = make_automaton();
-        SchedulerPtr sched = make_sched();
-        Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
-        Disc<Perception, double>& out = partial[chunk];
-        if (mode != SamplingMode::kSerial) {
-          out = batched_sample_counts(*automaton, *sched, f, end - begin,
-                                      rng, max_depth, nullptr,
-                                      kernel_of(mode));
-          return;
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          const ExecFragment alpha =
-              sample_execution(*automaton, *sched, rng, max_depth);
-          out.add(f.apply(*automaton, alpha), 1.0);
-        }
-      });
-  Disc<Perception, double> merged;
-  for (const auto& p : partial) {
-    for (const auto& [perc, count] : p.entries()) {
-      merged.add(perc, count / static_cast<double>(trials));
-    }
-  }
-  return merged;
-}
-
 // -- shared frozen snapshots ------------------------------------------------
 
 std::size_t warm_automaton(MemoPsioa& automaton, Scheduler& sched,
@@ -243,11 +203,6 @@ void ParallelSampler::prepare(const WarmupPlan& plan, std::size_t max_depth) {
   PsioaPtr p = make_automaton_();
   auto memo = std::dynamic_pointer_cast<MemoPsioa>(p);
   if (memo == nullptr) memo = memoize(std::move(p));  // leaf: caching view
-  if (!memo->memoization_enabled()) {
-    throw std::logic_error(
-        "ParallelSampler: the factory produced an automaton with "
-        "memoization disabled; there is nothing to freeze");
-  }
   SchedulerPtr sched = make_sched_();
   warm_automaton(*memo, *sched, plan, max_depth);
   warm_ = std::move(memo);
@@ -281,10 +236,10 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
   if (!prepared()) {
     throw std::logic_error("ParallelSampler: prepare() before sample_fdist()");
   }
-  // Mirrors parallel_sample_fdist chunk for chunk and (in kSerial mode)
-  // draw for draw: same static partition, same per-chunk streams, same
-  // merge order. The only difference is what backs the automaton each
-  // worker drives. kBatched chunks run the lockstep trajectory-class
+  // Mirrors guarded_parallel_sample_fdist chunk for chunk and (in kSerial
+  // mode) draw for draw: same static partition, same per-chunk streams,
+  // same merge order. The only difference is what backs the automaton
+  // each worker drives. kBatched chunks run the lockstep trajectory-class
   // engine over the same frozen snapshot instead.
   const std::size_t chunks = pool.size();
   std::vector<Disc<Perception, double>> partial(chunks);
@@ -297,10 +252,9 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
         SchedulerPtr sched = worker_scheduler();
         Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
         Disc<Perception, double>& out = partial[chunk];
-        if (mode != SamplingMode::kSerial) {
+        if (mode == SamplingMode::kBatched) {
           out = batched_sample_counts(*view, *sched, f, end - begin, rng,
-                                      max_depth, &bstats[chunk],
-                                      kernel_of(mode));
+                                      max_depth, &bstats[chunk]);
         } else {
           for (std::size_t i = begin; i < end; ++i) {
             const ExecFragment alpha =
@@ -326,9 +280,9 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
 Disc<Perception, double> ParallelSampler::sample_fdist_incremental(
     const InsightFunction& f, std::size_t trials, std::uint64_t seed,
     std::size_t max_depth, ThreadPool& pool, std::size_t rounds_per_wave,
-    const WaveCallback& on_wave, SamplingMode mode) {
+    const WaveCallback& on_wave) {
   IncrementalFdistRun run(*this, f, trials, seed, max_depth, pool,
-                          rounds_per_wave, mode);
+                          rounds_per_wave);
   while (!run.done()) {
     const WaveReport& rep = run.step_wave();
     if (on_wave != nullptr && !on_wave(rep, run.partial_fdist())) {
@@ -356,19 +310,12 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
                                          std::uint64_t seed,
                                          std::size_t max_depth,
                                          ThreadPool& pool,
-                                         std::size_t rounds_per_wave,
-                                         SamplingMode mode)
+                                         std::size_t rounds_per_wave)
     : f_(f), trials_(trials), pool_(pool) {
   if (!sampler.prepared()) {
     throw std::logic_error(
         "IncrementalFdistRun: prepare() the sampler before running");
   }
-  if (mode == SamplingMode::kSerial) {
-    throw std::invalid_argument(
-        "IncrementalFdistRun: kSerial has no round structure; use a "
-        "batched mode");
-  }
-  const BatchKernel kernel = kernel_of(mode);
 
   // Chunk partition and streams mirror parallel_for_chunks / the
   // one-shot sample_fdist exactly: min(pool, trials) chunks (at least
@@ -396,7 +343,7 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
     chunks_[c].sched = sampler.worker_scheduler();
     const std::size_t len = per + (c < rem ? 1 : 0);
     chunks_[c].bs.emplace(*chunks_[c].view, *chunks_[c].sched, len,
-                          Xoshiro256::for_stream(seed, c), max_depth, kernel);
+                          Xoshiro256::for_stream(seed, c), max_depth);
     chunks_[c].bs->track_deltas(true);
   }
   report_.rounds_per_wave = rounds_per_wave_;

@@ -9,17 +9,19 @@
 // so steady-state sampling performs no Rational arithmetic and never
 // re-derives a composed signature. Both compilations preserve the
 // historical partial-sum walk, so sampled results are draw-for-draw
-// identical at fixed seed. Parallel sampling distributes trials over a
-// ThreadPool using *factories*: each worker gets its own automaton +
-// scheduler instance (warming its own memo tables) and its own RNG
-// stream, so no synchronization is needed and results are reproducible
-// for a fixed seed regardless of thread count.
+// identical at fixed seed.
 //
-// The guarded variant hardens the fan-out for hostile workloads (fault
-// sweeps, foreign automata): per-chunk wall-clock deadlines checked
-// between trials, and retry-with-seed-rotation when a chunk's automaton
-// or scheduler throws. It degrades to a partial, still-normalized
-// estimate plus a SampleReport instead of tearing the experiment down.
+// Two parallel fan-outs, each chunk on its own RNG stream:
+//   - guarded_parallel_sample_fdist builds one automaton + scheduler per
+//     chunk from *factories* (each warms its own memo tables), with
+//     per-chunk wall-clock deadlines checked between trials and
+//     retry-with-seed-rotation when a chunk's automaton or scheduler
+//     throws. It degrades to a partial, still-normalized estimate plus a
+//     SampleReport instead of tearing the experiment down (fault sweeps,
+//     foreign automata).
+//   - ParallelSampler warms one instance, freezes its compiled tables
+//     and fans trials over thin read-only views of the shared snapshot,
+//     serially or through the batched lockstep engine.
 
 #include <chrono>
 #include <cstdint>
@@ -36,24 +38,19 @@
 
 namespace cdse {
 
-/// Which stepping engine the parallel estimators drive per chunk.
-///   kSerial        -- one execution at a time, the historical
-///                     draw-for-draw reproducible reference path.
-///   kBatched       -- lockstep trajectory-class batches over the rows'
-///                     alias tables (sched/batch_sampler.hpp), stepping
-///                     with the vectorized block draw kernel
-///                     (BatchKernel::kBlock): bulk RNG fills, SoA alias
-///                     gathers, singleton elision. Distribution-
-///                     equivalent to kSerial at the same seed and trial
-///                     count, but not draw-for-draw aligned; the
-///                     chi-square harness (tests/stat_util.hpp) pins the
-///                     equivalence. Requires schedulers whose choice is
-///                     a function of (lstate, |alpha|).
-///   kBatchedPerDraw -- the same lockstep engine stepping with the PR-8
-///                     scalar per-draw kernel (BatchKernel::kPerDraw);
-///                     the differential reference and the "before" row
-///                     of the E21 bench.
-enum class SamplingMode { kSerial, kBatched, kBatchedPerDraw };
+/// Which stepping engine ParallelSampler::sample_fdist drives per chunk.
+///   kSerial  -- one execution at a time, the draw-for-draw reproducible
+///               walk.
+///   kBatched -- lockstep trajectory-class batches over the rows' alias
+///               tables with the block draw kernel
+///               (sched/batch_sampler.hpp). Distribution-equivalent to
+///               kSerial at the same seed and trial count, but not
+///               draw-for-draw aligned; the chi-square harness
+///               (tests/stat_util.hpp) pins the equivalence.
+/// kSerial stays for one reason: batched rounds hand schedulers synthetic
+/// fragments, so a scheduler that reads the history, such as
+/// ObliviousFnScheduler (sched/schedulers.hpp), can only run serially.
+enum class SamplingMode { kSerial, kBatched };
 
 /// Samples one execution under the scheduler, halting when the scheduler
 /// halts or at max_depth.
@@ -65,16 +62,6 @@ Disc<Perception, double> sample_fdist(Psioa& automaton, Scheduler& sched,
                                       const InsightFunction& f,
                                       std::size_t trials, std::uint64_t seed,
                                       std::size_t max_depth);
-
-/// Parallel estimate. Each chunk c uses stream c of `seed`; results are
-/// merged deterministically (chunk partitioning depends on pool size, so
-/// cross-pool-size reproducibility holds at fixed pool size; per-seed
-/// statistical validity always holds).
-Disc<Perception, double> parallel_sample_fdist(
-    const PsioaFactory& make_automaton, const SchedulerFactory& make_sched,
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool,
-    SamplingMode mode = SamplingMode::kSerial);
 
 /// Failure policy for the guarded sampler.
 struct SampleGuard {
@@ -98,13 +85,18 @@ struct SampleReport {
   explicit operator bool() const { return complete; }
 };
 
-/// Hardened parallel estimate: never throws on task failure. Chunks that
-/// exceed `guard.deadline` contribute the trials they finished; chunks
-/// whose automaton/scheduler throws are retried on rotated seed streams
-/// (seed' = seed + (attempt+1)*golden-gamma) up to guard.max_retries, and
-/// a throwing attempt's partial trials are discarded as tainted. The
-/// returned distribution is normalized over report->trials_done, so it is
-/// a valid estimate of the f-dist from however many trials survived.
+/// Clone-per-worker parallel estimate; never throws on task failure.
+/// Each chunk c builds its own automaton + scheduler and uses stream c
+/// of `seed`; results are merged deterministically (chunk partitioning
+/// depends on pool size, so cross-pool-size reproducibility holds at
+/// fixed pool size; per-seed statistical validity always holds). Chunks
+/// that exceed `guard.deadline` contribute the trials they finished;
+/// chunks whose automaton/scheduler throws are retried on rotated seed
+/// streams (seed' = seed + (attempt+1)*golden-gamma) up to
+/// guard.max_retries, and a throwing attempt's partial trials are
+/// discarded as tainted. The returned distribution is normalized over
+/// report->trials_done, so it is a valid estimate of the f-dist from
+/// however many trials survived.
 Disc<Perception, double> guarded_parallel_sample_fdist(
     const PsioaFactory& make_automaton, const SchedulerFactory& make_sched,
     const InsightFunction& f, std::size_t trials, std::uint64_t seed,
@@ -151,9 +143,10 @@ std::size_t warm_automaton(MemoPsioa& automaton, Scheduler& sched,
 /// per-state choice rows); sample_fdist() then fans trials over thin
 /// SnapshotPsioa views -- no per-worker clone, no per-worker warm-up,
 /// one copy of the compiled tables regardless of worker count. Chunking
-/// and RNG streams mirror parallel_sample_fdist exactly, so at the same
-/// seeds a prepared sampler reproduces the clone-per-worker path
-/// draw-for-draw (tests/snapshot_test.cpp pins this).
+/// and RNG streams mirror guarded_parallel_sample_fdist exactly, so at
+/// the same seeds a prepared sampler reproduces the clone-per-worker
+/// path draw-for-draw in kSerial mode (tests/snapshot_test.cpp pins
+/// this).
 class ParallelSampler {
  public:
   ParallelSampler(PsioaFactory make_automaton, SchedulerFactory make_sched);
@@ -195,16 +188,15 @@ class ParallelSampler {
   using WaveCallback =
       std::function<bool(const WaveReport&, const Disc<Perception, double>&)>;
 
-  /// Incremental-rounds twin of sample_fdist for the batched modes: each
+  /// Incremental-rounds twin of sample_fdist in kBatched mode: each
   /// chunk keeps a persistent BatchSampler and advances it
   /// `rounds_per_wave` lockstep rounds per wave, surfacing the merged
   /// partial tally after every wave -- the hook the sequential
   /// early-stopping estimator consumes. Chunk partition, RNG streams and
   /// merge order mirror sample_fdist exactly, so a run driven to
   /// completion returns a bit-identical distribution to the one-shot
-  /// call in the same mode (tests/batch_sampler_test.cpp pins this).
-  /// `on_wave` may be null (run to completion silently). kSerial mode
-  /// has no round structure and is rejected (std::invalid_argument).
+  /// kBatched call (tests/batch_sampler_test.cpp pins this). `on_wave`
+  /// may be null (run to completion silently).
   ///
   /// rounds_per_wave contract: 0 auto-tunes the wave size to target
   /// ~4096 logical draws per wave per chunk -- each round resolves about
@@ -217,8 +209,7 @@ class ParallelSampler {
   Disc<Perception, double> sample_fdist_incremental(
       const InsightFunction& f, std::size_t trials, std::uint64_t seed,
       std::size_t max_depth, ThreadPool& pool, std::size_t rounds_per_wave,
-      const WaveCallback& on_wave = nullptr,
-      SamplingMode mode = SamplingMode::kBatched);
+      const WaveCallback& on_wave = nullptr);
 
   /// A fresh thin worker view / scheduler, as handed to each chunk.
   /// Exposed for the differential tests and for callers integrating the
@@ -262,7 +253,7 @@ class ParallelSampler {
 ///
 /// Chunking, RNG streams and merge order mirror the one-shot
 /// ParallelSampler::sample_fdist, so final_fdist() of a completed run is
-/// bit-identical to the one-shot call in the same mode. The running
+/// bit-identical to the one-shot kBatched call. The running
 /// tally (counts()) is delta-merged: after each wave every chunk drains
 /// only the terminal classes it discovered during that wave, so per-wave
 /// merge work is O(new entries) -- WaveReport::merge_entries proves it.
@@ -273,12 +264,11 @@ class IncrementalFdistRun {
  public:
   /// Requires sampler.prepared(); holds references to `sampler`, `f` and
   /// `pool` for its lifetime. rounds_per_wave == 0 auto-tunes (see
-  /// sample_fdist_incremental). kSerial mode is rejected.
+  /// sample_fdist_incremental).
   IncrementalFdistRun(const ParallelSampler& sampler,
                       const InsightFunction& f, std::size_t trials,
                       std::uint64_t seed, std::size_t max_depth,
-                      ThreadPool& pool, std::size_t rounds_per_wave = 0,
-                      SamplingMode mode = SamplingMode::kBatched);
+                      ThreadPool& pool, std::size_t rounds_per_wave = 0);
   ~IncrementalFdistRun();
   IncrementalFdistRun(const IncrementalFdistRun&) = delete;
   IncrementalFdistRun& operator=(const IncrementalFdistRun&) = delete;
@@ -299,7 +289,8 @@ class IncrementalFdistRun {
   /// counts() normalized over the terminal trials (empty when none).
   Disc<Perception, double> partial_fdist() const;
   /// Drives any remaining waves, then merges chunk-major exactly as the
-  /// one-shot path does -- bit-identical to sample_fdist in this mode.
+  /// one-shot path does -- bit-identical to sample_fdist in kBatched
+  /// mode.
   Disc<Perception, double> final_fdist();
 
   /// Counters summed over the chunks (valid between waves).

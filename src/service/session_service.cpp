@@ -237,8 +237,8 @@ ShardedStateInterner::CollectResult MacSessionService::advance_epoch() {
   if (!opts_.gc) return {};
   // Compaction renumbers a shard's local handles; rewrite the stored
   // handles of every live session that points into it. Runs quiescently
-  // (advance_epoch's contract), so taking the table locks inside the
-  // interner's shard lock cannot deadlock against ops.
+  // (advance_epoch's contract); collect() calls it outside the interner's
+  // shard lock, so the table locks keep the order open() takes them in.
   auto remap = [this](std::size_t shard,
                       const std::vector<ShardedStateInterner::Handle>& map) {
     for (auto& tsh : table_) {

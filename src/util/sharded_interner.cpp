@@ -75,7 +75,7 @@ ShardedStateInterner::CollectResult ShardedStateInterner::collect(
   std::vector<Handle> old_to_new;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lk(shard.mu);
+    std::unique_lock<std::mutex> lk(shard.mu);
     const std::size_t before = shard.interner.stats().bytes_reclaimed;
     result.keys_collected += shard.interner.collect();
     const std::size_t total = shard.interner.size();
@@ -88,10 +88,14 @@ ShardedStateInterner::CollectResult ShardedStateInterner::collect(
       shard.interner.compact(&old_to_new);
       ++shard.compactions;
       ++result.shards_compacted;
-      if (remap_fn) remap_fn(s, old_to_new);
     }
     result.bytes_reclaimed +=
         shard.interner.stats().bytes_reclaimed - before;
+    // Outside the shard lock: the owner's remap takes its own locks, and
+    // holding ours across it would order them after a shard lock -- the
+    // reverse of the owner's intern path (its lock, then the shard's).
+    lk.unlock();
+    if (worth_compacting && remap_fn) remap_fn(s, old_to_new);
   }
   return result;
 }

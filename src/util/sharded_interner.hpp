@@ -44,10 +44,12 @@ class ShardedStateInterner {
   using Handle = std::uint64_t;
   static constexpr Handle kInvalidHandle = ~Handle{0};
 
-  /// Called once per compacted shard, under that shard's lock:
-  /// old_to_new_local[old local handle] is the new local handle, or
-  /// StateInterner::kInvalidHandle for retired keys. The owner must
-  /// rewrite every stored global handle of this shard (see remap()).
+  /// Called once per compacted shard, after that shard's lock is released
+  /// (collect() runs quiescently, so nothing observes the shard between
+  /// compaction and remap): old_to_new_local[old local handle] is the new
+  /// local handle, or StateInterner::kInvalidHandle for retired keys. The
+  /// owner must rewrite every stored global handle of this shard (see
+  /// remap()).
   using RemapFn = std::function<void(
       std::size_t shard, const std::vector<Handle>& old_to_new_local)>;
 
@@ -83,8 +85,8 @@ class ShardedStateInterner {
   /// exceeds `compact_threshold` (of handles ever issued in the shard)
   /// are compacted, invoking `remap` so the owner can rewrite stored
   /// handles. MUST run quiescently: no concurrent intern/retire/key
-  /// calls (the per-shard locks are held, but a racing op could observe
-  /// handles from before and after a remap).
+  /// calls (a racing op could observe handles from before and after a
+  /// remap).
   CollectResult collect(double compact_threshold = 0.5,
                         const RemapFn& remap = nullptr);
 
@@ -107,7 +109,7 @@ class ShardedStateInterner {
  private:
   struct Shard {
     mutable std::mutex mu;
-    StateInterner interner{StateInterner::Backend::kArena};
+    StateInterner interner;
     std::size_t compactions = 0;
   };
 

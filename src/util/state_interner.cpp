@@ -1,19 +1,12 @@
 #include "util/state_interner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
 namespace cdse {
 
 namespace {
-
-std::atomic<StateInterner::Backend>& backend_flag() {
-  static std::atomic<StateInterner::Backend> flag{
-      StateInterner::Backend::kArena};
-  return flag;
-}
 
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 1;
@@ -22,7 +15,7 @@ std::size_t round_up_pow2(std::size_t v) {
 }
 
 // Word-pads a byte length (keys are stored 8-aligned so tuple() views
-// are well-aligned on every backend).
+// are well-aligned).
 std::size_t padded(std::size_t len) { return (len + 7) & ~std::size_t{7}; }
 
 }  // namespace
@@ -140,16 +133,6 @@ void Arena::reserve(std::size_t bytes) {
 
 // --------------------------------------------------------- StateInterner
 
-StateInterner::Backend StateInterner::default_backend() {
-  return backend_flag().load(std::memory_order_relaxed);
-}
-
-void StateInterner::set_default_backend(Backend b) {
-  backend_flag().store(b, std::memory_order_relaxed);
-}
-
-StateInterner::StateInterner(Backend backend) : backend_(backend) {}
-
 std::uint64_t StateInterner::hash_bytes(const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
   // FNV-1a seeded with the length (arity for tuple keys), so keys that
@@ -174,22 +157,15 @@ StateInterner::Handle StateInterner::intern_bytes(const void* data,
   return intern_bytes_hashed(data, len, hash_bytes(data, len));
 }
 
-StateInterner::Handle StateInterner::intern_bytes_hashed(const void* data,
-                                                         std::size_t len,
-                                                         std::uint64_t hash) {
-  ++lookups_;
-  return backend_ == Backend::kArena ? intern_arena(data, len, hash)
-                                     : intern_map(data, len, hash);
-}
-
 StateInterner::Handle StateInterner::intern_tuple(const std::uint64_t* words,
                                                   std::size_t n) {
   return intern_bytes(words, n * sizeof(std::uint64_t));
 }
 
-StateInterner::Handle StateInterner::intern_arena(const void* data,
-                                                  std::size_t len,
-                                                  std::uint64_t h) {
+StateInterner::Handle StateInterner::intern_bytes_hashed(const void* data,
+                                                         std::size_t len,
+                                                         std::uint64_t h) {
+  ++lookups_;
   if (slots_.empty()) grow_table(16);
   std::size_t i = h & slot_mask_;
   while (true) {
@@ -225,39 +201,6 @@ StateInterner::Handle StateInterner::intern_arena(const void* data,
   return entries_.size() - 1;
 }
 
-std::size_t StateInterner::map_key_bytes(std::size_t len) {
-  // What the node-based design actually allocates per key: an rb-tree
-  // node (3 pointers + color + the pair), the key string (and its heap
-  // buffer past SSO), and the aligned payload copy.
-  constexpr std::size_t kNodeOverhead = 4 * sizeof(void*) + sizeof(Handle);
-  return kNodeOverhead + sizeof(std::string) + (len > 15 ? len + 1 : 0) +
-         sizeof(std::vector<std::uint64_t>) + padded(len);
-}
-
-StateInterner::Handle StateInterner::intern_map(const void* data,
-                                                std::size_t len,
-                                                std::uint64_t h) {
-  // Legacy shape on purpose: a key copy per lookup, a tree node per key,
-  // and a second heap copy for handle access -- the allocation pattern of
-  // the five per-instance maps this class replaced, kept as the
-  // differential reference and the bench baseline.
-  std::string lookup_key(static_cast<const char*>(data), len);
-  auto it = map_.find(lookup_key);
-  if (it != map_.end()) return it->second;
-  const Handle handle = entries_.size();
-  std::vector<std::uint64_t> payload(padded(len) / sizeof(std::uint64_t), 0);
-  if (len != 0) std::memcpy(payload.data(), data, len);
-  map_keys_.push_back(std::move(payload));
-  const std::vector<std::uint64_t>& stored = map_keys_.back();
-  entries_.push_back(Entry{
-      stored.empty() ? nullptr
-                     : reinterpret_cast<const std::byte*>(stored.data()),
-      h, static_cast<std::uint32_t>(len), kNoEntryChunk});
-  map_bytes_ += map_key_bytes(len);
-  map_.emplace(std::move(lookup_key), handle);
-  return handle;
-}
-
 void StateInterner::grow_table(std::size_t min_slots) {
   const std::size_t n = round_up_pow2(std::max<std::size_t>(min_slots, 16));
   if (n <= slots_.size()) return;
@@ -288,23 +231,7 @@ void StateInterner::rebuild_slots() {
 
 bool StateInterner::retire(Handle h) {
   if (h >= entries_.size() || entry_dead(entries_[h])) return false;
-  Entry& e = entries_[h];
-  if (backend_ == Backend::kMap) {
-    // The map node must go *now*, or an equal key interned before the
-    // next collect() would resolve to the dead handle. The payload heap
-    // copy goes with it; only the tombstoned Entry survives.
-    if (e.ptr != nullptr) {
-      map_.erase(std::string(reinterpret_cast<const char*>(e.ptr), e.len));
-      std::vector<std::uint64_t>().swap(map_keys_[h]);
-    } else {
-      map_.erase(std::string());
-    }
-    const std::size_t freed = map_key_bytes(e.len);
-    map_bytes_ -= freed;
-    bytes_reclaimed_ += freed;
-    e.ptr = nullptr;
-  }
-  e.chunk |= kDeadBit;
+  entries_[h].chunk |= kDeadBit;
   pending_retired_.push_back(h);
   ++retired_;
   return true;
@@ -317,20 +244,18 @@ bool StateInterner::is_live(Handle h) const {
 std::size_t StateInterner::collect() {
   if (pending_retired_.empty()) return 0;
   const std::size_t n = pending_retired_.size();
-  if (backend_ == Backend::kArena) {
-    for (Handle h : pending_retired_) {
-      Entry& e = entries_[h];
-      const std::uint32_t chunk = e.chunk & ~kDeadBit;
-      if (chunk != kNoEntryChunk) {
-        bytes_reclaimed_ += arena_.deallocate_from(chunk, padded(e.len));
-      }
-      e.ptr = nullptr;
+  for (Handle h : pending_retired_) {
+    Entry& e = entries_[h];
+    const std::uint32_t chunk = e.chunk & ~kDeadBit;
+    if (chunk != kNoEntryChunk) {
+      bytes_reclaimed_ += arena_.deallocate_from(chunk, padded(e.len));
     }
-    bytes_reclaimed_ += arena_.release_dead_chunks();
-    // One rebuild per epoch drops every dead slot at once -- the
-    // amortized cost the deferred-retirement design buys.
-    rebuild_slots();
+    e.ptr = nullptr;
   }
+  bytes_reclaimed_ += arena_.release_dead_chunks();
+  // One rebuild per epoch drops every dead slot at once -- the amortized
+  // cost the deferred-retirement design buys.
+  rebuild_slots();
   pending_retired_.clear();
   return n;
 }
@@ -341,7 +266,7 @@ void StateInterner::compact(std::vector<Handle>* old_to_new) {
   if (old_to_new != nullptr) {
     old_to_new->assign(old_count, kInvalidHandle);
   }
-  StateInterner fresh(backend_);
+  StateInterner fresh;
   fresh.reserve(live_keys());
   for (std::size_t h = 0; h < old_count; ++h) {
     const Entry& e = entries_[h];
@@ -349,7 +274,7 @@ void StateInterner::compact(std::vector<Handle>* old_to_new) {
     const Handle nh = fresh.intern_bytes(e.ptr, e.len);
     if (old_to_new != nullptr) (*old_to_new)[h] = nh;
   }
-  // Cumulative counters survive the rebuild; the dropped backend's held
+  // Cumulative counters survive the rebuild; the dropped table's held
   // bytes (dead entries, slot slack, drained-but-held chunks) count as
   // reclaimed.
   const std::size_t old_held = stats().arena_bytes;
@@ -380,7 +305,7 @@ TupleRef StateInterner::tuple(Handle h) const {
 }
 
 void StateInterner::reserve(std::size_t expected_keys) {
-  if (backend_ != Backend::kArena || expected_keys == 0) return;
+  if (expected_keys == 0) return;
   entries_.reserve(expected_keys);
   grow_table(round_up_pow2(expected_keys * 10 / 7 + 1));
 }
@@ -393,24 +318,11 @@ InternStats StateInterner::stats() const {
   s.rehashes = rehashes_;
   s.keys_retired = retired_;
   s.bytes_reclaimed = bytes_reclaimed_;
-  if (backend_ == Backend::kArena) {
-    s.arena_bytes = arena_.bytes_held() +
-                    slots_.capacity() * sizeof(std::uint32_t) +
-                    entries_.capacity() * sizeof(Entry);
-    s.arena_chunks = arena_.held_chunk_count();
-    s.bytes_live = arena_.bytes_live();
-  } else {
-    s.arena_bytes = map_bytes_ + entries_.capacity() * sizeof(Entry);
-    s.arena_chunks = 0;
-    // Like-for-like with the arena's key-byte balance: padded payload
-    // bytes of live keys only (node/string overhead excluded, as chunk
-    // bookkeeping is excluded on the arena side).
-    std::size_t live = 0;
-    for (const Entry& e : entries_) {
-      if (!entry_dead(e)) live += padded(e.len);
-    }
-    s.bytes_live = live;
-  }
+  s.arena_bytes = arena_.bytes_held() +
+                  slots_.capacity() * sizeof(std::uint32_t) +
+                  entries_.capacity() * sizeof(Entry);
+  s.arena_chunks = arena_.held_chunk_count();
+  s.bytes_live = arena_.bytes_live();
   return s;
 }
 

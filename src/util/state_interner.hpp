@@ -8,8 +8,9 @@
 // change freely as long as the bijection between structures and handles
 // is preserved. Handles here are dense and assigned in discovery order --
 // exactly the order the legacy per-instance maps assigned them -- so the
-// migration is semantics-neutral down to draw-for-draw seed
-// reproducibility (tests/intern_test.cpp pins this differentially).
+// migration was semantics-neutral down to draw-for-draw seed
+// reproducibility (tests/intern_test.cpp pins the handle assignment
+// against a std::map oracle).
 //
 // Two pieces:
 //   Arena         -- a chunked bump allocator. Chunks are never moved, so
@@ -27,22 +28,12 @@
 //                    O(1) handle -> key access. Keys are byte strings;
 //                    word-aligned tuple keys get a typed TupleRef view.
 //
-// The legacy behaviour remains available as Backend::kMap -- a node-based
-// std::map index with per-key heap copies, shaped like the five interners
-// this class replaced. It exists for the map-vs-arena differential tests
-// and as the allocator-traffic baseline of the E10 warm-up bench rows;
-// production code always runs on Backend::kArena (the default).
-//
 // Thread-safety: none (per-instance, like the maps it replaces); the
-// one-thread-per-instance rule of psioa.hpp covers it. The process-wide
-// backend default is atomic so tests/benches can flip it safely.
+// one-thread-per-instance rule of psioa.hpp covers it.
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,14 +47,13 @@ struct InternStats {
   std::size_t lookups = 0;    ///< intern() calls
   std::size_t probes = 0;     ///< slot probe steps across all lookups
   std::size_t rehashes = 0;   ///< table growths (reinsert passes)
-  std::size_t arena_bytes = 0;  ///< bytes the backend *currently holds*
+  std::size_t arena_bytes = 0;  ///< bytes the interner *currently holds*
                                 ///< for keys+tables (drops as GC frees)
-  std::size_t arena_chunks = 0;  ///< held arena chunks (0 on map backend)
+  std::size_t arena_chunks = 0;  ///< held arena chunks
   std::size_t keys_retired = 0;  ///< handles retired by session GC
   std::size_t bytes_live = 0;    ///< key bytes owned by live handles only
   std::size_t bytes_reclaimed = 0;  ///< cumulative bytes returned by GC
-                                    ///< (freed chunks / erased map nodes
-                                    ///< / compaction)
+                                    ///< (freed chunks / compaction)
 
   InternStats& operator+=(const InternStats& o) {
     keys += o.keys;
@@ -167,15 +157,6 @@ class StateInterner {
   using Handle = std::uint64_t;
   static constexpr Handle kInvalidHandle = ~Handle{0};
 
-  enum class Backend { kArena, kMap };
-
-  /// Process-wide default for newly constructed interners. Production is
-  /// kArena; tests and the E10 baseline rows flip to kMap.
-  static Backend default_backend();
-  static void set_default_backend(Backend b);
-
-  explicit StateInterner(Backend backend = default_backend());
-
   /// Interns an arbitrary byte-string key; returns its dense handle
   /// (size() - 1 on first sight, the prior handle on every later call).
   /// A key equal to a *retired* key does not resurrect the old handle:
@@ -227,20 +208,18 @@ class StateInterner {
 
   /// Applies pending retirements: discharges dead keys from the arena
   /// (releasing fully-dead chunks) and rebuilds the slot table without
-  /// them. On the map backend nodes were already erased at retire();
-  /// collect() only rebuilds bookkeeping. Returns keys collected.
+  /// them. Returns keys collected.
   std::size_t collect();
 
-  /// Rebuilds the backend from live keys only, renumbering them densely
+  /// Rebuilds the interner from live keys only, renumbering them densely
   /// in handle order. `old_to_new` (if given) is resized to the old
   /// handle count; retired handles map to kInvalidHandle. Implies
   /// collect(). Cumulative counters (lookups/probes/rehashes/
   /// bytes_reclaimed) survive.
   void compact(std::vector<Handle>* old_to_new = nullptr);
 
-  /// Pre-sizes the table (and arena) for `expected_keys`, so a BFS
-  /// discovery burst (warm_automaton) does not rehash mid-walk. No-op on
-  /// the map backend.
+  /// Pre-sizes the table for `expected_keys`, so a BFS discovery burst
+  /// (warm_automaton) does not rehash mid-walk.
   void reserve(std::size_t expected_keys);
 
   /// FNV-1a over the key bytes, seeded with the key length and finished
@@ -253,48 +232,34 @@ class StateInterner {
   }
 
   InternStats stats() const;
-  Backend backend() const { return backend_; }
 
  private:
   struct Entry {
-    const std::byte* ptr;  // key bytes (arena slot or map payload)
+    const std::byte* ptr;  // key bytes (arena slot)
     std::uint64_t hash;
     std::uint32_t len;    // in bytes
     std::uint32_t chunk;  // owning arena chunk | kDeadBit when retired
   };
   // Retirement flag, OR'd into Entry::chunk (chunk indices stay < 2^31).
   static constexpr std::uint32_t kDeadBit = 0x80000000u;
-  // Entry::chunk sentinel for keys without an owning arena chunk (map
-  // backend, zero-length keys). Deliberately NOT Arena::kNoChunk: that
-  // bit pattern contains kDeadBit, and a live entry must not read as
-  // retired.
+  // Entry::chunk sentinel for keys without an owning arena chunk
+  // (zero-length keys). Deliberately NOT Arena::kNoChunk: that bit
+  // pattern contains kDeadBit, and a live entry must not read as retired.
   static constexpr std::uint32_t kNoEntryChunk = 0x7fffffffu;
 
   static bool entry_dead(const Entry& e) { return (e.chunk & kDeadBit) != 0; }
-  static std::size_t map_key_bytes(std::size_t len);
 
-  Handle intern_arena(const void* data, std::size_t len, std::uint64_t h);
-  Handle intern_map(const void* data, std::size_t len, std::uint64_t h);
   void grow_table(std::size_t min_slots);
   void rebuild_slots();
 
-  Backend backend_;
-
-  // Shared handle -> key table (both backends).
+  // Handle -> key table.
   std::vector<Entry> entries_;
 
-  // Arena backend: inline key storage + open addressing. Slot values are
-  // handle + 1; 0 marks an empty slot.
+  // Inline key storage + open addressing. Slot values are handle + 1; 0
+  // marks an empty slot.
   Arena arena_;
   std::vector<std::uint32_t> slots_;
   std::uint64_t slot_mask_ = 0;
-
-  // Map backend: the legacy shape -- a node-based index keyed by a
-  // per-lookup key copy, plus a second per-key heap copy for handle
-  // access (word-aligned so tuple() works identically).
-  std::map<std::string, Handle> map_;
-  std::deque<std::vector<std::uint64_t>> map_keys_;
-  std::size_t map_bytes_ = 0;
 
   // Session-GC bookkeeping.
   std::vector<Handle> pending_retired_;  // retired, not yet collected

@@ -9,10 +9,11 @@
 //   vs exact      -- batched f-dists pass the chi-square GOF harness
 //                    against the exact enumerator.
 //   vs serial     -- the headline differential: serial and batched
-//                    f-dists over the same stack zoo as the exact-engine
-//                    suite (composed, hidden+renamed, MAC, ledger,
-//                    faulty channel) agree under the two-sample
-//                    chi-square at every worker count in {1, 2, 4, 8}.
+//                    f-dists over one frozen snapshot of each stack in
+//                    the exact-engine suite's zoo (composed,
+//                    hidden+renamed, MAC, ledger, faulty channel) agree
+//                    under the two-sample chi-square at every worker
+//                    count in {1, 2, 4, 8}.
 //
 // Suite names all start with "BatchSampler" so scripts/check.sh --tsan
 // can select the concurrency-bearing cases by regex.
@@ -29,6 +30,7 @@
 
 #include "crypto/pairs.hpp"
 #include "fault/faulty.hpp"
+#include "impl/implementation.hpp"
 #include "protocols/channel.hpp"
 #include "protocols/coinflip.hpp"
 #include "protocols/environment.hpp"
@@ -186,12 +188,14 @@ TEST(BatchSamplerUnit, BatchedFdistIsSeedDeterministic) {
 TEST(BatchSampler, ParallelBatchedIsDeterministicAtFixedPoolSize) {
   ThreadPool pool(4);
   TraceInsight f;
-  auto make_aut = mac_factory("bs_pdet");
-  auto make_sched = uniform_factory(kDepth);
-  const auto d1 = parallel_sample_fdist(make_aut, make_sched, f, kTrials, 9,
-                                        kDepth, pool, SamplingMode::kBatched);
-  const auto d2 = parallel_sample_fdist(make_aut, make_sched, f, kTrials, 9,
-                                        kDepth, pool, SamplingMode::kBatched);
+  ParallelSampler sampler(mac_factory("bs_pdet"), uniform_factory(kDepth));
+  WarmupPlan plan;
+  plan.horizon = kDepth;
+  sampler.prepare(plan, kDepth);
+  const auto d1 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool,
+                                       SamplingMode::kBatched);
+  const auto d2 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool,
+                                       SamplingMode::kBatched);
   ASSERT_EQ(d1.entries().size(), d2.entries().size());
   for (std::size_t i = 0; i < d1.entries().size(); ++i) {
     EXPECT_EQ(d1.entries()[i].first, d2.entries()[i].first);
@@ -213,24 +217,6 @@ TEST(BatchSamplerUnit, BatchedFdistMatchesExactEnumerator) {
 }
 
 // ------------------------------------------------------------- vs serial
-
-TEST(BatchSampler, BatchedMatchesSerialAcrossZooAndWorkerCounts) {
-  TraceInsight f;
-  for (const Stack& stack : stack_zoo()) {
-    auto make_sched = uniform_factory(kDepth);
-    for (std::size_t workers : kWorkerCounts) {
-      ThreadPool pool(workers);
-      const auto serial =
-          parallel_sample_fdist(stack.make, make_sched, f, kTrials, 101,
-                                kDepth, pool, SamplingMode::kSerial);
-      const auto batched =
-          parallel_sample_fdist(stack.make, make_sched, f, kTrials, 202,
-                                kDepth, pool, SamplingMode::kBatched);
-      EXPECT_TRUE(testing::fdists_match(serial, kTrials, batched, kTrials))
-          << stack.label << " at " << workers << " workers";
-    }
-  }
-}
 
 TEST(BatchSampler, SnapshotBatchedMatchesSerialOverFrozenTables) {
   // The frozen-snapshot path (the one the E20 bench measures): one
@@ -256,7 +242,7 @@ TEST(BatchSampler, SnapshotBatchedMatchesSerialOverFrozenTables) {
   }
 }
 
-// ----------------------------------------------------------- draw kernels
+// ------------------------------------------------------------ draw kernel
 
 /// Exact (bitwise) equality of two estimates -- the bar for "same
 /// schedule", much stronger than the chi-square harness.
@@ -268,40 +254,6 @@ void expect_bit_identical(const Disc<Perception, double>& a,
     EXPECT_EQ(a.entries()[i].first, b.entries()[i].first) << what;
     EXPECT_EQ(a.entries()[i].second, b.entries()[i].second) << what;
   }
-}
-
-TEST(BatchSampler, PerDrawKernelMatchesSerialAcrossZoo) {
-  // The PR-8 reference kernel stays gated against the serial path.
-  TraceInsight f;
-  for (const Stack& stack : stack_zoo()) {
-    auto make_sched = uniform_factory(kDepth);
-    ThreadPool pool(4);
-    const auto serial =
-        parallel_sample_fdist(stack.make, make_sched, f, kTrials, 111,
-                              kDepth, pool, SamplingMode::kSerial);
-    const auto perdraw =
-        parallel_sample_fdist(stack.make, make_sched, f, kTrials, 222,
-                              kDepth, pool, SamplingMode::kBatchedPerDraw);
-    EXPECT_TRUE(testing::fdists_match(serial, kTrials, perdraw, kTrials))
-        << stack.label;
-  }
-}
-
-TEST(BatchSampler, BlockKernelMatchesPerDrawKernelStatistically) {
-  // The two kernels consume the RNG differently, so the bar here is
-  // distributional; the bitwise bar below is between ISA paths of the
-  // *same* kernel.
-  TraceInsight f;
-  ParallelSampler sampler(mac_factory("bs_kern"), uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.horizon = kDepth;
-  sampler.prepare(plan, kDepth);
-  ThreadPool pool(4);
-  const auto block = sampler.sample_fdist(f, kTrials, 505, kDepth, pool,
-                                          SamplingMode::kBatched);
-  const auto perdraw = sampler.sample_fdist(f, kTrials, 606, kDepth, pool,
-                                            SamplingMode::kBatchedPerDraw);
-  EXPECT_TRUE(testing::fdists_match(block, kTrials, perdraw, kTrials));
 }
 
 TEST(BatchSampler, BlockKernelIsaPathsProduceBitIdenticalTallies) {
@@ -351,7 +303,7 @@ TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
   (void)sampler.sample_fdist(f, kTrials, 808, kDepth, pool,
                              SamplingMode::kBatched);
   const BatchStats block = sampler.last_batch_stats();
-  // Logical draw counting is kernel-independent...
+  // Logical draws count every draw, elided or not...
   EXPECT_GE(block.action_draws, kTrials);
   // ...but the block kernel must have elided singleton rows (the MAC
   // stack's transitions are mostly deterministic) and bulk-filled the
@@ -361,13 +313,6 @@ TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
   EXPECT_GT(block.block_draws, 0u);
   EXPECT_LT(block.block_draws,
             2 * (block.action_draws + block.target_draws));
-  (void)sampler.sample_fdist(f, kTrials, 808, kDepth, pool,
-                             SamplingMode::kBatchedPerDraw);
-  const BatchStats perdraw = sampler.last_batch_stats();
-  EXPECT_EQ(perdraw.blocks_filled, 0u);
-  EXPECT_EQ(perdraw.block_draws, 0u);
-  EXPECT_EQ(perdraw.singleton_skips, 0u);
-  EXPECT_EQ(perdraw.rejection_redraws, 0u);
 }
 
 // ------------------------------------------------------ incremental rounds
@@ -379,22 +324,19 @@ TEST(BatchSamplerUnit, RunRoundsResumeIsBitIdentical) {
   UniformScheduler s1(kDepth);
   UniformScheduler s2(kDepth);
   const Xoshiro256 rng(55);
-  for (const BatchKernel kernel :
-       {BatchKernel::kBlock, BatchKernel::kPerDraw}) {
-    BatchSampler split(*coin, s1, 5000, rng, kDepth, kernel);
-    BatchSampler whole(*coin, s2, 5000, rng, kDepth, kernel);
-    std::size_t ran = 0;
-    while (!split.done()) ran += split.run_rounds(2);
-    whole.run_to_completion();
-    EXPECT_EQ(ran, whole.rounds_done());
-    EXPECT_EQ(split.trials_terminal(), whole.trials_terminal());
-    EXPECT_EQ(split.trials_terminal(), 5000u);
-    EXPECT_EQ(split.fragments(), whole.fragments());
-    EXPECT_EQ(split.stats().action_draws, whole.stats().action_draws);
-    EXPECT_EQ(split.stats().target_draws, whole.stats().target_draws);
-    EXPECT_EQ(split.stats().distinct_executions,
-              whole.stats().distinct_executions);
-  }
+  BatchSampler split(*coin, s1, 5000, rng, kDepth);
+  BatchSampler whole(*coin, s2, 5000, rng, kDepth);
+  std::size_t ran = 0;
+  while (!split.done()) ran += split.run_rounds(2);
+  whole.run_to_completion();
+  EXPECT_EQ(ran, whole.rounds_done());
+  EXPECT_EQ(split.trials_terminal(), whole.trials_terminal());
+  EXPECT_EQ(split.trials_terminal(), 5000u);
+  EXPECT_EQ(split.fragments(), whole.fragments());
+  EXPECT_EQ(split.stats().action_draws, whole.stats().action_draws);
+  EXPECT_EQ(split.stats().target_draws, whole.stats().target_draws);
+  EXPECT_EQ(split.stats().distinct_executions,
+            whole.stats().distinct_executions);
 }
 
 TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
@@ -424,24 +366,20 @@ TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
 TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
   // The headline incremental contract: driven to completion, the waved
   // path merges the exact same chunk tallies in the exact same order as
-  // the one-shot call -- bit-identical, per mode, per worker count.
+  // the one-shot call -- bit-identical, per worker count.
   TraceInsight f;
   ParallelSampler sampler(mac_factory("bs_iosh"), uniform_factory(kDepth));
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  for (const SamplingMode mode :
-       {SamplingMode::kBatched, SamplingMode::kBatchedPerDraw}) {
-    for (std::size_t workers : kWorkerCounts) {
-      ThreadPool pool(workers);
-      const auto oneshot =
-          sampler.sample_fdist(f, kTrials, 909, kDepth, pool, mode);
-      const auto waved = sampler.sample_fdist_incremental(
-          f, kTrials, 909, kDepth, pool, /*rounds_per_wave=*/1, nullptr,
-          mode);
-      expect_bit_identical(oneshot, waved,
-                           std::to_string(workers) + " workers");
-    }
+  for (std::size_t workers : kWorkerCounts) {
+    ThreadPool pool(workers);
+    const auto oneshot = sampler.sample_fdist(f, kTrials, 909, kDepth, pool,
+                                              SamplingMode::kBatched);
+    const auto waved = sampler.sample_fdist_incremental(
+        f, kTrials, 909, kDepth, pool, /*rounds_per_wave=*/1);
+    expect_bit_identical(oneshot, waved,
+                         std::to_string(workers) + " workers");
   }
 }
 
@@ -522,15 +460,20 @@ TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
 }
 
 TEST(BatchSampler, IncrementalRejectsSerialMode) {
+  // Sampled implementation checks drive incremental batched waves, which
+  // kSerial has no round structure for: the request is rejected up front.
   TraceInsight f;
-  ParallelSampler sampler(mac_factory("bs_irej"), uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.horizon = kDepth;
-  sampler.prepare(plan, kDepth);
   ThreadPool pool(1);
-  EXPECT_THROW(sampler.sample_fdist_incremental(f, 100, 1, kDepth, pool, 1,
-                                                nullptr,
-                                                SamplingMode::kSerial),
+  const PsioaFactory a = [] { return make_coin("bs_irej", Rational(1, 3)); };
+  const PsioaFactory b = [] { return make_coin("bs_irej", Rational(1, 2)); };
+  const std::vector<LabeledPsioaFactory> envs = {
+      {"ctx", [] { return make_coin("bs_irej_ctx", Rational(1, 2)); }}};
+  const std::vector<LabeledSchedulerFactory> schedulers = {
+      {"uniform", uniform_factory(kDepth)}};
+  EXPECT_THROW(check_implementation_sampled(
+                   a, b, envs, schedulers, same_scheduler(), f, kDepth,
+                   pool, SequentialPolicy::fixed(100), 1,
+                   SamplingMode::kSerial),
                std::invalid_argument);
 }
 

@@ -107,10 +107,10 @@ TEST(Sampler, ParallelEstimateMatchesExactAndIsSeedDeterministic) {
   auto make_sched = [] {
     return std::make_shared<UniformScheduler>(3);
   };
-  const auto s1 =
-      parallel_sample_fdist(make_aut, make_sched, f, 40000, 99, 10, pool);
-  const auto s2 =
-      parallel_sample_fdist(make_aut, make_sched, f, 40000, 99, 10, pool);
+  const auto s1 = guarded_parallel_sample_fdist(
+      make_aut, make_sched, f, 40000, 99, 10, pool, SampleGuard{}, nullptr);
+  const auto s2 = guarded_parallel_sample_fdist(
+      make_aut, make_sched, f, 40000, 99, 10, pool, SampleGuard{}, nullptr);
   EXPECT_EQ(s1.entries().size(), s2.entries().size());
   for (std::size_t i = 0; i < s1.entries().size(); ++i) {
     EXPECT_EQ(s1.entries()[i].first, s2.entries()[i].first);

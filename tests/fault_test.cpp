@@ -306,24 +306,32 @@ TEST(Perturbed, RejectsRateOutsideUnitInterval) {
 // ------------------------------------------------------ guarded sampler
 
 TEST(GuardedSampler, CompleteRunMatchesUnguarded) {
+  // An armed guard that never fires (a deadline no chunk reaches, retries
+  // no chunk needs) must not perturb the run: same seed, same chunking,
+  // same estimate as the default guard.
   ThreadPool pool(2);
   auto factory = [] { return make_lossy_channel("gs", Rational(1, 2)); };
   auto sched_factory = [] {
     return std::make_shared<UniformScheduler>(6);
   };
   TraceInsight f;
-  SampleGuard guard;  // no deadline, no retries
+  SampleGuard armed;
+  armed.deadline = std::chrono::hours(1);
+  armed.max_retries = 3;
   SampleReport rep;
   const auto guarded = guarded_parallel_sample_fdist(
-      factory, sched_factory, f, 4000, 11, 10, pool, guard, &rep);
-  const auto plain = parallel_sample_fdist(factory, sched_factory, f, 4000,
-                                           11, 10, pool);
+      factory, sched_factory, f, 4000, 11, 10, pool, armed, &rep);
+  SampleReport plain_rep;
+  const auto plain = guarded_parallel_sample_fdist(
+      factory, sched_factory, f, 4000, 11, 10, pool, SampleGuard{},
+      &plain_rep);
   EXPECT_TRUE(rep.complete);
   EXPECT_TRUE(bool(rep));
   EXPECT_FALSE(rep.deadline_hit);
   EXPECT_EQ(rep.trials_done, 4000u);
   EXPECT_EQ(rep.retries_used, 0u);
-  EXPECT_EQ(guarded, plain);  // same seed, same chunking, same estimate
+  EXPECT_TRUE(plain_rep.complete);
+  EXPECT_EQ(guarded, plain);
 }
 
 TEST(GuardedSampler, DeadlineYieldsPartialNormalizedEstimate) {

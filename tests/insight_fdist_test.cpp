@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <stdexcept>
+
 #include "impl/balance.hpp"
 #include "protocols/coinflip.hpp"
 #include "protocols/environment.hpp"
@@ -119,6 +123,48 @@ TEST(Balance, SampledEpsilonTracksExact) {
       sampled_balance_epsilon(mk1, mks, mk2, mks, f, 60000, 7, 10, pool);
   EXPECT_NEAR(se.estimate, 0.25, 0.02);
   EXPECT_GT(se.radius, 0.0);
+}
+
+// Error contract: when one chunk's factory throws, the other chunks'
+// trials survive, but sampled_balance_epsilon must fail the whole
+// estimate instead of returning an epsilon from the survivors.
+
+TEST(Balance, SampledEpsilonThrowsWhenAutomatonFactoryThrows) {
+  ThreadPool pool(4);
+  AcceptInsight f(act("ins_y_t"));
+  auto mk = [] {
+    return make_bernoulli("ins_t1", "ins_go_t", "ins_y_t", "ins_n_t",
+                          Rational(1, 4));
+  };
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto flaky = [mk, calls]() -> PsioaPtr {
+    if (calls->fetch_add(1) == 1) throw std::runtime_error("factory down");
+    return mk();
+  };
+  auto mks = [] { return std::make_shared<UniformScheduler>(2); };
+  EXPECT_THROW(
+      sampled_balance_epsilon(mk, mks, flaky, mks, f, 4000, 7, 10, pool),
+      std::runtime_error);
+  EXPECT_GE(calls->load(), 2);
+}
+
+TEST(Balance, SampledEpsilonThrowsWhenSchedulerFactoryThrows) {
+  ThreadPool pool(4);
+  AcceptInsight f(act("ins_y_u"));
+  auto mk = [] {
+    return make_bernoulli("ins_u1", "ins_go_u", "ins_y_u", "ins_n_u",
+                          Rational(1, 4));
+  };
+  auto mks = [] { return std::make_shared<UniformScheduler>(2); };
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto flaky = [mks, calls]() -> SchedulerPtr {
+    if (calls->fetch_add(1) == 1) throw std::runtime_error("scheduler down");
+    return mks();
+  };
+  EXPECT_THROW(
+      sampled_balance_epsilon(mk, flaky, mk, mks, f, 4000, 7, 10, pool),
+      std::runtime_error);
+  EXPECT_GE(calls->load(), 2);
 }
 
 TEST(Balance, ProbeEnvironmentDrivesDistinguishing) {

@@ -1,12 +1,13 @@
 // Session GC at the handle-store layer (util/state_interner.hpp,
 // util/sharded_interner.hpp): arena chunk accounting, the retire /
-// collect / compact epoch discipline, the map-vs-arena differential
-// staying like-for-like after GC, and the sharded interner's concurrent
+// collect / compact epoch discipline, the interner staying like-for-like
+// with a std::map oracle after GC, and the sharded interner's concurrent
 // interning + quiescent compaction with handle remapping.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -77,7 +78,7 @@ TEST(ArenaGc, BumpTargetSparedUntilSweep) {
 // -- StateInterner retire / collect -----------------------------------------
 
 TEST(InternGc, RetiredHandleStopsResolvingAndKeyInternsFresh) {
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   const Handle h0 = si.intern_tuple(key2(1, 2));
   const Handle h1 = si.intern_tuple(key2(3, 4));
   EXPECT_TRUE(si.is_live(h0));
@@ -102,7 +103,7 @@ TEST(InternGc, RetiredHandleStopsResolvingAndKeyInternsFresh) {
 }
 
 TEST(InternGc, CollectReclaimsDeadChunksAndPreservesLiveKeys) {
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   constexpr std::size_t kKeys = 4096;
   std::vector<Handle> hs;
   hs.reserve(kKeys);
@@ -133,7 +134,7 @@ TEST(InternGc, SlotTableStopsGrowingUnderChurn) {
   // Live population is bounded at 256; intern/retire/collect cycles must
   // not keep doubling the slot table (the load factor counts live +
   // pending keys, not every key ever interned).
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   std::size_t rehashes_after_warm = 0;
   for (std::uint64_t cycle = 0; cycle < 50; ++cycle) {
     std::vector<Handle> hs;
@@ -149,7 +150,7 @@ TEST(InternGc, SlotTableStopsGrowingUnderChurn) {
 }
 
 TEST(InternGc, CompactRenumbersDenselyWithRemap) {
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   constexpr std::size_t kKeys = 100;
   std::vector<Handle> hs;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
@@ -179,39 +180,43 @@ TEST(InternGc, CompactRenumbersDenselyWithRemap) {
 }
 
 TEST(InternGc, MapVsArenaDifferentialStaysLikeForLikeAfterGc) {
-  // Same intern/retire/collect/re-intern sequence on both backends:
-  // handle values, live population, and *byte attribution of live keys*
-  // must agree -- the backends differ in held memory (arena chunks vs map
-  // nodes), never in accounting semantics.
-  StateInterner arena(StateInterner::Backend::kArena);
-  StateInterner map(StateInterner::Backend::kMap);
-  auto drive = [](StateInterner& si) {
-    std::vector<Handle> hs;
-    for (std::uint64_t i = 0; i < 512; ++i) {
-      hs.push_back(si.intern_tuple(key2(i, i ^ 0xabc)));
-    }
-    for (std::uint64_t i = 0; i < 512; i += 3) si.retire(hs[i]);
-    si.collect();
-    for (std::uint64_t i = 0; i < 100; ++i) {
-      hs.push_back(si.intern_tuple(key2(i, i ^ 0xabc)));  // some re-interns
-    }
-    return hs;
+  // An intern/retire/collect/re-intern sequence checked against a
+  // std::map oracle: handles are dense in discovery order, a retired key
+  // re-interns under a fresh handle, and the live population and the
+  // byte attribution of live keys follow the oracle exactly.
+  StateInterner si;
+  std::map<std::vector<std::uint64_t>, Handle> live;  // oracle index
+  std::map<Handle, std::vector<std::uint64_t>> by_handle;
+  Handle next = 0;
+  std::size_t retired = 0;
+  auto intern = [&](std::uint64_t i) {
+    const std::vector<std::uint64_t> k = key2(i, i ^ 0xabc);
+    const auto [it, fresh] = live.emplace(k, next);
+    if (fresh) by_handle[next++] = k;
+    ASSERT_EQ(si.intern_tuple(k), it->second) << "key " << i;
   };
-  const auto ha = drive(arena);
-  const auto hm = drive(map);
-  EXPECT_EQ(ha, hm);
-  EXPECT_EQ(arena.size(), map.size());
-  EXPECT_EQ(arena.live_keys(), map.live_keys());
-  const InternStats sa = arena.stats();
-  const InternStats sm = map.stats();
-  EXPECT_EQ(sa.keys, sm.keys);
-  EXPECT_EQ(sa.keys_retired, sm.keys_retired);
-  EXPECT_EQ(sa.bytes_live, sm.bytes_live);
-  for (std::uint64_t h = 0; h < arena.size(); ++h) {
-    ASSERT_EQ(arena.is_live(h), map.is_live(h));
-    if (arena.is_live(h)) {
-      ASSERT_EQ(arena.tuple(h)[0], map.tuple(h)[0]);
-      ASSERT_EQ(arena.tuple(h)[1], map.tuple(h)[1]);
+  for (std::uint64_t i = 0; i < 512; ++i) intern(i);
+  for (std::uint64_t i = 0; i < 512; i += 3) {
+    const auto it = live.find(key2(i, i ^ 0xabc));
+    ASSERT_TRUE(si.retire(it->second));
+    by_handle.erase(it->second);
+    live.erase(it);
+    ++retired;
+  }
+  si.collect();
+  for (std::uint64_t i = 0; i < 100; ++i) intern(i);  // some re-interns
+  EXPECT_EQ(si.size(), next);
+  EXPECT_EQ(si.live_keys(), live.size());
+  const InternStats st = si.stats();
+  EXPECT_EQ(st.keys, next);
+  EXPECT_EQ(st.keys_retired, retired);
+  EXPECT_EQ(st.bytes_live, live.size() * 2 * sizeof(std::uint64_t));
+  for (Handle h = 0; h < si.size(); ++h) {
+    const auto it = by_handle.find(h);
+    ASSERT_EQ(si.is_live(h), it != by_handle.end()) << "handle " << h;
+    if (it != by_handle.end()) {
+      ASSERT_EQ(si.tuple(h)[0], it->second[0]);
+      ASSERT_EQ(si.tuple(h)[1], it->second[1]);
     }
   }
 }

@@ -2,16 +2,18 @@
 //
 // Three layers:
 //   units        -- Arena chunk growth / pointer stability / alignment,
-//                   StateInterner dense handles, round-trips, rehash
-//                   behaviour, and the length-seeded hash (the retired
+//                   StateInterner dense handles (against a std::map
+//                   oracle), round-trips, rehash behaviour, and the
+//                   length-seeded hash (the retired
 //                   ComposedPsioa::TupleHash ignored tuple arity).
-//   differential -- the same automaton stacks built on Backend::kMap (the
-//                   legacy node-based interners' shape) and Backend::kArena
-//                   must be indistinguishable: identical exact f-dists,
+//   differential -- handle assignment must not depend on table capacity:
+//                   the same automaton stacks with interners grown on
+//                   demand and pre-sized by reserve_interning must be
+//                   indistinguishable: identical exact f-dists,
 //                   draw-for-draw identical fixed-seed executions (handles
-//                   included -- both backends assign dense handles in
-//                   discovery order), bitwise-identical sampled f-dists,
-//                   and identical results through freeze()/SnapshotPsioa.
+//                   included -- both assign dense handles in discovery
+//                   order), bitwise-identical sampled f-dists, and
+//                   identical results through freeze()/SnapshotPsioa.
 //                   Covered stacks: random composed, hidden+renamed,
 //                   structured MAC, PCA ledger, faulty channel, crashable,
 //                   byzantine.
@@ -106,7 +108,7 @@ TEST(ArenaTest, OversizedAllocationGetsItsOwnChunk) {
 // --------------------------------------------------------- interner units
 
 TEST(StateInternerTest, DenseHandlesInDiscoveryOrder) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   const std::uint64_t a[] = {1, 2, 3};
   const std::uint64_t b[] = {4, 5};
   const std::uint64_t c[] = {1, 2, 4};
@@ -122,7 +124,7 @@ TEST(StateInternerTest, DenseHandlesInDiscoveryOrder) {
 }
 
 TEST(StateInternerTest, TupleRoundTrip) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   std::vector<std::vector<std::uint64_t>> keys;
   Xoshiro256 rng(99);
   for (int i = 0; i < 200; ++i) {
@@ -139,7 +141,7 @@ TEST(StateInternerTest, TupleRoundTrip) {
 }
 
 TEST(StateInternerTest, BytesRoundTrip) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   const std::string s1 = "hello";
   const std::string s2 = "hello world, a longer key crossing the pad";
   const auto h1 = in.intern_bytes(s1.data(), s1.size());
@@ -162,7 +164,7 @@ TEST(StateInternerTest, UnknownHandleThrows) {
 }
 
 TEST(StateInternerTest, RehashPreservesHandlesAndKeys) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   std::vector<std::vector<std::uint64_t>> keys;
   for (std::uint64_t i = 0; i < 10000; ++i) {
     keys.push_back({i * 3, i ^ 0xabcdef, i});
@@ -180,7 +182,7 @@ TEST(StateInternerTest, RehashPreservesHandlesAndKeys) {
 }
 
 TEST(StateInternerTest, ReserveAvoidsMidWalkRehashes) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   in.reserve(10000);
   for (std::uint64_t i = 0; i < 10000; ++i) {
     const std::uint64_t w[] = {i, ~i};
@@ -205,7 +207,7 @@ TEST(StateInternerTest, HashMixesTupleLength) {
       EXPECT_NE(hashes[i], hashes[j]) << "lengths " << i << " vs " << j;
     }
   }
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   for (std::size_t n = 0; n <= 4; ++n) {
     EXPECT_EQ(in.intern_tuple(zeros, n), n);
   }
@@ -213,45 +215,31 @@ TEST(StateInternerTest, HashMixesTupleLength) {
 }
 
 TEST(StateInternerTest, MapBackendAssignsIdenticalHandles) {
-  StateInterner arena(StateInterner::Backend::kArena);
-  StateInterner map(StateInterner::Backend::kMap);
+  // A std::map oracle assigns the next dense handle to each unseen key,
+  // the handle order the legacy node-based interners used. Live key bytes
+  // are the key lengths padded to whole words.
+  StateInterner in;
+  std::map<std::string, StateInterner::Handle> oracle;
+  std::size_t padded_bytes = 0;
   Xoshiro256 rng(7);
   for (int i = 0; i < 2000; ++i) {
-    std::vector<std::uint64_t> k(1 + rng.below(4));
-    for (auto& w : k) w = rng.below(50);  // collisions guaranteed
-    ASSERT_EQ(arena.intern_tuple(k), map.intern_tuple(k));
+    std::string k(1 + rng.below(20), 'a');
+    for (char& c : k) c = static_cast<char>('a' + rng.below(3));
+    const auto [it, fresh] = oracle.emplace(k, oracle.size());
+    if (fresh) padded_bytes += (k.size() + 7) / 8 * 8;
+    ASSERT_EQ(in.intern_bytes(k.data(), k.size()), it->second);
   }
-  EXPECT_EQ(arena.size(), map.size());
-  for (StateInterner::Handle h = 0; h < arena.size(); ++h) {
-    const TupleRef ta = arena.tuple(h);
-    const TupleRef tm = map.tuple(h);
-    ASSERT_EQ(ta.size(), tm.size());
-    for (std::size_t i = 0; i < ta.size(); ++i) EXPECT_EQ(ta[i], tm[i]);
+  EXPECT_LT(oracle.size(), 2000u);  // short keys repeat
+  EXPECT_EQ(in.size(), oracle.size());
+  for (const auto& [k, h] : oracle) {
+    const auto [p, n] = in.key(h);
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(p), n), k);
   }
-}
-
-TEST(StateInternerTest, ArenaHalvesMapBackendFootprint) {
-  // The tentpole's memory claim at unit scale: identical key load, the
-  // arena backend must hold less than half the bytes of the map-shaped
-  // baseline (one inline copy vs node + string copy + word-vector copy).
-  StateInterner arena(StateInterner::Backend::kArena);
-  StateInterner map(StateInterner::Backend::kMap);
-  arena.reserve(4096);
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint64_t w[] = {i, i * 31};
-    (void)arena.intern_tuple(w, 2);
-    (void)map.intern_tuple(w, 2);
-  }
-  const InternStats sa = arena.stats();
-  const InternStats sm = map.stats();
-  EXPECT_EQ(sa.keys, sm.keys);
-  EXPECT_GT(sa.arena_chunks, 0u);
-  EXPECT_GE(sm.arena_bytes, 2 * sa.arena_bytes)
-      << "arena=" << sa.arena_bytes << " map=" << sm.arena_bytes;
+  EXPECT_EQ(in.stats().bytes_live, padded_bytes);
 }
 
 TEST(StateInternerTest, StatsCountLookupsAndProbes) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   const std::uint64_t w[] = {1, 2};
   (void)in.intern_tuple(w, 2);
   (void)in.intern_tuple(w, 2);
@@ -267,19 +255,9 @@ TEST(StateInternerTest, StatsCountLookupsAndProbes) {
 constexpr std::size_t kFdistDepth = 4;
 constexpr std::size_t kSampleDepth = 8;
 constexpr std::size_t kTrials = 400;
-
-/// Scoped process-default backend flip (restores on scope exit).
-class BackendGuard {
- public:
-  explicit BackendGuard(StateInterner::Backend b)
-      : prev_(StateInterner::default_backend()) {
-    StateInterner::set_default_backend(b);
-  }
-  ~BackendGuard() { StateInterner::set_default_backend(prev_); }
-
- private:
-  StateInterner::Backend prev_;
-};
+/// Pre-size hint for the "sized" side: far above any stack's state count,
+/// so its tables never grow, while the "grown" side's start small.
+constexpr std::size_t kReserve = 4096;
 
 PsioaFactory composed_factory(int seed, const std::string& tag) {
   return [seed, tag]() -> PsioaPtr {
@@ -358,19 +336,20 @@ Disc<Perception, double> sampled_of(Psioa& sys, std::uint64_t seed) {
   return sample_fdist(sys, sched, f, kTrials, seed, kSampleDepth);
 }
 
-/// One backend's observation of a stack: exact f-dist, 12 fixed-seed
-/// executions (handles included), and a sampled f-dist.
+/// One build's observation of a stack: exact f-dist, 12 fixed-seed
+/// executions (handles included), and a sampled f-dist. A nonzero
+/// `reserve` pre-sizes every interner in the stack before first use.
 struct Observation {
   ExactDisc<Perception> exact;
   std::vector<ExecFragment> runs;
   Disc<Perception, double> sampled;
 };
 
-Observation observe(const PsioaFactory& fa, StateInterner::Backend backend,
+Observation observe(const PsioaFactory& fa, std::size_t reserve,
                     std::uint64_t seed) {
-  BackendGuard guard(backend);
   Observation obs;
   PsioaPtr sys = fa();
+  if (reserve > 0) sys->reserve_interning(reserve);
   obs.exact = exact_of(*sys);
   for (int t = 0; t < 12; ++t) {
     UniformScheduler sched(kSampleDepth);
@@ -381,26 +360,26 @@ Observation observe(const PsioaFactory& fa, StateInterner::Backend backend,
   return obs;
 }
 
-/// The differential core: a stack built on the legacy map-shaped backend
-/// and on the arena backend must agree exactly, draw for draw, handle for
+/// The differential core: a stack growing its interners on demand and
+/// the same stack pre-sized must agree exactly, draw for draw, handle for
 /// handle (both assign dense handles in discovery order).
-void expect_backends_agree(const PsioaFactory& fa, std::uint64_t seed) {
-  const Observation m = observe(fa, StateInterner::Backend::kMap, seed);
-  const Observation a = observe(fa, StateInterner::Backend::kArena, seed);
-  EXPECT_EQ(m.exact, a.exact);
-  ASSERT_EQ(m.runs.size(), a.runs.size());
-  for (std::size_t t = 0; t < m.runs.size(); ++t) {
-    EXPECT_EQ(m.runs[t], a.runs[t]) << "trace " << t;
+void expect_capacity_blind(const PsioaFactory& fa, std::uint64_t seed) {
+  const Observation grown = observe(fa, 0, seed);
+  const Observation sized = observe(fa, kReserve, seed);
+  EXPECT_EQ(grown.exact, sized.exact);
+  ASSERT_EQ(grown.runs.size(), sized.runs.size());
+  for (std::size_t t = 0; t < grown.runs.size(); ++t) {
+    EXPECT_EQ(grown.runs[t], sized.runs[t]) << "trace " << t;
   }
-  EXPECT_EQ(m.sampled, a.sampled);
+  EXPECT_EQ(grown.sampled, sized.sampled);
 }
 
 /// Same comparison through the frozen-snapshot engine: prepare() (BFS
-/// warm-up + freeze) and parallel sample_fdist must be backend-blind.
-void expect_backends_agree_frozen(const PsioaFactory& fa,
+/// warm-up + freeze) and parallel sample_fdist must not depend on the
+/// warm-up's interning pre-size.
+void expect_capacity_blind_frozen(const PsioaFactory& fa,
                                   std::uint64_t seed) {
-  auto run = [&fa, seed](StateInterner::Backend b) {
-    BackendGuard guard(b);
+  auto run = [&fa, seed](std::size_t reserve) {
     SchedulerFactory fs = [] {
       return std::make_shared<UniformScheduler>(kSampleDepth);
     };
@@ -408,6 +387,7 @@ void expect_backends_agree_frozen(const PsioaFactory& fa,
     WarmupPlan plan;
     plan.episodes = 8;
     plan.horizon = kSampleDepth;
+    plan.reserve_states = reserve;
     sampler.prepare(plan, kSampleDepth);
     ThreadPool pool(4);
     TraceInsight f;
@@ -415,27 +395,28 @@ void expect_backends_agree_frozen(const PsioaFactory& fa,
     const InternStats st = sampler.residue_intern_stats();
     return std::make_pair(dist, st);
   };
-  const auto [dist_map, st_map] = run(StateInterner::Backend::kMap);
-  const auto [dist_arena, st_arena] = run(StateInterner::Backend::kArena);
-  EXPECT_EQ(dist_map, dist_arena);
-  // Both backends interned the same key set in the same order.
-  EXPECT_EQ(st_map.keys, st_arena.keys);
-  EXPECT_GT(st_arena.keys, 0u);
-  EXPECT_GT(st_arena.arena_chunks, 0u);
-  EXPECT_EQ(st_map.arena_chunks, 0u);
+  const auto [dist_grown, st_grown] = run(0);
+  const auto [dist_sized, st_sized] = run(kReserve);
+  EXPECT_EQ(dist_grown, dist_sized);
+  // Both warm-ups interned the same key set in the same order; only the
+  // grown tables ever rehashed.
+  EXPECT_EQ(st_grown.keys, st_sized.keys);
+  EXPECT_GT(st_sized.keys, 0u);
+  EXPECT_GT(st_sized.arena_chunks, 0u);
+  EXPECT_EQ(st_sized.rehashes, 0u);
 }
 
 class InternBackendDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(InternBackendDifferential, ComposedStack) {
   const int n = GetParam();
-  expect_backends_agree(composed_factory(n, "it_a" + std::to_string(n)),
+  expect_capacity_blind(composed_factory(n, "it_a" + std::to_string(n)),
                         5000 + n);
 }
 
 TEST_P(InternBackendDifferential, HiddenRenamedStack) {
   const int n = GetParam();
-  expect_backends_agree(hidden_renamed_factory(n, "it_b" + std::to_string(n)),
+  expect_capacity_blind(hidden_renamed_factory(n, "it_b" + std::to_string(n)),
                         6000 + n);
 }
 
@@ -443,48 +424,48 @@ INSTANTIATE_TEST_SUITE_P(Random, InternBackendDifferential,
                          ::testing::Range(0, 4));
 
 TEST(InternBackendStacks, StructuredSecureStack) {
-  expect_backends_agree(mac_factory("it_mac"), 43);
+  expect_capacity_blind(mac_factory("it_mac"), 43);
 }
 
 TEST(InternBackendStacks, PcaLedgerStack) {
-  expect_backends_agree(ledger_factory("it_led"), 11);
+  expect_capacity_blind(ledger_factory("it_led"), 11);
 }
 
 TEST(InternBackendStacks, FaultyChannelStack) {
-  expect_backends_agree(faulty_channel_factory("it_fl"), 17);
+  expect_capacity_blind(faulty_channel_factory("it_fl"), 17);
 }
 
 TEST(InternBackendStacks, CrashableStack) {
-  expect_backends_agree(crashable_factory("it_cr"), 19);
+  expect_capacity_blind(crashable_factory("it_cr"), 19);
 }
 
 TEST(InternBackendStacks, ByzantineStack) {
-  expect_backends_agree(byzantine_factory("it_bz"), 23);
+  expect_capacity_blind(byzantine_factory("it_bz"), 23);
 }
 
 TEST(InternBackendStacks, FrozenSnapshotComposed) {
-  expect_backends_agree_frozen(composed_factory(3, "it_frz"), 29);
+  expect_capacity_blind_frozen(composed_factory(3, "it_frz"), 29);
 }
 
 TEST(InternBackendStacks, FrozenSnapshotMac) {
-  expect_backends_agree_frozen(mac_factory("it_frzm"), 31);
+  expect_capacity_blind_frozen(mac_factory("it_frzm"), 31);
 }
 
 TEST(InternBackendStacks, FrozenSnapshotLedger) {
-  expect_backends_agree_frozen(ledger_factory("it_frzl"), 37);
+  expect_capacity_blind_frozen(ledger_factory("it_frzl"), 37);
 }
 
 // ------------------------------------------------- growth-stability
 
 TEST(InternGrowthStability, DynamicPcaTransitionsSurviveInterningGrowth) {
-  // Regression for the removed defensive Configuration copy: with
-  // memoization off, compute_transition holds a reference into the config
-  // store across intern_config calls that grow it. Record every (q, a)
-  // row while discovery is actively growing the interner, then re-derive
-  // each after the full exploration: any instability (a reallocated slot,
-  // a renumbered handle) changes the answer.
+  // Regression for the removed defensive Configuration copy:
+  // compute_transition holds a reference into the config store across
+  // intern_config calls that grow it. Record every (q, a) row as it is
+  // first computed, while discovery is actively growing the interner,
+  // then clear the memo and re-derive each after the full exploration:
+  // any instability (a reallocated slot, a renumbered handle) changes
+  // the answer.
   auto pca = make_ledger_system(2, "ig").dynamic;
-  pca->set_memoization(false);
   std::map<std::pair<State, ActionId>, StateDist> recorded;
   std::vector<State> frontier{pca->start_state()};
   std::map<State, bool> seen;
@@ -506,6 +487,7 @@ TEST(InternGrowthStability, DynamicPcaTransitionsSurviveInterningGrowth) {
     frontier = std::move(next);
   }
   ASSERT_GT(recorded.size(), 4u);
+  pca->clear_memo();
   for (const auto& [qa, eta] : recorded) {
     EXPECT_EQ(pca->transition(qa.first, qa.second), eta);
   }
@@ -514,7 +496,6 @@ TEST(InternGrowthStability, DynamicPcaTransitionsSurviveInterningGrowth) {
 TEST(InternGrowthStability, ComposedTupleViewsSurviveInterningGrowth) {
   // TupleRef views borrow arena storage: a view taken early must still
   // read the same words after thousands of later internings.
-  BackendGuard guard(StateInterner::Backend::kArena);
   auto sys = std::dynamic_pointer_cast<ComposedPsioa>(
       composed_factory(5, "it_tv")());
   ASSERT_NE(sys, nullptr);

@@ -2,9 +2,10 @@
 //
 // The memo layer (psioa/memo.hpp) must be invisible to every observer:
 // exact f-dists, sampled f-dists at a fixed seed, signatures and
-// transition distributions must all be identical with memoization on and
-// off, on random PSIOA and on composed/hidden/renamed/structured stacks.
-// The regression half pins the property that motivated the refactor:
+// transition distributions must all be identical whether an instance
+// serves them from warm tables or a cold clone computes them, on random
+// PSIOA and on composed/hidden/renamed/structured stacks. The regression
+// half pins the property that motivated the refactor:
 // ComposedPsioa::transition no longer recomputes signature(q) per call,
 // and warm caches keep compute counters flat while hit counters grow.
 
@@ -53,23 +54,43 @@ Ensemble make_ensemble(int seed, const std::string& tag) {
   return e;
 }
 
-/// Exact f-dist of `sys` with memoization toggled as requested. A fresh
-/// scheduler per call so scheduler-side row caches cannot leak between
-/// the two sides of a comparison.
-ExactDisc<Perception> exact_side(Psioa& sys, bool memo_on) {
-  sys.set_memoization(memo_on);
+/// Exact f-dist of `sys`. A fresh scheduler per call so scheduler-side
+/// row caches cannot leak between the two sides of a comparison.
+ExactDisc<Perception> exact_side(Psioa& sys) {
   UniformScheduler sched(kFdistDepth, /*local_only=*/true);
   TraceInsight f;
   return exact_fdist(sys, sched, f, kFdistDepth + 1);
 }
 
-/// Sampled f-dist at a fixed seed with memoization toggled as requested.
-Disc<Perception, double> sampled_side(Psioa& sys, bool memo_on,
-                                      std::uint64_t seed) {
-  sys.set_memoization(memo_on);
+/// Sampled f-dist at a fixed seed, fresh scheduler per call.
+Disc<Perception, double> sampled_side(Psioa& sys, std::uint64_t seed) {
   UniformScheduler sched(kSampleDepth, /*local_only=*/true);
   TraceInsight f;
   return sample_fdist(sys, sched, f, kTrials, seed, kSampleDepth);
+}
+
+/// Warms `warm` by a sampling pass at `seed`, which interns and compiles
+/// every row that pass visits, in the same order a cold run at `seed`
+/// visits them. A cold clone built by `make_cold` then computes every
+/// row on first use, yet must produce the same exact f-dist and, at the
+/// same seed, the same sampled f-dist as the warm instance serving rows
+/// from its memo.
+void expect_warm_matches_cold(Psioa& warm, const PsioaFactory& make_cold,
+                              std::uint64_t seed, bool exact, bool sampled) {
+  const MemoPsioa& memo = dynamic_cast<const MemoPsioa&>(warm);
+  (void)sampled_side(warm, seed);
+  const std::size_t computed = memo.memo_stats().row_computes;
+  if (sampled) {
+    // Draw-for-draw reproducibility: the compiled CDF walk replicates the
+    // historical to_double() partial-sum walk, so at a fixed seed the two
+    // paths produce *identical* empirical distributions, not just close.
+    const auto warm_sampled = sampled_side(warm, seed);
+    EXPECT_EQ(memo.memo_stats().row_computes, computed);  // all rows warm
+    EXPECT_EQ(warm_sampled, sampled_side(*make_cold(), seed));
+  }
+  if (exact) {
+    EXPECT_EQ(exact_side(warm), exact_side(*make_cold()));
+  }
 }
 
 class MemoEquivalence : public ::testing::TestWithParam<int> {};
@@ -78,22 +99,18 @@ TEST_P(MemoEquivalence, ComposedExactFdistUnchangedByMemoToggle) {
   const std::string tag = "me_a" + std::to_string(GetParam());
   const Ensemble e = make_ensemble(GetParam(), tag);
   auto sys = compose(PsioaPtr(e.a), PsioaPtr(e.b));
-  const auto memoized = exact_side(*sys, true);
-  const auto direct = exact_side(*sys, false);
-  EXPECT_EQ(memoized, direct);
+  expect_warm_matches_cold(
+      *sys, [&e] { return compose(PsioaPtr(e.a2), PsioaPtr(e.b2)); },
+      500 + GetParam(), /*exact=*/true, /*sampled=*/false);
 }
 
 TEST_P(MemoEquivalence, ComposedSampledFdistUnchangedByMemoToggle) {
-  // Draw-for-draw reproducibility: the compiled CDF walk replicates the
-  // historical to_double() partial-sum walk, so at a fixed seed the two
-  // paths produce *identical* empirical distributions, not just close.
   const std::string tag = "me_b" + std::to_string(GetParam());
   const Ensemble e = make_ensemble(GetParam(), tag);
   auto sys = compose(PsioaPtr(e.a), PsioaPtr(e.b));
-  const std::uint64_t seed = 1000 + GetParam();
-  const auto memoized = sampled_side(*sys, true, seed);
-  const auto direct = sampled_side(*sys, false, seed);
-  EXPECT_EQ(memoized, direct);
+  expect_warm_matches_cold(
+      *sys, [&e] { return compose(PsioaPtr(e.a2), PsioaPtr(e.b2)); },
+      1000 + GetParam(), /*exact=*/false, /*sampled=*/true);
 }
 
 TEST_P(MemoEquivalence, HiddenRenamedStackUnchangedByMemoToggle) {
@@ -102,15 +119,16 @@ TEST_P(MemoEquivalence, HiddenRenamedStackUnchangedByMemoToggle) {
   const ActionBijection g = ActionBijection::with_suffix(
       acts({"rout0_" + tag + "a"}), "#memo");
   const ActionSet hidden = acts({"rout1_" + tag + "a"});
-  auto sys = rename_actions(
-      hide_actions(compose(PsioaPtr(e.a), PsioaPtr(e.b)), hidden), g);
-  const auto memo_exact = exact_side(*sys, true);
-  const auto direct_exact = exact_side(*sys, false);
-  EXPECT_EQ(memo_exact, direct_exact);
-  const std::uint64_t seed = 2000 + GetParam();
-  const auto memo_sampled = sampled_side(*sys, true, seed);
-  const auto direct_sampled = sampled_side(*sys, false, seed);
-  EXPECT_EQ(memo_sampled, direct_sampled);
+  auto stack = [&](const std::shared_ptr<ExplicitPsioa>& a,
+                   const std::shared_ptr<ExplicitPsioa>& b) {
+    return rename_actions(hide_actions(compose(PsioaPtr(a), PsioaPtr(b)),
+                                       hidden),
+                          g);
+  };
+  auto sys = stack(e.a, e.b);
+  expect_warm_matches_cold(
+      *sys, [&] { return stack(e.a2, e.b2); }, 2000 + GetParam(),
+      /*exact=*/true, /*sampled=*/true);
 }
 
 TEST_P(MemoEquivalence, MemoViewMatchesDirectLeaf) {
@@ -139,20 +157,20 @@ INSTANTIATE_TEST_SUITE_P(Random, MemoEquivalence, ::testing::Range(0, 8));
 TEST(MemoEquivalence, StructuredSecureStackUnchangedByMemoToggle) {
   // The structured real/ideal stacks of the secure-emulation experiments
   // are built from compose/hide wrappers, so the whole stack rides the
-  // memo base; toggling memoization must not move a single weight.
+  // memo base; serving rows from warm tables must not move a single
+  // weight.
   const std::string tag = "me_sec";
-  const RealIdealPair mac = make_otmac_pair(4, tag);
-  auto env = make_probe_env_matching(
-      "env_" + tag, {act("auth_" + tag)}, acts({"rejected_" + tag}),
-      act("forged_" + tag), act("acc_" + tag));
-  auto adv = make_sink_adversary("adv_" + tag, {}, acts({"forge_" + tag}));
-  auto sys = compose(env, compose(mac.real.ptr(), adv));
-  const auto memo_exact = exact_side(*sys, true);
-  const auto direct_exact = exact_side(*sys, false);
-  EXPECT_EQ(memo_exact, direct_exact);
-  const auto memo_sampled = sampled_side(*sys, true, 42);
-  const auto direct_sampled = sampled_side(*sys, false, 42);
-  EXPECT_EQ(memo_sampled, direct_sampled);
+  auto stack = [&tag] {
+    const RealIdealPair mac = make_otmac_pair(4, tag);
+    auto env = make_probe_env_matching(
+        "env_" + tag, {act("auth_" + tag)}, acts({"rejected_" + tag}),
+        act("forged_" + tag), act("acc_" + tag));
+    auto adv = make_sink_adversary("adv_" + tag, {}, acts({"forge_" + tag}));
+    return compose(env, compose(mac.real.ptr(), adv));
+  };
+  auto sys = stack();
+  expect_warm_matches_cold(*sys, stack, 42, /*exact=*/true,
+                           /*sampled=*/true);
 }
 
 class MemoRegression : public ::testing::Test {
@@ -192,24 +210,6 @@ TEST_F(MemoRegression, SignatureComputedOncePerState) {
   const MemoStats after = sys->memo_stats();
   EXPECT_EQ(after.sig_computes, warm.sig_computes);
   EXPECT_GE(after.sig_hits, warm.sig_hits + 10);
-}
-
-TEST_F(MemoRegression, DisablingMemoizationRestoresRecomputePerCall) {
-  auto sys = make_system("mr_c");
-  const State q0 = sys->start_state();
-  const ActionId a0 = sys->enabled(q0).front();
-  sys->set_memoization(false);
-  EXPECT_FALSE(sys->memoization_enabled());
-  const MemoStats before = sys->memo_stats();
-  for (int i = 0; i < 5; ++i) {
-    (void)sys->transition(q0, a0);
-    (void)sys->signature(q0);
-  }
-  const MemoStats after = sys->memo_stats();
-  EXPECT_GE(after.row_computes, before.row_computes + 5);
-  EXPECT_GE(after.sig_computes, before.sig_computes + 5);
-  EXPECT_EQ(after.row_hits, before.row_hits);
-  EXPECT_EQ(after.sig_hits, before.sig_hits);
 }
 
 TEST_F(MemoRegression, ClearMemoRecomputesOnce) {

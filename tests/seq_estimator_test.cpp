@@ -352,14 +352,15 @@ TEST(SeqEstWaves, EarlyStopReturnsNormalizedPartial) {
 }
 
 TEST(SeqEstWaves, SerialModeRejected) {
+  // The sequential estimator steps incremental batched waves; kSerial has
+  // no round structure, so the request is rejected up front.
   ThreadPool pool(1);
   TraceInsight f;
-  ParallelSampler sampler(ledger_factory("se_l"), uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.horizon = kDepth;
-  sampler.prepare(plan, kDepth);
-  EXPECT_THROW(IncrementalFdistRun(sampler, f, 100, 1, kDepth, pool, 1,
-                                   SamplingMode::kSerial),
+  EXPECT_THROW(sequential_balance_epsilon(
+                   ledger_factory("se_l"), uniform_factory(kDepth),
+                   ledger_factory("se_l"), uniform_factory(kDepth), f,
+                   SequentialPolicy::fixed(100), 1, kDepth, pool,
+                   SamplingMode::kSerial),
                std::invalid_argument);
 }
 

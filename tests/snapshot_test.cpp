@@ -6,9 +6,9 @@
 //   per-worker-warmed -- a fresh clone warmed by the identical
 //                        deterministic WarmupPlan (the pre-snapshot
 //                        clone-per-worker engine),
-//   memo-off direct   -- the same clone with memoization disabled (the
-//                        historical recompute-per-call engine; disabling
-//                        preserves interning, so draws stay comparable).
+//   recomputed        -- the same clone after clear_memo(), computing
+//                        every row afresh (clearing preserves interning,
+//                        so draws stay comparable).
 // Exact f-dists must be equal as rationals, and sampled executions must
 // be draw-for-draw identical at fixed seeds, across random/composed/
 // hidden/renamed/structured/PCA stacks. The concurrency half hammers one
@@ -128,8 +128,10 @@ Disc<Perception, double> sampled_of(Psioa& sys, std::uint64_t seed) {
   return sample_fdist(sys, sched, f, kTrials, seed, kSampleDepth);
 }
 
-/// Asserts the three engines agree exactly (rational f-dists) and draw
-/// for draw (fixed-seed sampled executions and empirical f-dists).
+/// Asserts the three engines -- snapshot view, warmed clone, and that
+/// clone recomputing after clear_memo() -- agree exactly (rational
+/// f-dists) and draw for draw (fixed-seed sampled executions and
+/// empirical f-dists).
 void expect_engines_agree(const PsioaFactory& fa, std::uint64_t seed) {
   const SchedulerFactory fs = uniform_factory(kSampleDepth);
   const WarmupPlan plan = full_plan(kSampleDepth);
@@ -165,12 +167,13 @@ void expect_engines_agree(const PsioaFactory& fa, std::uint64_t seed) {
   const auto sampled_warm = sampled_of(*clone, seed);
   EXPECT_EQ(sampled_snap, sampled_warm);
 
-  // Memo-off direct engine on the same clone: disabling clears the memo
-  // but keeps interning, so the historical recompute-per-call walk stays
-  // in the same handle order and must replay the same draws.
-  clone->set_memoization(false);
+  // Recompute engine on the same clone: clear_memo() drops every compiled
+  // row but keeps interning, so rows recomputed on first use stay in the
+  // same handle order and must replay the same draws.
+  clone->clear_memo();
   const auto exact_direct = exact_of(*clone);
   EXPECT_EQ(exact_snap, exact_direct);
+  clone->clear_memo();
   const auto sampled_direct = sampled_of(*clone, seed);
   EXPECT_EQ(sampled_snap, sampled_direct);
 }
@@ -355,16 +358,18 @@ TEST(SnapshotStatsTest, ShallowWarmupOverflowsDeterministically) {
 }
 
 TEST(SnapshotSeedReproducibility, MatchesCloneParallelPathOnLeafSystem) {
-  // The E10 parallel workload: plain clone-per-worker sampling of a coin
-  // must be reproduced exactly -- same chunks, same streams, same draws,
-  // same merge -- by the snapshot path.
+  // Clone-per-worker sampling of a coin (the guarded fan-out under a
+  // default guard) must be reproduced exactly -- same chunks, same
+  // streams, same draws, same merge -- by the snapshot path.
   const PsioaFactory fa = [] { return make_coin("sn_coin", Rational(1, 3)); };
   const SchedulerFactory fs = [] {
     return std::make_shared<UniformScheduler>(8);
   };
   TraceInsight f;
   ThreadPool pool(4);
-  const auto plain = parallel_sample_fdist(fa, fs, f, 4000, 17, 8, pool);
+  const auto plain = guarded_parallel_sample_fdist(fa, fs, f, 4000, 17, 8,
+                                                   pool, SampleGuard{},
+                                                   nullptr);
   ParallelSampler sampler(fa, fs);
   sampler.prepare(full_plan(8), 8);
   const auto shared = sampler.sample_fdist(f, 4000, 17, 8, pool);
