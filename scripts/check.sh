@@ -31,6 +31,13 @@
 #                               # bit-identity and chi-square gates (the
 #                               # CI portable-baseline job runs exactly
 #                               # this)
+#   scripts/check.sh --verdict  # the verdict benchmark's own test
+#                               # (verdictbench/selftest.py): builds
+#                               # verdict_bench in Release and checks, on
+#                               # every workload, correct verdicts,
+#                               # identical record lines across two runs
+#                               # and every metric present (the CI
+#                               # verdict-selftest job runs exactly this)
 #
 # The sanitized passes skip the experiment-labelled ctest entries: the
 # harnesses re-run under the plain pass already, and sanitizer slowdown
@@ -56,8 +63,9 @@ fi
 if [[ "${1:-}" == "--tsan" ]]; then
   # The suites that exercise real concurrency: the shared-snapshot layer
   # (frozen-table reads racing residue overflows), the thread pool, the
-  # interning suites (ActionTable shared-lock fast path, grown-vs-reserved
-  # differential, sharded-interner concurrent interning + epoch GC), the
+  # interning suites (ActionTable shared-lock intern fast path and its
+  # lock-free name reads racing appends, grown-vs-reserved differential,
+  # sharded-interner concurrent interning + epoch GC), the
   # session service / soak driver (sharded session table over the pool),
   # the exact cone-measure engine (ParallelConeEngine subtree fan-out,
   # parallel distinguisher search, parallel sweep grids), and the
@@ -93,6 +101,15 @@ if [[ "${1:-}" == "--portable" ]]; then
     --output-on-failure -j "$JOBS" \
     -R 'Xoshiro|XoshiroBlock|AliasDraws|AliasFrozen|BatchSampler'
   echo "== portable pass clean =="
+  exit 0
+fi
+
+if [[ "${1:-}" == "--verdict" ]]; then
+  # A tally change that flips a verdict or breaks work identity between
+  # two runs shows here: selftest.py drives run.py over every workload.
+  echo "== verdict: verdict benchmark self-test =="
+  python3 verdictbench/selftest.py
+  echo "== verdict self-test clean =="
   exit 0
 fi
 

@@ -117,7 +117,9 @@ SequentialEpsilon plain_sequential_epsilon(
     const SequentialPolicy& policy, std::uint64_t seed, std::size_t max_depth,
     ThreadPool& pool) {
   SeqEstimator est(policy);
-  Disc<Perception, double> acc_l, acc_r;  // completed-stage integer tallies
+  // One running integer tally per side over every stage, grown by each
+  // wave's merged delta and handed to the looks by reference.
+  Disc<Perception, double> tally_l, tally_r;
   std::uint64_t term_l = 0, term_r = 0;
   std::uint64_t draws_done = 0;
   std::size_t committed = 0;
@@ -139,22 +141,24 @@ SequentialEpsilon plain_sequential_epsilon(
                               seq_stage_seed(seed, stage, 1), max_depth, pool,
                               policy.rounds_per_wave);
     while (!run_l.done() || !run_r.done()) {
-      if (!run_l.done()) run_l.step_wave();
-      if (!run_r.done()) run_r.step_wave();
+      if (!run_l.done()) {
+        run_l.step_wave();
+        tally_l.merge(run_l.wave_delta());
+      }
+      if (!run_r.done()) {
+        run_r.step_wave();
+        tally_r.merge(run_r.wave_delta());
+      }
       if (!policy.sequential()) continue;
-      // Paired look on the combined tallies (prior stages + this one).
-      // Integer count sums are exact in doubles, so the combined tally
-      // is independent of wave boundaries and worker counts.
-      Disc<Perception, double> tl = acc_l;
-      for (const auto& [p, c] : run_l.counts().entries()) tl.add(p, c);
-      Disc<Perception, double> tr = acc_r;
-      for (const auto& [p, c] : run_r.counts().entries()) tr.add(p, c);
+      // Paired look on the running tallies (prior stages + this one so
+      // far). Integer count sums are exact in doubles, so the tallies are
+      // independent of wave boundaries and worker counts.
       const std::uint64_t t_l = term_l + run_l.trials_terminal();
       const std::uint64_t t_r = term_r + run_r.trials_terminal();
       const std::uint64_t draws = draws_done +
                                   logical_draws(run_l.batch_stats()) +
                                   logical_draws(run_r.batch_stats());
-      dec = est.look(tl, n_committed - t_l, tr, n_committed - t_r,
+      dec = est.look(tally_l, n_committed - t_l, tally_r, n_committed - t_r,
                      n_committed, draws);
       if (dec.verdict != SeqVerdict::kUndecided) {
         decided = true;
@@ -163,8 +167,6 @@ SequentialEpsilon plain_sequential_epsilon(
     }
     draws_done += logical_draws(run_l.batch_stats()) +
                   logical_draws(run_r.batch_stats());
-    for (const auto& [p, c] : run_l.counts().entries()) acc_l.add(p, c);
-    for (const auto& [p, c] : run_r.counts().entries()) acc_r.add(p, c);
     term_l += run_l.trials_terminal();
     term_r += run_r.trials_terminal();
     committed = n_committed;
@@ -180,14 +182,12 @@ SequentialEpsilon plain_sequential_epsilon(
   // probability distributions even when the stop fired mid-wave).
   Disc<Perception, double> pl, pr;
   if (term_l > 0) {
-    for (const auto& [p, c] : acc_l.entries()) {
-      pl.add(p, c / static_cast<double>(term_l));
-    }
+    const double n = static_cast<double>(term_l);
+    pl.merge(tally_l, [n](double c) { return c / n; });
   }
   if (term_r > 0) {
-    for (const auto& [p, c] : acc_r.entries()) {
-      pr.add(p, c / static_cast<double>(term_r));
-    }
+    const double n = static_cast<double>(term_r);
+    pr.merge(tally_r, [n](double c) { return c / n; });
   }
   out.estimate = balance_distance(pl, pr);
   out.trials = committed;
@@ -286,10 +286,10 @@ void run_split_stage(SplitSide& side, const ParallelSampler& sampler,
     side.sampled += alloc[i];
   }
   BatchStats stats;
-  const std::vector<Disc<Perception, double>> fresh = stratified_sample_counts(
+  std::vector<Disc<Perception, double>> fresh = stratified_sample_counts(
       sampler, f, side.strata, alloc, stage_seed, max_depth, pool, &stats);
   for (std::size_t i = 0; i < k; ++i) {
-    for (const auto& [p, c] : fresh[i].entries()) side.counts[i].add(p, c);
+    side.counts[i].merge(std::move(fresh[i]));
     side.n[i] += alloc[i];
   }
   if (draws != nullptr) *draws += logical_draws(stats);
@@ -440,16 +440,12 @@ Disc<Perception, double> stratified_fdist(
     const std::vector<Disc<Perception, double>>& counts,
     const std::vector<std::uint64_t>& n) {
   Disc<Perception, double> out;
-  for (const auto& [p, w] : strata.settled.entries()) {
-    out.add(p, w.to_double());
-  }
+  out.merge(strata.settled, [](const Rational& w) { return w.to_double(); });
   for (std::size_t i = 0; i < strata.live.size(); ++i) {
     if (i >= counts.size() || i >= n.size() || n[i] == 0) continue;
     const double w = strata.live[i].prob.to_double();
     const double dn = static_cast<double>(n[i]);
-    for (const auto& [p, c] : counts[i].entries()) {
-      out.add(p, w * c / dn);
-    }
+    out.merge(counts[i], [w, dn](double c) { return w * c / dn; });
   }
   return out;
 }

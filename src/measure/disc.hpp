@@ -13,9 +13,11 @@
 // with the residual mass (Def 3.1), so the same type serves both.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,6 +51,70 @@ void accumulate_sorted(std::vector<std::pair<T, W>>& entries, const T& t,
     entries.insert(it, {t, w});
   }
 }
+
+/// Bulk form of accumulate_sorted: adds fn(w) for every (t, w) of `src`
+/// into `dst`, both canonical (`src` sorted by T with unique keys). Each
+/// key gets dst's old weight plus fn(w), the sum calling
+/// accumulate_sorted(dst, t, fn(w)) entry by entry would form, so the
+/// result is bit-identical to that loop -- in O(n + m) comparisons
+/// instead of one sorted insert (O(n) moves) per new key, and with no
+/// second buffer: a forward pass adds shared keys in place and counts
+/// the new ones, `dst` grows once, and a backward pass opens the gaps
+/// from the end. An rvalue `src` surrenders its keys instead of copying
+/// them.
+template <typename T, typename W, typename Src, typename F>
+void merge_sorted(std::vector<std::pair<T, W>>& dst, Src&& src, F&& fn) {
+  constexpr bool kMoveKeys = !std::is_lvalue_reference_v<Src>;
+  bool zeroed = false;
+  std::size_t fresh = 0;
+  {
+    auto d = dst.begin();
+    for (const auto& e : src) {
+      while (d != dst.end() && d->first < e.first) ++d;
+      if (d != dst.end() && d->first == e.first) {
+        d->second += fn(e.second);
+        zeroed = zeroed || weight_is_zero(d->second);
+        ++d;
+      } else {
+        ++fresh;
+      }
+    }
+  }
+  if (fresh > 0) {
+    std::size_t i = dst.size();  // read cursor: old entries [0, i)
+    dst.resize(i + fresh);
+    std::size_t w = dst.size();  // write cursor: placed entries [w, end)
+    std::size_t j = src.size();
+    // Every step places one entry. Stop when the cursors meet: the rest
+    // of dst is already in place, and moving an entry onto itself is not
+    // a no-op (libstdc++ empties a long std::string move-assigned onto
+    // itself).
+    while (w > i) {
+      auto& s = src[j - 1];
+      if (i > 0 && !(dst[i - 1].first < s.first)) {
+        if (dst[i - 1].first == s.first) --j;  // shared: summed above
+        dst[--w] = std::move(dst[--i]);
+      } else {
+        --w;
+        if constexpr (kMoveKeys) {
+          dst[w].first = std::move(s.first);
+        } else {
+          dst[w].first = s.first;
+        }
+        dst[w].second = fn(s.second);
+        zeroed = zeroed || weight_is_zero(dst[w].second);
+        --j;
+      }
+    }
+  }
+  if (zeroed) {
+    dst.erase(std::remove_if(dst.begin(), dst.end(),
+                             [](const std::pair<T, W>& e) {
+                               return weight_is_zero(e.second);
+                             }),
+              dst.end());
+  }
+}
 }  // namespace detail
 
 template <typename T, typename W = double>
@@ -65,8 +131,60 @@ class Disc {
     return d;
   }
 
+  /// Builds the measure of unsorted (t, w) entries: one stable sort by t,
+  /// then equal keys coalesce by summing in input order and zero sums
+  /// drop -- bit-identical to calling add(t, w) on each entry in order,
+  /// at O(k log k) instead of O(k x support).
+  static Disc from_unsorted(std::vector<Entry> entries) {
+    std::stable_sort(
+        entries.begin(), entries.end(),
+        [](const Entry& a, const Entry& b) { return a.first < b.first; });
+    std::size_t out = 0;
+    for (std::size_t k = 0; k < entries.size();) {
+      W sum = std::move(entries[k].second);
+      std::size_t e = k + 1;
+      for (; e < entries.size() && entries[e].first == entries[k].first; ++e) {
+        sum += entries[e].second;
+      }
+      if (!detail::weight_is_zero(sum)) {
+        // A self-move would empty a long key (see detail::merge_sorted).
+        if (out != k) entries[out].first = std::move(entries[k].first);
+        entries[out].second = std::move(sum);
+        ++out;
+      }
+      k = e;
+    }
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(out),
+                  entries.end());
+    Disc d;
+    d.entries_ = std::move(entries);
+    return d;
+  }
+
   /// Accumulates weight w on t (merging with any existing mass on t).
   void add(const T& t, const W& w) { detail::accumulate_sorted(entries_, t, w); }
+
+  /// Adds every entry of `other` (add(t, w) for each, bit-identically)
+  /// in one linear pass (detail::merge_sorted).
+  void merge(const Disc& other) {
+    detail::merge_sorted(entries_, other.entries_,
+                         [](const W& w) -> const W& { return w; });
+  }
+  void merge(Disc&& other) {
+    if (entries_.empty()) {
+      entries_ = std::move(other.entries_);
+    } else {
+      detail::merge_sorted(entries_, std::move(other.entries_),
+                           [](const W& w) -> const W& { return w; });
+    }
+    other.entries_.clear();
+  }
+  /// Adds fn(w) on t for every entry (t, w) of `other`, which may carry
+  /// another weight type: add(t, fn(w)) entry by entry, in one pass.
+  template <typename V, typename F>
+  void merge(const Disc<T, V>& other, F&& fn) {
+    detail::merge_sorted(entries_, other.entries(), fn);
+  }
 
   const std::vector<Entry>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "psioa/memo.hpp"
+
 namespace cdse {
 
 ExecFragment ExecFragment::concat(const ExecFragment& tail) const {
@@ -49,9 +51,16 @@ std::string ExecFragment::to_string(Psioa& automaton) const {
 
 std::vector<ActionId> trace_of(Psioa& automaton, const ExecFragment& alpha) {
   std::vector<ActionId> tr;
+  // Memoized automata serve their cached signatures by reference;
+  // Psioa::signature returns a copy (three vectors) per step.
+  auto* memo = dynamic_cast<MemoPsioa*>(&automaton);
   for (std::size_t i = 0; i < alpha.length(); ++i) {
-    const Signature sig = automaton.signature(alpha.states()[i]);
-    if (sig.is_external(alpha.actions()[i])) tr.push_back(alpha.actions()[i]);
+    const State q = alpha.states()[i];
+    const ActionId a = alpha.actions()[i];
+    const bool external = memo != nullptr
+                              ? memo->signature_ref(q).is_external(a)
+                              : automaton.signature(q).is_external(a);
+    if (external) tr.push_back(a);
   }
   return tr;
 }

@@ -53,7 +53,7 @@ class CompiledSnapshot;
 /// reproducible at fixed seed. The row also carries a Walker alias
 /// table over the same support, built at the same compile time and
 /// frozen (immutably shared across workers) together with the CDF: the
-/// batched sampling mode draws targets in O(1) through sample_alias,
+/// batched sampler's block kernel draws targets through it in O(1),
 /// equivalent to sample() in distribution but not draw-for-draw (the
 /// two consume the RNG differently).
 struct CompiledRow {
@@ -90,11 +90,6 @@ struct CompiledRow {
       if (u < cdf[i]) return targets[i];
     }
     return targets.back();
-  }
-
-  /// O(1) draw from (i, u) with i ~ Uniform{0..support-1}, u ~ U[0,1).
-  State sample_alias(std::size_t i, double u) const {
-    return targets[alias.pick(i, u)];
   }
 };
 

@@ -223,16 +223,34 @@ void BatchSampler::run_to_completion() {
   }
 }
 
+Disc<Perception, double> BatchSampler::tally_terminal(
+    const InsightFunction& f, std::size_t from) const {
+  std::vector<std::pair<Perception, double>> batch;
+  batch.reserve(terminal_.size() - from);
+  for (std::size_t k = from; k < terminal_.size(); ++k) {
+    const TerminalClass& tc = terminal_[k];
+    batch.emplace_back(f.apply(automaton_, fragment_of(tc.node)),
+                       static_cast<double>(tc.count));
+  }
+  // Integer counts sum exactly in any order, so folding the batch first
+  // and merging it once equals adding class by class.
+  return Disc<Perception, double>::from_unsorted(std::move(batch));
+}
+
 const Disc<Perception, double>& BatchSampler::accumulate_counts(
     const InsightFunction& f) {
-  for (; counted_ < terminal_.size(); ++counted_) {
-    const TerminalClass& tc = terminal_[counted_];
-    const Perception perc = f.apply(automaton_, fragment_of(tc.node));
-    const double count = static_cast<double>(tc.count);
-    counts_.add(perc, count);
-    if (track_deltas_) delta_.add(perc, count);
+  if (counted_ < terminal_.size()) {
+    counts_.merge(tally_terminal(f, counted_));
+    counted_ = terminal_.size();
   }
   return counts_;
+}
+
+void BatchSampler::accumulate_delta(const InsightFunction& f) {
+  if (delta_counted_ < terminal_.size()) {
+    delta_.merge(tally_terminal(f, delta_counted_));
+    delta_counted_ = terminal_.size();
+  }
 }
 
 Disc<Perception, double> BatchSampler::drain_count_delta() {
@@ -299,10 +317,9 @@ Disc<Perception, double> sample_fdist_batched(
   Xoshiro256 rng(seed);
   const Disc<Perception, double> counts = batched_sample_counts(
       automaton, sched, f, trials, rng, max_depth, stats);
+  const double n = static_cast<double>(trials);
   Disc<Perception, double> dist;
-  for (const auto& [perc, count] : counts.entries()) {
-    dist.add(perc, count / static_cast<double>(trials));
-  }
+  dist.merge(counts, [n](double count) { return count / n; });
   return dist;
 }
 

@@ -109,8 +109,8 @@ struct BatchStats {
 
 /// Stateful lockstep engine: one chunk's worth of executions advanced
 /// round by round. The one-shot helpers below wrap it; the sequential
-/// early-stopping estimator consumes it directly through run_rounds +
-/// accumulate_counts (partial tallies after every wave of rounds).
+/// early-stopping estimator consumes it wave by wave through
+/// IncrementalFdistRun (run_rounds + accumulate_delta).
 ///
 /// Lifetime: holds references to the automaton and scheduler; both must
 /// outlive the sampler. One sampler per thread (no internal locking).
@@ -151,20 +151,23 @@ class BatchSampler {
   std::size_t trials_requested() const { return trials_; }
 
   /// Folds terminal classes discovered since the last call into the
-  /// running per-perception count tally and returns it (unnormalized).
-  /// Counts are monotone non-decreasing across calls by construction;
-  /// calling after every run_rounds wave yields the partial tallies the
-  /// sequential estimator consumes.
+  /// running per-perception count tally and returns it (unnormalized):
+  /// f runs once per fresh class, the batch is sorted once and merged
+  /// in one linear pass. Counts are monotone non-decreasing across
+  /// calls by construction; calling after every run_rounds wave yields
+  /// partial tallies.
   const Disc<Perception, double>& accumulate_counts(const InsightFunction& f);
 
-  /// Enables per-wave delta tallies: while on, accumulate_counts also
-  /// folds freshly terminal classes into a drainable delta tally, so an
-  /// incremental driver can merge only what changed since its last wave
-  /// (O(new terminal classes) per wave instead of a full re-merge).
-  void track_deltas(bool on) { track_deltas_ = on; }
+  /// The fold of incremental runs (IncrementalFdistRun): like
+  /// accumulate_counts, but the fresh classes go only into a drainable
+  /// delta tally, so a run that merges every wave's delta keeps no second
+  /// full tally per chunk. The two folds keep separate cursors: a later
+  /// accumulate_counts still builds the full tally from every terminal
+  /// class.
+  void accumulate_delta(const InsightFunction& f);
   /// Returns and clears the per-perception counts added by
-  /// accumulate_counts since the previous drain (empty when nothing new
-  /// went terminal, or when track_deltas was never enabled).
+  /// accumulate_delta since the previous drain (empty when nothing new
+  /// went terminal).
   Disc<Perception, double> drain_count_delta();
 
   /// Expands every terminal class back to one fragment per execution,
@@ -194,6 +197,9 @@ class BatchSampler {
   /// Tallies `count` draws from `alias` into tally[0..alias.size()).
   void tally_draws(const AliasTable& alias, std::uint64_t count,
                    std::vector<std::uint64_t>& tally);
+  /// Per-perception counts of terminal_[from, end()), one f call each.
+  Disc<Perception, double> tally_terminal(const InsightFunction& f,
+                                          std::size_t from) const;
   ExecFragment fragment_of(std::int32_t leaf) const;
 
   Psioa& automaton_;
@@ -230,11 +236,12 @@ class BatchSampler {
   std::vector<double> u_buf_;
   std::vector<std::uint32_t> out_buf_;
 
-  // Partial-tally accumulation state.
+  // Partial-tally accumulation state: terminal_ prefixes already folded
+  // into counts_ and into delta_.
   Disc<Perception, double> counts_;
-  std::size_t counted_ = 0;  // terminal_ prefix already folded in
-  bool track_deltas_ = false;
+  std::size_t counted_ = 0;
   Disc<Perception, double> delta_;  // fresh counts since the last drain
+  std::size_t delta_counted_ = 0;
 
   BatchStats stats_;
 };

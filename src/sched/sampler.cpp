@@ -137,10 +137,9 @@ Disc<Perception, double> guarded_parallel_sample_fdist(
   rep.complete = rep.trials_done == trials;
   Disc<Perception, double> merged;
   if (rep.trials_done > 0) {
+    const double n = static_cast<double>(rep.trials_done);
     for (const auto& c : outcome) {
-      for (const auto& [perc, count] : c.counts.entries()) {
-        merged.add(perc, count / static_cast<double>(rep.trials_done));
-      }
+      merged.merge(c.counts, [n](double count) { return count / n; });
     }
   }
   if (report != nullptr) *report = rep;
@@ -268,11 +267,10 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
   for (const auto& s : stats) last_stats_ += s;
   last_batch_stats_ = BatchStats{};
   for (const auto& b : bstats) last_batch_stats_ += b;
+  const double n = static_cast<double>(trials);
   Disc<Perception, double> merged;
   for (const auto& p : partial) {
-    for (const auto& [perc, count] : p.entries()) {
-      merged.add(perc, count / static_cast<double>(trials));
-    }
+    merged.merge(p, [n](double count) { return count / n; });
   }
   return merged;
 }
@@ -344,7 +342,6 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
     const std::size_t len = per + (c < rem ? 1 : 0);
     chunks_[c].bs.emplace(*chunks_[c].view, *chunks_[c].sched, len,
                           Xoshiro256::for_stream(seed, c), max_depth);
-    chunks_[c].bs->track_deltas(true);
   }
   report_.rounds_per_wave = rounds_per_wave_;
   report_.trials_requested = trials_;
@@ -361,27 +358,28 @@ const ParallelSampler::WaveReport& IncrementalFdistRun::step_wave() {
     if (c.bs->done()) continue;
     pool_.submit([&c, &f, rounds] {
       c.bs->run_rounds(rounds);
-      c.bs->accumulate_counts(f);
+      c.bs->accumulate_delta(f);
     });
   }
   pool_.wait_idle();
   // Delta-merge on the driving thread: each chunk surrenders only the
-  // tallies of classes that went terminal this wave, so merge work is
-  // O(fresh entries). The merged counts are integer-valued, and integer
-  // sums are exact in doubles, so the running tally is independent of
-  // where the wave boundaries fall.
+  // tallies of classes that went terminal this wave; they merge into the
+  // wave's delta, which merges into the running tally, each merge one
+  // linear pass. The counts are integer-valued, and integer sums are
+  // exact in doubles, so the running tally is independent of where the
+  // wave boundaries fall.
   std::size_t entries = 0;
   std::uint64_t terminal = 0;
   bool all_done = true;
+  wave_delta_ = Disc<Perception, double>{};
   for (Chunk& c : chunks_) {
-    const Disc<Perception, double> delta = c.bs->drain_count_delta();
-    for (const auto& [perc, count] : delta.entries()) {
-      merged_.add(perc, count);
-      ++entries;
-    }
+    Disc<Perception, double> delta = c.bs->drain_count_delta();
+    entries += delta.support_size();
+    wave_delta_.merge(std::move(delta));
     terminal += c.bs->trials_terminal();
     all_done = all_done && c.bs->done();
   }
+  merged_.merge(wave_delta_);
   done_ = all_done;
   report_.wave = wave_;
   report_.rounds_per_wave = rounds_per_wave_;
@@ -402,9 +400,8 @@ Disc<Perception, double> IncrementalFdistRun::partial_fdist() const {
   Disc<Perception, double> out;
   const std::uint64_t done_trials = trials_terminal();
   if (done_trials == 0) return out;
-  for (const auto& [perc, count] : merged_.entries()) {
-    out.add(perc, count / static_cast<double>(done_trials));
-  }
+  const double n = static_cast<double>(done_trials);
+  out.merge(merged_, [n](double count) { return count / n; });
   return out;
 }
 
@@ -414,14 +411,20 @@ Disc<Perception, double> IncrementalFdistRun::final_fdist() {
   for (const Chunk& c : chunks_) done_trials += c.bs->trials_terminal();
   Disc<Perception, double> out;
   if (done_trials == 0) return out;
+  // The waves kept only deltas, so each chunk builds its full tally now
+  // (on the pool), from every terminal class. Merging those chunk-major
+  // (count / N per entry, chunk order) reproduces the one-shot
+  // sample_fdist merge bit for bit.
+  const InsightFunction& f = f_;
   for (Chunk& c : chunks_) {
-    // accumulate_counts already ran on the workers; this re-read is a
-    // no-op fold returning the chunk's full tally. Merging chunk-major
-    // (count / N per entry, chunk order) reproduces the one-shot
-    // sample_fdist merge bit for bit.
-    for (const auto& [perc, count] : c.bs->accumulate_counts(f_).entries()) {
-      out.add(perc, count / static_cast<double>(done_trials));
-    }
+    pool_.submit([&c, &f] { c.bs->accumulate_counts(f); });
+  }
+  pool_.wait_idle();
+  const double n = static_cast<double>(done_trials);
+  for (Chunk& c : chunks_) {
+    // A no-op fold now: returns the tally built above.
+    out.merge(c.bs->accumulate_counts(f_),
+              [n](double count) { return count / n; });
   }
   return out;
 }

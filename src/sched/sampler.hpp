@@ -172,11 +172,12 @@ class ParallelSampler {
     std::size_t trials_done = 0;     ///< executions terminal so far
     std::size_t trials_requested = 0;
     bool done = false;               ///< every chunk finished
-    /// Tally entries folded into the running merge THIS wave: terminal
-    /// classes newly discovered across the chunks. The per-wave merge is
-    /// a delta-merge (each chunk drains only its fresh tallies), so the
-    /// merge work per wave is O(merge_entries), not O(support size x
-    /// chunks) -- and sum(merge_entries) over a whole run is bounded by
+    /// Tally entries folded into the running merge THIS wave: the
+    /// chunks' fresh per-perception deltas (each chunk drains only the
+    /// classes that went terminal this wave). Each delta is sorted once
+    /// and merged in one linear pass, so a wave costs
+    /// O(merge_entries log merge_entries + support), not a sorted insert
+    /// per entry -- and sum(merge_entries) over a whole run is bounded by
     /// the run's distinct_executions (BatchStats).
     std::size_t merge_entries = 0;
   };
@@ -255,8 +256,10 @@ class ParallelSampler {
 /// ParallelSampler::sample_fdist, so final_fdist() of a completed run is
 /// bit-identical to the one-shot kBatched call. The running
 /// tally (counts()) is delta-merged: after each wave every chunk drains
-/// only the terminal classes it discovered during that wave, so per-wave
-/// merge work is O(new entries) -- WaveReport::merge_entries proves it.
+/// only the terminal classes it discovered during that wave
+/// (WaveReport::merge_entries counts them), the chunk deltas merge into
+/// wave_delta(), and that merges into counts(), each merge one linear
+/// pass. Chunks keep no full tally of their own between waves.
 /// Integer class counts sum exactly in doubles, so counts() is
 /// independent of wave boundaries (and partial_fdist() of the final wave
 /// equals the completed tally up to one normalization).
@@ -286,9 +289,13 @@ class IncrementalFdistRun {
   std::uint64_t trials_terminal() const;
   /// Running unnormalized per-perception tally (integer-valued counts).
   const Disc<Perception, double>& counts() const { return merged_; }
+  /// The counts the most recent wave added to counts(): what a caller
+  /// keeping its own running tally (across runs) merges after each wave.
+  const Disc<Perception, double>& wave_delta() const { return wave_delta_; }
   /// counts() normalized over the terminal trials (empty when none).
   Disc<Perception, double> partial_fdist() const;
-  /// Drives any remaining waves, then merges chunk-major exactly as the
+  /// Drives any remaining waves, builds each chunk's full tally (the
+  /// waves kept deltas only), then merges chunk-major exactly as the
   /// one-shot path does -- bit-identical to sample_fdist in kBatched
   /// mode.
   Disc<Perception, double> final_fdist();
@@ -306,6 +313,7 @@ class IncrementalFdistRun {
   std::size_t rounds_per_wave_ = 1;
   std::vector<Chunk> chunks_;
   Disc<Perception, double> merged_;
+  Disc<Perception, double> wave_delta_;
   ParallelSampler::WaveReport report_;
   std::size_t wave_ = 0;
   bool done_ = false;

@@ -45,7 +45,7 @@ using ActionChoice = ExactDisc<ActionId>;
 /// FrozenChoiceTable, shared immutably across workers) together with the
 /// CDF: slots 0..actions-1 are the actions, and a non-exhaustive row has
 /// one extra halt slot carrying the exact residual mass. The batched
-/// sampling mode draws through sample_alias in O(1) -- equivalent to
+/// sampler's block kernel draws through it in O(1) -- equivalent to
 /// sample() in distribution, not draw-for-draw.
 struct ChoiceRow {
   std::vector<ActionId> actions;
@@ -88,13 +88,6 @@ struct ChoiceRow {
     }
     if (exhaustive && !actions.empty()) return actions.back();
     return kInvalidAction;
-  }
-
-  /// O(1) draw from (i, u) with i ~ Uniform{0..alias.size()-1},
-  /// u ~ U[0,1); the halt slot (when present) maps to kInvalidAction.
-  ActionId sample_alias(std::size_t i, double u) const {
-    const std::size_t slot = alias.pick(i, u);
-    return slot < actions.size() ? actions[slot] : kInvalidAction;
   }
 };
 

@@ -18,21 +18,56 @@ double seq_hoeffding_radius(double scale, double delta) {
   return std::sqrt(std::log(2.0 / delta) * scale / 2.0);
 }
 
+namespace {
+
+/// seq_bernstein_radius at a fixed (scale, delta), with everything that
+/// does not depend on the mean computed once: a look evaluates it for
+/// both sides of every observed cell at one scale and one slice.
+class BernsteinRadius {
+ public:
+  BernsteinRadius(double scale, double delta) : scale_(scale) {
+    if (scale <= 0.0) {
+      fixed_ = 0.0;
+      return;
+    }
+    if (delta <= 0.0 || delta >= 1.0) {
+      fixed_ = 1.0;
+      return;
+    }
+    const double n = 1.0 / scale;
+    hoeffding_ = seq_hoeffding_radius(scale, delta);
+    if (n < 2.0) {
+      fixed_ = hoeffding_;
+      return;
+    }
+    lg_ = std::log(4.0 / delta);
+    bias_ = 7.0 * lg_ / (3.0 * (n - 1.0));
+  }
+
+  double operator()(double mean) const {
+    if (fixed_ >= 0.0) return fixed_;
+    // Maurer-Pontil, two-sided (delta/2 per tail hence ln(4/delta)), with
+    // the plug-in witness-event variance p(1-p). The additive bias term
+    // decays as 1/n, so for small p the bound beats Hoeffding's sqrt(1/n)
+    // long before the asymptotic regime.
+    const double p = std::clamp(mean, 0.0, 1.0);
+    const double bernstein =
+        std::sqrt(2.0 * p * (1.0 - p) * lg_ * scale_) + bias_;
+    return std::min(bernstein, hoeffding_);
+  }
+
+ private:
+  double scale_;
+  double fixed_ = -1.0;  ///< the radius when it does not depend on the mean
+  double hoeffding_ = 0.0;
+  double lg_ = 0.0;
+  double bias_ = 0.0;
+};
+
+}  // namespace
+
 double seq_bernstein_radius(double mean, double scale, double delta) {
-  if (scale <= 0.0) return 0.0;
-  if (delta <= 0.0 || delta >= 1.0) return 1.0;
-  const double n = 1.0 / scale;
-  const double hoeffding = seq_hoeffding_radius(scale, delta);
-  if (n < 2.0) return hoeffding;
-  // Maurer-Pontil, two-sided (delta/2 per tail hence ln(4/delta)), with
-  // the plug-in witness-event variance p(1-p). The additive bias term
-  // decays as 1/n, so for small p the bound beats Hoeffding's sqrt(1/n)
-  // long before the asymptotic regime.
-  const double p = std::clamp(mean, 0.0, 1.0);
-  const double lg = std::log(4.0 / delta);
-  const double bernstein =
-      std::sqrt(2.0 * p * (1.0 - p) * lg * scale) + 7.0 * lg / (3.0 * (n - 1.0));
-  return std::min(bernstein, hoeffding);
+  return BernsteinRadius(scale, delta)(mean);
 }
 
 SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
@@ -93,11 +128,12 @@ SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
   double gap_sum = 0.0;    // (1/2) sum max(0, |d| - rl - rr)
   double rad_sum = 0.0;    // (1/2) sum (rl + rr)
   double singles_l = 0.0, singles_r = 0.0;
+  // Both radii at this look's (scale, dc), hoisted out of the cell loop.
+  const bool use_bernstein = policy_.bound == SeqBound::kEmpiricalBernstein;
+  const BernsteinRadius bernstein(scale, dc);
+  const double hoeffding = seq_hoeffding_radius(scale, dc);
   auto cell_radius = [&](double mean) {
-    if (policy_.bound == SeqBound::kEmpiricalBernstein) {
-      return seq_bernstein_radius(mean, scale, dc);
-    }
-    return seq_hoeffding_radius(scale, dc);
+    return use_bernstein ? bernstein(mean) : hoeffding;
   };
   auto account = [&](double cl, double cr) {
     if (cl == 1.0) singles_l += 1.0;

@@ -18,17 +18,20 @@
 //                   structured MAC, PCA ledger, faulty channel, crashable,
 //                   byzantine.
 //   concurrency  -- the ActionTable shared-lock intern fast path hammered
-//                   from 8 threads (run under TSan by scripts/check.sh
-//                   --tsan), plus a DynamicPca regression pinning that
-//                   transitions stay valid while interning grows under
-//                   them (the defensive Configuration copy this PR
-//                   removed).
+//                   from 8 threads and its lock-free name()/size() reads
+//                   racing appends across segment boundaries (run under
+//                   TSan by scripts/check.sh --tsan), plus a DynamicPca
+//                   regression pinning that transitions stay valid while
+//                   interning grows under them (without the defensive
+//                   Configuration copy they once made).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -556,6 +559,69 @@ TEST(InternConcurrency, ActionTableSharedLockIntern) {
     EXPECT_EQ(ActionTable::instance().lookup("conc_act_" + std::to_string(i)),
               expected);
   }
+}
+
+TEST(InternConcurrency, LockFreeNameReadsUnderConcurrentAppends) {
+  // name() and size() take no lock: names live in append-only segments
+  // that grow geometrically, published by a release store of the count.
+  // Two writers append 6,000 fresh names -- past several segment
+  // boundaries -- while readers walk every id below size() and check
+  // that the name they read round-trips through lookup(). Run under TSan
+  // by scripts/check.sh --tsan.
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kPerWriter = 3000;
+  ActionTable& table = ActionTable::instance();
+  const std::size_t before = table.size();
+  std::atomic<bool> go{false};  // start everyone together
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> reads{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([w, &table, &go, &writers_left] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kPerWriter; ++i) {
+        (void)table.intern("lock_free_writer_" + std::to_string(w) +
+                           "_name_" + std::to_string(i));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&table, &go, &writers_left, &mismatches, &reads] {
+      while (!go.load()) std::this_thread::yield();
+      std::size_t seen = 0;
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = writers_left.load() == 0;
+        const std::size_t n = table.size();
+        if (n < seen) mismatches.fetch_add(1);  // size() must not shrink
+        seen = n;
+        for (std::size_t id = 0; id < n; ++id) {
+          const std::string& name = table.name(static_cast<ActionId>(id));
+          if (table.lookup(name) != id) mismatches.fetch_add(1);
+        }
+        reads.fetch_add(n);
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(reads.load(), before + kWriters * kPerWriter);
+  ASSERT_GE(table.size(), before + kWriters * kPerWriter);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kPerWriter; i += 97) {
+      const std::string name = "lock_free_writer_" + std::to_string(w) +
+                               "_name_" + std::to_string(i);
+      const ActionId id = table.lookup(name);
+      ASSERT_NE(id, kInvalidAction) << name;
+      EXPECT_EQ(table.name(id), name);
+    }
+  }
+  EXPECT_THROW((void)table.name(static_cast<ActionId>(table.size())),
+               std::out_of_range);
 }
 
 }  // namespace
