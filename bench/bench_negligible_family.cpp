@@ -57,7 +57,7 @@ int run() {
   const FamilySweepReport report = family_epsilon_sweep(
       mac_family("e8", true, false), mac_family("e8", false, false),
       mac_sched("e8"), TraceInsight(), ks, 14, /*exact_upto=*/8,
-      /*trials=*/200000, /*seed=*/42, pool);
+      /*seed=*/42, pool, {}, SequentialPolicy::fixed(200000));
   bench::print_row({"k", "exact", "sampled", "radius", "2^-k"}, 16);
   bool ok = true;
   for (const auto& row : report.rows) {
@@ -88,7 +88,7 @@ int run() {
   const std::vector<std::uint32_t> cks{1, 2, 3, 4};
   const FamilySweepReport control = family_epsilon_sweep(
       mac_family("e8c", true, true), mac_family("e8c", false, true),
-      mac_sched("e8c"), TraceInsight(), cks, 14, 4, 0, 1, pool);
+      mac_sched("e8c"), TraceInsight(), cks, 14, 4, 1, pool);
   std::printf("constant-gap control classified negligible: %s (want no)\n",
               control.negligible_looking ? "yes" : "no");
   ok = ok && !control.negligible_looking;

@@ -72,16 +72,19 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # quotient reduction (shared minimized snapshots behind per-worker
   # QuotientPsioa views in all of the above), the batched alias
   # sampler (frozen alias tables read lock-free by lockstep workers),
-  # and the sequential estimator (incremental waves + stratified
-  # per-stratum cursors fanned out over the pool).
+  # the sequential estimator (incremental waves + stratified
+  # per-stratum cursors fanned out over the pool), and the sampled
+  # epsilon's error contract (Balance: factories and insight functions
+  # that throw inside pool-run waves).
   echo "== tsan: ThreadSanitizer build + concurrency suites =="
   cmake -B build-tsan -S . -DCDSE_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target snapshot_test thread_pool_test intern_test intern_gc_test \
              service_soak_test exact_engine_test quotient_test \
-             alias_test batch_sampler_test seq_estimator_test
+             alias_test batch_sampler_test seq_estimator_test \
+             insight_fdist_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst'
+    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst|Balance\.'
   echo "== tsan pass clean =="
   exit 0
 fi

@@ -64,36 +64,6 @@ bool balanced(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
                                max_depth) <= eps;
 }
 
-SampledEpsilon sampled_balance_epsilon(
-    const PsioaFactory& make_lhs, const SchedulerFactory& make_sigma_lhs,
-    const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, double delta) {
-  // A default guard neither times out nor retries, so an incomplete run
-  // means some chunk threw: report that instead of an epsilon estimated
-  // from the surviving chunks.
-  const auto side = [&](const PsioaFactory& make, const SchedulerFactory& sigma,
-                        std::uint64_t side_seed) {
-    SampleReport report;
-    Disc<Perception, double> fdist = guarded_parallel_sample_fdist(
-        make, sigma, f, trials, side_seed, max_depth, pool, SampleGuard{},
-        &report);
-    if (!report.complete) {
-      throw std::runtime_error("sampled_balance_epsilon: " + report.error);
-    }
-    return fdist;
-  };
-  const Disc<Perception, double> left = side(make_lhs, make_sigma_lhs, seed);
-  const Disc<Perception, double> right =
-      side(make_rhs, make_sigma_rhs, seed + 1);
-  SampledEpsilon out;
-  out.estimate = balance_distance(left, right);
-  // Each empirical f-dist mass is a mean of indicators; a crude union
-  // bound over the two estimates gives a usable radius for reporting.
-  out.radius = 2.0 * hoeffding_radius(trials, delta);
-  return out;
-}
-
 // -- sequential (answer-cost) epsilon --------------------------------------
 
 namespace {
@@ -409,6 +379,7 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
     std::shared_ptr<SnapshotPsioa> view;
     SchedulerPtr sched;
     std::optional<BatchSampler> bs;
+    Disc<Perception, double> counts;
   };
   std::vector<Cursor> cursors(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -422,14 +393,14 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
   for (Cursor& c : cursors) {
     pool.submit([&c, &fn] {
       c.bs->run_to_completion();
-      c.bs->accumulate_counts(fn);
+      c.counts = c.bs->take_counts(fn);
     });
   }
   pool.wait_idle();
 
   std::vector<Disc<Perception, double>> out(k);
   for (std::size_t i = 0; i < k; ++i) {
-    out[i] = cursors[i].bs->accumulate_counts(f);
+    out[i] = std::move(cursors[i].counts);
     if (stats != nullptr) *stats += cursors[i].bs->stats();
   }
   return out;

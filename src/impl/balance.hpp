@@ -40,31 +40,15 @@ bool balanced(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
               Scheduler& sigma_rhs, const InsightFunction& f,
               std::size_t max_depth, const Rational& eps);
 
-/// Sampled epsilon with Hoeffding error radius, for systems too large to
-/// enumerate. Returns (estimate, radius) at confidence 1 - delta. Each
-/// side is one clone-per-worker guarded_parallel_sample_fdist run under a
-/// default SampleGuard; if any chunk's automaton or scheduler throws,
-/// this throws std::runtime_error rather than estimating from the
-/// surviving chunks.
-struct SampledEpsilon {
-  double estimate = 0.0;
-  double radius = 1.0;
-};
-
-SampledEpsilon sampled_balance_epsilon(
-    const PsioaFactory& make_lhs, const SchedulerFactory& make_sigma_lhs,
-    const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, double delta = 1e-6);
-
 // -- sequential (answer-cost) epsilon --------------------------------------
 
 /// Result of one sequential epsilon decision. With policy.sequential()
 /// the verdict is anytime-valid at confidence 1 - delta and `trials` /
 /// `draws` record what the early stop actually cost; with a fixed
 /// policy (delta == 0) the whole budget runs and the verdict is the
-/// point comparison estimate vs threshold -- the reference row of the
-/// E22 draw-count tables.
+/// point comparison estimate vs threshold -- the fixed-trial sampled
+/// epsilon (radius: twice the Hoeffding radius at 1e-6) and the
+/// reference row of the E22 draw-count tables.
 struct SequentialEpsilon {
   double estimate = 0.0;
   double radius = 1.0;
@@ -91,7 +75,9 @@ struct SequentialEpsilon {
 /// steered toward strata whose action words show the largest cross-side
 /// cone-mass gap (policy.split_boost). The plain path stays available
 /// (split_depth == 0) as the differential reference. kSerial mode is
-/// rejected (std::invalid_argument); policy.active() is required.
+/// rejected (std::invalid_argument); policy.active() is required. An
+/// exception from a factory, a scheduler or the insight function
+/// propagates: no epsilon is estimated from the surviving chunks.
 SequentialEpsilon sequential_balance_epsilon(
     const PsioaFactory& make_lhs, const SchedulerFactory& make_sigma_lhs,
     const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,

@@ -1,5 +1,8 @@
 #include "impl/family_sweep.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "util/poly.hpp"
 
 namespace cdse {
@@ -8,9 +11,17 @@ FamilySweepReport family_epsilon_sweep(
     const PsioaFamily& lhs, const PsioaFamily& rhs,
     const SchedulerFamily& sched, const InsightFunction& f,
     const std::vector<std::uint32_t>& ks, std::size_t max_depth,
-    std::uint32_t exact_upto, std::size_t trials, std::uint64_t seed,
-    ThreadPool& pool, const ReductionPolicy& policy,
-    const SequentialPolicy& seq) {
+    std::uint32_t exact_upto, std::uint64_t seed, ThreadPool& pool,
+    const ReductionPolicy& policy, const SequentialPolicy& seq) {
+  // An unsampled cell would keep sampled = 0, which the classifier reads
+  // as decay to zero.
+  for (const std::uint32_t k : ks) {
+    if (k > exact_upto && !seq.active()) {
+      throw std::invalid_argument(
+          "family_epsilon_sweep: k = " + std::to_string(k) +
+          " is past exact_upto and the sampling policy is inactive");
+    }
+  }
   FamilySweepReport report;
   report.rows.resize(ks.size());
   for (std::size_t i = 0; i < ks.size(); ++i) report.rows[i].k = ks[i];
@@ -41,9 +52,9 @@ FamilySweepReport family_epsilon_sweep(
 
   // Phase 2: sampled cells run serially here because each one already
   // spreads its trials over the same pool (nesting parallel_for_chunks
-  // inside a worker would deadlock on wait_idle). With an active
-  // sequential policy the cells early-stop; delta splits evenly over the
-  // sampled cells so the sweep's verdicts share one union-bound budget.
+  // inside a worker would deadlock on wait_idle). Under a deciding
+  // policy the cells early-stop; delta splits evenly over the sampled
+  // cells so the sweep's verdicts share one union-bound budget.
   std::size_t sampled_cells = 0;
   for (const FamilySweepRow& row : report.rows) {
     if (!row.exact.has_value()) ++sampled_cells;
@@ -55,29 +66,18 @@ FamilySweepReport family_epsilon_sweep(
   for (FamilySweepRow& row : report.rows) {
     if (row.exact.has_value()) continue;
     const std::uint32_t k = row.k;
-    if (seq.active()) {
-      const SequentialEpsilon se = sequential_balance_epsilon(
-          [&lhs, k] { return lhs.make(k); },
-          [&sched, k] { return sched.make(k); },
-          [&rhs, k] { return rhs.make(k); },
-          [&sched, k] { return sched.make(k); }, f, cell_seq, seed + k,
-          max_depth, pool);
-      row.sampled = se.estimate;
-      row.radius = se.radius;
-      row.verdict = se.verdict;
-      row.trials_used = se.trials;
-      row.draws = se.draws;
-      report.total_draws += se.draws;
-    } else if (trials > 0) {
-      const SampledEpsilon se = sampled_balance_epsilon(
-          [&lhs, k] { return lhs.make(k); },
-          [&sched, k] { return sched.make(k); },
-          [&rhs, k] { return rhs.make(k); },
-          [&sched, k] { return sched.make(k); }, f, trials, seed + k,
-          max_depth, pool);
-      row.sampled = se.estimate;
-      row.radius = se.radius;
-    }
+    const SequentialEpsilon se = sequential_balance_epsilon(
+        [&lhs, k] { return lhs.make(k); },
+        [&sched, k] { return sched.make(k); },
+        [&rhs, k] { return rhs.make(k); },
+        [&sched, k] { return sched.make(k); }, f, cell_seq, seed + k,
+        max_depth, pool);
+    row.sampled = se.estimate;
+    row.radius = se.radius;
+    row.verdict = se.verdict;
+    row.trials_used = se.trials;
+    row.draws = se.draws;
+    report.total_draws += se.draws;
   }
 
   std::vector<double> eps_series;

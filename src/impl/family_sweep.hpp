@@ -3,9 +3,9 @@
 //
 // A family sweep evaluates epsilon(k) for a real/ideal pair across
 // security parameters: exactly where the execution tree permits, sampled
-// (with Hoeffding radius) where it does not. The empirical negligibility
-// judgment (util/poly.hpp) then classifies the decay -- experiment E8's
-// deliverable.
+// by sequential_balance_epsilon (impl/balance.hpp) where it does not. The
+// empirical negligibility judgment (util/poly.hpp) then classifies the
+// decay -- experiment E8's deliverable.
 
 #include <cstdint>
 #include <optional>
@@ -20,11 +20,12 @@ struct FamilySweepRow {
   std::uint32_t k = 0;
   /// Exact epsilon when enumeration was feasible.
   std::optional<Rational> exact;
-  /// Sampled epsilon (always filled when trials > 0).
+  /// Sampled epsilon (the exact one, as a double, on exact cells).
   double sampled = 0.0;
   double radius = 1.0;
-  /// Sequential mode bookkeeping (kUndecided / zero on exact cells and
-  /// fixed-trial sampled cells).
+  /// Sampled-cell bookkeeping of sequential_balance_epsilon (kUndecided /
+  /// zero on exact cells; a fixed-trial cell's verdict is its point
+  /// comparison against seq.threshold).
   SeqVerdict verdict = SeqVerdict::kUndecided;
   std::size_t trials_used = 0;  ///< per-side trials the cell committed
   std::uint64_t draws = 0;      ///< logical draws the cell spent
@@ -41,22 +42,23 @@ struct FamilySweepReport {
 /// sigma_k. `exact_upto`: indices <= this use exact enumeration. With an
 /// enabled `policy` the exact cells enumerate bisimulation quotients
 /// (per-side fallback on warm-up truncation); every exact epsilon is
-/// Rational-equal to the unreduced sweep. Sampled cells ignore the
-/// policy (sampling never freezes).
+/// Rational-equal to the unreduced sweep.
 ///
-/// With an active `seq` policy the sampled cells switch to
-/// sequential_balance_epsilon: each cell stops as soon as its confidence
-/// sequence decides seq.threshold, recording verdict/trials_used/draws.
-/// The per-cell confidence budget is seq.delta split evenly over the
+/// The other cells are sampled by sequential_balance_epsilon under
+/// `seq`, which must then be active (std::invalid_argument, before any
+/// work, otherwise): SequentialPolicy::fixed(n) runs n trials per side,
+/// a deciding policy stops each cell as soon as its confidence sequence
+/// decides seq.threshold, recording verdict/trials_used/draws. The
+/// per-cell confidence budget is seq.delta split evenly over the
 /// sampled cells (union bound: the sweep's sampled verdicts are jointly
-/// wrong with probability at most seq.delta). `trials` is ignored for
-/// cell sizing when seq is active (seq.max_trials caps the cell).
+/// wrong with probability at most seq.delta). Sampled cells need the
+/// batched scheduler contract (choice a function of the last state and
+/// the length; sched/batch_sampler.hpp) and ignore `policy`.
 FamilySweepReport family_epsilon_sweep(
     const PsioaFamily& lhs, const PsioaFamily& rhs,
     const SchedulerFamily& sched, const InsightFunction& f,
     const std::vector<std::uint32_t>& ks, std::size_t max_depth,
-    std::uint32_t exact_upto, std::size_t trials, std::uint64_t seed,
-    ThreadPool& pool, const ReductionPolicy& policy = {},
-    const SequentialPolicy& seq = {});
+    std::uint32_t exact_upto, std::uint64_t seed, ThreadPool& pool,
+    const ReductionPolicy& policy = {}, const SequentialPolicy& seq = {});
 
 }  // namespace cdse

@@ -223,40 +223,17 @@ void BatchSampler::run_to_completion() {
   }
 }
 
-Disc<Perception, double> BatchSampler::tally_terminal(
-    const InsightFunction& f, std::size_t from) const {
+Disc<Perception, double> BatchSampler::take_counts(const InsightFunction& f) {
   std::vector<std::pair<Perception, double>> batch;
-  batch.reserve(terminal_.size() - from);
-  for (std::size_t k = from; k < terminal_.size(); ++k) {
-    const TerminalClass& tc = terminal_[k];
-    batch.emplace_back(f.apply(automaton_, fragment_of(tc.node)),
-                       static_cast<double>(tc.count));
+  batch.reserve(terminal_.size() - counted_);
+  for (std::size_t k = counted_; k < terminal_.size(); ++k) {
+    batch.emplace_back(f.apply(automaton_, fragment_of(terminal_[k].node)),
+                       static_cast<double>(terminal_[k].count));
   }
+  counted_ = terminal_.size();
   // Integer counts sum exactly in any order, so folding the batch first
-  // and merging it once equals adding class by class.
+  // equals adding class by class.
   return Disc<Perception, double>::from_unsorted(std::move(batch));
-}
-
-const Disc<Perception, double>& BatchSampler::accumulate_counts(
-    const InsightFunction& f) {
-  if (counted_ < terminal_.size()) {
-    counts_.merge(tally_terminal(f, counted_));
-    counted_ = terminal_.size();
-  }
-  return counts_;
-}
-
-void BatchSampler::accumulate_delta(const InsightFunction& f) {
-  if (delta_counted_ < terminal_.size()) {
-    delta_.merge(tally_terminal(f, delta_counted_));
-    delta_counted_ = terminal_.size();
-  }
-}
-
-Disc<Perception, double> BatchSampler::drain_count_delta() {
-  Disc<Perception, double> out = std::move(delta_);
-  delta_ = Disc<Perception, double>{};
-  return out;
 }
 
 std::vector<ExecFragment> BatchSampler::fragments() const {
@@ -299,27 +276,16 @@ std::vector<ExecFragment> sample_executions(Psioa& automaton,
   return bs.fragments();
 }
 
-Disc<Perception, double> batched_sample_counts(
-    Psioa& automaton, Scheduler& sched, const InsightFunction& f,
-    std::size_t trials, Xoshiro256& rng, std::size_t max_depth,
-    BatchStats* stats) {
-  BatchSampler bs(automaton, sched, trials, rng, max_depth);
-  bs.run_to_completion();
-  rng = bs.scalar_rng();
-  if (stats != nullptr) *stats += bs.stats();
-  return bs.accumulate_counts(f);
-}
-
 Disc<Perception, double> sample_fdist_batched(
     Psioa& automaton, Scheduler& sched, const InsightFunction& f,
     std::size_t trials, std::uint64_t seed, std::size_t max_depth,
     BatchStats* stats) {
-  Xoshiro256 rng(seed);
-  const Disc<Perception, double> counts = batched_sample_counts(
-      automaton, sched, f, trials, rng, max_depth, stats);
+  BatchSampler bs(automaton, sched, trials, Xoshiro256(seed), max_depth);
+  bs.run_to_completion();
+  if (stats != nullptr) *stats += bs.stats();
   const double n = static_cast<double>(trials);
   Disc<Perception, double> dist;
-  dist.merge(counts, [n](double count) { return count / n; });
+  dist.merge(bs.take_counts(f), [n](double count) { return count / n; });
   return dist;
 }
 

@@ -108,9 +108,11 @@ struct BatchStats {
 };
 
 /// Stateful lockstep engine: one chunk's worth of executions advanced
-/// round by round. The one-shot helpers below wrap it; the sequential
-/// early-stopping estimator consumes it wave by wave through
-/// IncrementalFdistRun (run_rounds + accumulate_delta).
+/// round by round. IncrementalFdistRun (sched/sampler.hpp) drives one
+/// per chunk, wave by wave: run_rounds, then take_counts. The
+/// importance-splitting estimator runs one per stratum to completion
+/// (impl/balance.hpp). The single-instance helpers below wrap it for the
+/// differential tests.
 ///
 /// Lifetime: holds references to the automaton and scheduler; both must
 /// outlive the sampler. One sampler per thread (no internal locking).
@@ -150,25 +152,12 @@ class BatchSampler {
   std::uint64_t trials_terminal() const { return terminal_trials_; }
   std::size_t trials_requested() const { return trials_; }
 
-  /// Folds terminal classes discovered since the last call into the
-  /// running per-perception count tally and returns it (unnormalized):
-  /// f runs once per fresh class, the batch is sorted once and merged
-  /// in one linear pass. Counts are monotone non-decreasing across
-  /// calls by construction; calling after every run_rounds wave yields
-  /// partial tallies.
-  const Disc<Perception, double>& accumulate_counts(const InsightFunction& f);
-
-  /// The fold of incremental runs (IncrementalFdistRun): like
-  /// accumulate_counts, but the fresh classes go only into a drainable
-  /// delta tally, so a run that merges every wave's delta keeps no second
-  /// full tally per chunk. The two folds keep separate cursors: a later
-  /// accumulate_counts still builds the full tally from every terminal
-  /// class.
-  void accumulate_delta(const InsightFunction& f);
-  /// Returns and clears the per-perception counts added by
-  /// accumulate_delta since the previous drain (empty when nothing new
-  /// went terminal).
-  Disc<Perception, double> drain_count_delta();
+  /// The per-perception counts (unnormalized) of the classes that went
+  /// terminal since the previous call: f runs once per class, the batch
+  /// is sorted once. Empty when nothing new went terminal. Summing every
+  /// call's counts gives the tally of the whole run, independent of
+  /// where the calls fall: integer counts sum exactly in doubles.
+  Disc<Perception, double> take_counts(const InsightFunction& f);
 
   /// Expands every terminal class back to one fragment per execution,
   /// in deterministic class order. Requires done().
@@ -197,9 +186,6 @@ class BatchSampler {
   /// Tallies `count` draws from `alias` into tally[0..alias.size()).
   void tally_draws(const AliasTable& alias, std::uint64_t count,
                    std::vector<std::uint64_t>& tally);
-  /// Per-perception counts of terminal_[from, end()), one f call each.
-  Disc<Perception, double> tally_terminal(const InsightFunction& f,
-                                          std::size_t from) const;
   ExecFragment fragment_of(std::int32_t leaf) const;
 
   Psioa& automaton_;
@@ -236,12 +222,8 @@ class BatchSampler {
   std::vector<double> u_buf_;
   std::vector<std::uint32_t> out_buf_;
 
-  // Partial-tally accumulation state: terminal_ prefixes already folded
-  // into counts_ and into delta_.
-  Disc<Perception, double> counts_;
+  // terminal_[0, counted_) has been handed out by take_counts.
   std::size_t counted_ = 0;
-  Disc<Perception, double> delta_;  // fresh counts since the last drain
-  std::size_t delta_counted_ = 0;
 
   BatchStats stats_;
 };
@@ -255,15 +237,6 @@ class BatchSampler {
 std::vector<ExecFragment> sample_executions(
     Psioa& automaton, Scheduler& sched, Xoshiro256& rng, std::size_t n,
     std::size_t max_depth, BatchStats* stats = nullptr);
-
-/// Batched empirical f-dist from `trials` lockstep executions, as raw
-/// per-perception counts (unnormalized; callers merging chunks divide by
-/// the global trial count). The insight function is applied once per
-/// distinct execution.
-Disc<Perception, double> batched_sample_counts(
-    Psioa& automaton, Scheduler& sched, const InsightFunction& f,
-    std::size_t trials, Xoshiro256& rng, std::size_t max_depth,
-    BatchStats* stats = nullptr);
 
 /// Normalized batched f-dist estimate: the batched counterpart of
 /// sample_fdist (sched/sampler.hpp), distribution-equivalent to it at

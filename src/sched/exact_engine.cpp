@@ -420,9 +420,7 @@ ExactDisc<Perception> ParallelConeEngine::exact_fdist(
       });
 
   ExactDisc<Perception> result = std::move(base);
-  for (const auto& p : partial) {
-    for (const auto& [perc, w] : p.entries()) result.add(perc, w);
-  }
+  for (auto& p : partial) result.merge(std::move(p));
   for (const auto& s : cstats) stats += s;
   stats_ = stats;
   return result;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
@@ -235,63 +236,44 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
   if (!prepared()) {
     throw std::logic_error("ParallelSampler: prepare() before sample_fdist()");
   }
-  // Mirrors guarded_parallel_sample_fdist chunk for chunk and (in kSerial
-  // mode) draw for draw: same static partition, same per-chunk streams,
-  // same merge order. The only difference is what backs the automaton
-  // each worker drives. kBatched chunks run the lockstep trajectory-class
-  // engine over the same frozen snapshot instead.
+  const double n = static_cast<double>(trials);
+  Disc<Perception, double> merged;
+  if (mode == SamplingMode::kBatched) {
+    IncrementalFdistRun run(*this, f, trials, seed, max_depth, pool,
+                            std::numeric_limits<std::size_t>::max());
+    run.step_wave();
+    last_stats_ = run.snapshot_stats();
+    last_batch_stats_ = run.batch_stats();
+    merged.merge(run.wave_delta(), [n](double count) { return count / n; });
+    return merged;
+  }
+  // Mirrors guarded_parallel_sample_fdist chunk for chunk and draw for
+  // draw: same static partition, same per-chunk streams, same merge
+  // order. The only difference is what backs the automaton each worker
+  // drives.
   const std::size_t chunks = pool.size();
   std::vector<Disc<Perception, double>> partial(chunks);
   std::vector<SnapshotStats> stats(chunks);
-  std::vector<BatchStats> bstats(chunks);
   parallel_for_chunks(
       pool, trials,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         auto view = std::make_shared<SnapshotPsioa>(snapshot_, residue_);
         SchedulerPtr sched = worker_scheduler();
         Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
-        Disc<Perception, double>& out = partial[chunk];
-        if (mode == SamplingMode::kBatched) {
-          out = batched_sample_counts(*view, *sched, f, end - begin, rng,
-                                      max_depth, &bstats[chunk]);
-        } else {
-          for (std::size_t i = begin; i < end; ++i) {
-            const ExecFragment alpha =
-                sample_execution(*view, *sched, rng, max_depth);
-            out.add(f.apply(*view, alpha), 1.0);
-          }
+        for (std::size_t i = begin; i < end; ++i) {
+          const ExecFragment alpha =
+              sample_execution(*view, *sched, rng, max_depth);
+          partial[chunk].add(f.apply(*view, alpha), 1.0);
         }
         stats[chunk] = view->snapshot_stats();
       });
   last_stats_ = SnapshotStats{};
   for (const auto& s : stats) last_stats_ += s;
   last_batch_stats_ = BatchStats{};
-  for (const auto& b : bstats) last_batch_stats_ += b;
-  const double n = static_cast<double>(trials);
-  Disc<Perception, double> merged;
   for (const auto& p : partial) {
     merged.merge(p, [n](double count) { return count / n; });
   }
   return merged;
-}
-
-Disc<Perception, double> ParallelSampler::sample_fdist_incremental(
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, std::size_t rounds_per_wave,
-    const WaveCallback& on_wave) {
-  IncrementalFdistRun run(*this, f, trials, seed, max_depth, pool,
-                          rounds_per_wave);
-  while (!run.done()) {
-    const WaveReport& rep = run.step_wave();
-    if (on_wave != nullptr && !on_wave(rep, run.partial_fdist())) {
-      break;  // early stop: remaining waves are skipped
-    }
-  }
-  last_stats_ = run.snapshot_stats();
-  last_batch_stats_ = run.batch_stats();
-  // A completed run re-merges chunk-major (bit-identical to the one-shot
-  // path); an early-stopped run returns the normalized running tally.
-  return run.done() ? run.final_fdist() : run.partial_fdist();
 }
 
 // -- incremental runs -------------------------------------------------------
@@ -300,6 +282,7 @@ struct IncrementalFdistRun::Chunk {
   std::shared_ptr<SnapshotPsioa> view;
   SchedulerPtr sched;
   std::optional<BatchSampler> bs;
+  Disc<Perception, double> delta;  // counts taken this wave
 };
 
 IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
@@ -315,13 +298,10 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
         "IncrementalFdistRun: prepare() the sampler before running");
   }
 
-  // Chunk partition and streams mirror parallel_for_chunks / the
-  // one-shot sample_fdist exactly: min(pool, trials) chunks (at least
-  // one), chunk c sized trials/chunks plus one of the trials%chunks
-  // remainders, stream c of `seed`. That makes a run driven to
-  // completion merge the exact same per-chunk count tallies in the
-  // exact same order as the one-shot call, hence a bit-identical
-  // result.
+  // The seeded verdicts and the verdict benchmark's record lines are
+  // functions of this partition and these streams, so they are fixed:
+  // min(pool, trials) chunks (at least one), chunk c sized trials/chunks
+  // plus one of the trials%chunks remainders, stream c of `seed`.
   std::size_t chunks = std::min(pool.size(), trials);
   if (chunks == 0) chunks = 1;
   const std::size_t per = trials / chunks;
@@ -349,42 +329,34 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
 
 IncrementalFdistRun::~IncrementalFdistRun() = default;
 
-const ParallelSampler::WaveReport& IncrementalFdistRun::step_wave() {
+const IncrementalFdistRun::WaveReport& IncrementalFdistRun::step_wave() {
   if (done_) return report_;
   ++wave_;
-  const std::size_t rounds = rounds_per_wave_;
-  const InsightFunction& f = f_;
-  for (Chunk& c : chunks_) {
-    if (c.bs->done()) continue;
-    pool_.submit([&c, &f, rounds] {
-      c.bs->run_rounds(rounds);
-      c.bs->accumulate_delta(f);
-    });
-  }
-  pool_.wait_idle();
-  // Delta-merge on the driving thread: each chunk surrenders only the
-  // tallies of classes that went terminal this wave; they merge into the
-  // wave's delta, which merges into the running tally, each merge one
-  // linear pass. The counts are integer-valued, and integer sums are
-  // exact in doubles, so the running tally is independent of where the
-  // wave boundaries fall.
+  // At most one chunk per worker, so each chunk is its own task; a lone
+  // chunk runs on the calling thread.
+  parallel_for_chunks(
+      pool_, chunks_.size(),
+      [this](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+          Chunk& c = chunks_[k];
+          if (c.bs->done()) continue;
+          c.bs->run_rounds(rounds_per_wave_);
+          c.delta = c.bs->take_counts(f_);
+        }
+      });
   std::size_t entries = 0;
   std::uint64_t terminal = 0;
   bool all_done = true;
   wave_delta_ = Disc<Perception, double>{};
   for (Chunk& c : chunks_) {
-    Disc<Perception, double> delta = c.bs->drain_count_delta();
-    entries += delta.support_size();
-    wave_delta_.merge(std::move(delta));
+    entries += c.delta.support_size();
+    wave_delta_.merge(std::move(c.delta));  // leaves c.delta empty
     terminal += c.bs->trials_terminal();
     all_done = all_done && c.bs->done();
   }
-  merged_.merge(wave_delta_);
   done_ = all_done;
   report_.wave = wave_;
-  report_.rounds_per_wave = rounds_per_wave_;
   report_.trials_done = static_cast<std::size_t>(terminal);
-  report_.trials_requested = trials_;
   report_.done = all_done;
   report_.merge_entries = entries;
   return report_;
@@ -394,39 +366,6 @@ std::uint64_t IncrementalFdistRun::trials_terminal() const {
   std::uint64_t terminal = 0;
   for (const Chunk& c : chunks_) terminal += c.bs->trials_terminal();
   return terminal;
-}
-
-Disc<Perception, double> IncrementalFdistRun::partial_fdist() const {
-  Disc<Perception, double> out;
-  const std::uint64_t done_trials = trials_terminal();
-  if (done_trials == 0) return out;
-  const double n = static_cast<double>(done_trials);
-  out.merge(merged_, [n](double count) { return count / n; });
-  return out;
-}
-
-Disc<Perception, double> IncrementalFdistRun::final_fdist() {
-  while (!done_) step_wave();
-  std::uint64_t done_trials = 0;
-  for (const Chunk& c : chunks_) done_trials += c.bs->trials_terminal();
-  Disc<Perception, double> out;
-  if (done_trials == 0) return out;
-  // The waves kept only deltas, so each chunk builds its full tally now
-  // (on the pool), from every terminal class. Merging those chunk-major
-  // (count / N per entry, chunk order) reproduces the one-shot
-  // sample_fdist merge bit for bit.
-  const InsightFunction& f = f_;
-  for (Chunk& c : chunks_) {
-    pool_.submit([&c, &f] { c.bs->accumulate_counts(f); });
-  }
-  pool_.wait_idle();
-  const double n = static_cast<double>(done_trials);
-  for (Chunk& c : chunks_) {
-    // A no-op fold now: returns the tally built above.
-    out.merge(c.bs->accumulate_counts(f_),
-              [n](double count) { return count / n; });
-  }
-  return out;
 }
 
 BatchStats IncrementalFdistRun::batch_stats() const {

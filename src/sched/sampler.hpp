@@ -20,12 +20,13 @@
 //     SampleReport instead of tearing the experiment down (fault sweeps,
 //     foreign automata).
 //   - ParallelSampler warms one instance, freezes its compiled tables
-//     and fans trials over thin read-only views of the shared snapshot,
-//     serially or through the batched lockstep engine.
+//     and fans trials over thin read-only views of the shared snapshot:
+//     serially, or as the chunks of an IncrementalFdistRun, the one
+//     batched fan-out (a one-shot batched f-dist is a single wave that
+//     runs every chunk to completion).
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,9 @@ class ParallelSampler {
   void prepare(const WarmupPlan& plan, std::size_t max_depth);
   bool prepared() const { return snapshot_ != nullptr; }
 
+  /// Normalized f-dist estimate from `trials` executions. kBatched runs
+  /// one IncrementalFdistRun wave that takes every chunk to completion
+  /// and divides its counts by `trials`.
   Disc<Perception, double> sample_fdist(const InsightFunction& f,
                                         std::size_t trials,
                                         std::uint64_t seed,
@@ -164,53 +168,6 @@ class ParallelSampler {
                                         ThreadPool& pool,
                                         SamplingMode mode =
                                             SamplingMode::kSerial);
-
-  /// Progress of one incremental wave, as handed to the wave callback.
-  struct WaveReport {
-    std::size_t wave = 0;            ///< 1-based wave index
-    std::size_t rounds_per_wave = 0; ///< lockstep rounds each chunk stepped
-    std::size_t trials_done = 0;     ///< executions terminal so far
-    std::size_t trials_requested = 0;
-    bool done = false;               ///< every chunk finished
-    /// Tally entries folded into the running merge THIS wave: the
-    /// chunks' fresh per-perception deltas (each chunk drains only the
-    /// classes that went terminal this wave). Each delta is sorted once
-    /// and merged in one linear pass, so a wave costs
-    /// O(merge_entries log merge_entries + support), not a sorted insert
-    /// per entry -- and sum(merge_entries) over a whole run is bounded by
-    /// the run's distinct_executions (BatchStats).
-    std::size_t merge_entries = 0;
-  };
-
-  /// Called after every wave with the progress report and the partial
-  /// estimate (terminal executions so far, normalized over trials_done).
-  /// Return false to stop early: remaining waves are skipped and the
-  /// partial estimate becomes the result.
-  using WaveCallback =
-      std::function<bool(const WaveReport&, const Disc<Perception, double>&)>;
-
-  /// Incremental-rounds twin of sample_fdist in kBatched mode: each
-  /// chunk keeps a persistent BatchSampler and advances it
-  /// `rounds_per_wave` lockstep rounds per wave, surfacing the merged
-  /// partial tally after every wave -- the hook the sequential
-  /// early-stopping estimator consumes. Chunk partition, RNG streams and
-  /// merge order mirror sample_fdist exactly, so a run driven to
-  /// completion returns a bit-identical distribution to the one-shot
-  /// kBatched call (tests/batch_sampler_test.cpp pins this). `on_wave`
-  /// may be null (run to completion silently).
-  ///
-  /// rounds_per_wave contract: 0 auto-tunes the wave size to target
-  /// ~4096 logical draws per wave per chunk -- each round resolves about
-  /// two logical draws (action + target) per live trial, so the chosen
-  /// value is max(1, 2048 / per_chunk_trials): chunks carrying >= 2048
-  /// trials report after every round, small chunks batch enough rounds
-  /// that wave overhead (submit + merge + callback) stays amortized.
-  /// The auto-tuned value is surfaced in WaveReport::rounds_per_wave.
-  /// Any nonzero value is used as given.
-  Disc<Perception, double> sample_fdist_incremental(
-      const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-      std::size_t max_depth, ThreadPool& pool, std::size_t rounds_per_wave,
-      const WaveCallback& on_wave = nullptr);
 
   /// A fresh thin worker view / scheduler, as handed to each chunk.
   /// Exposed for the differential tests and for callers integrating the
@@ -245,29 +202,47 @@ class ParallelSampler {
   BatchStats last_batch_stats_;
 };
 
-/// One incremental batched run, exposed as an object so several runs can
-/// be interleaved wave by wave -- the paired-consumption shape the
-/// sequential epsilon estimator needs (one look compares the LEFT and
-/// RIGHT partial tallies at matching trial counts, so neither side may
-/// run ahead inside its own callback). sample_fdist_incremental is a
-/// thin loop over this class.
-///
-/// Chunking, RNG streams and merge order mirror the one-shot
-/// ParallelSampler::sample_fdist, so final_fdist() of a completed run is
-/// bit-identical to the one-shot kBatched call. The running
-/// tally (counts()) is delta-merged: after each wave every chunk drains
-/// only the terminal classes it discovered during that wave
-/// (WaveReport::merge_entries counts them), the chunk deltas merge into
-/// wave_delta(), and that merges into counts(), each merge one linear
-/// pass. Chunks keep no full tally of their own between waves.
-/// Integer class counts sum exactly in doubles, so counts() is
-/// independent of wave boundaries (and partial_fdist() of the final wave
-/// equals the completed tally up to one normalization).
+/// The batched fan-out: `trials` executions over a prepared sampler's
+/// snapshot, split into one persistent BatchSampler chunk per worker
+/// (at most one per trial) and advanced in waves. A wave steps every
+/// unfinished chunk `rounds_per_wave` lockstep rounds, each chunk on
+/// its own pool task (inline when there is one chunk), then takes the
+/// per-perception counts of the classes that went terminal during the
+/// wave (BatchSampler::take_counts) and merges the chunks' counts into
+/// wave_delta(). The run keeps no running tally: a caller that wants one
+/// merges each wave's delta itself. Integer class counts sum exactly in
+/// doubles, so such a tally is independent of wave boundaries and of
+/// merge order. Several runs can be interleaved wave by wave -- the
+/// paired-consumption shape the sequential epsilon estimator needs (one
+/// look compares the LEFT and RIGHT tallies at matching trial counts).
 class IncrementalFdistRun {
  public:
-  /// Requires sampler.prepared(); holds references to `sampler`, `f` and
-  /// `pool` for its lifetime. rounds_per_wave == 0 auto-tunes (see
-  /// sample_fdist_incremental).
+  /// Progress of one wave.
+  struct WaveReport {
+    std::size_t wave = 0;            ///< 1-based wave index
+    std::size_t rounds_per_wave = 0; ///< lockstep rounds each chunk stepped
+    std::size_t trials_done = 0;     ///< executions terminal so far
+    std::size_t trials_requested = 0;
+    bool done = false;               ///< every chunk finished
+    /// Entries of the chunks' counts merged into wave_delta() THIS wave.
+    /// Each chunk folds only the classes that went terminal this wave,
+    /// so sum(merge_entries) over a whole run is bounded by the run's
+    /// distinct_executions (BatchStats).
+    std::size_t merge_entries = 0;
+  };
+
+  /// Requires sampler.prepared(); holds references to `f` and `pool`
+  /// for its lifetime.
+  ///
+  /// rounds_per_wave contract: 0 auto-tunes the wave size to target
+  /// ~4096 logical draws per wave per chunk -- each round resolves about
+  /// two logical draws (action + target) per live trial, so the chosen
+  /// value is max(1, 2048 / per_chunk_trials): chunks carrying >= 2048
+  /// trials report after every round, small chunks batch enough rounds
+  /// that wave overhead (fan-out + merge + look) stays amortized. The
+  /// auto-tuned value is surfaced in WaveReport::rounds_per_wave. Any
+  /// nonzero value is used as given; SIZE_MAX finishes the run in one
+  /// wave.
   IncrementalFdistRun(const ParallelSampler& sampler,
                       const InsightFunction& f, std::size_t trials,
                       std::uint64_t seed, std::size_t max_depth,
@@ -277,28 +252,21 @@ class IncrementalFdistRun {
   IncrementalFdistRun& operator=(const IncrementalFdistRun&) = delete;
 
   bool done() const { return done_; }
-  /// Advances every unfinished chunk by one wave of rounds (fanned over
-  /// the pool), delta-merges the fresh tallies, and returns the report.
-  /// No-op once done().
-  const ParallelSampler::WaveReport& step_wave();
-  const ParallelSampler::WaveReport& report() const { return report_; }
+  /// Advances every unfinished chunk by one wave of rounds, merges the
+  /// chunks' fresh counts into wave_delta(), and returns the report.
+  /// No-op once done(). An exception from a chunk (the insight function
+  /// included) propagates after every chunk task has finished; the run
+  /// must not be stepped again.
+  const WaveReport& step_wave();
+  const WaveReport& report() const { return report_; }
   /// The wave size in effect (auto-tuned when 0 was requested).
   std::size_t rounds_per_wave() const { return rounds_per_wave_; }
 
   std::size_t trials_requested() const { return trials_; }
   std::uint64_t trials_terminal() const;
-  /// Running unnormalized per-perception tally (integer-valued counts).
-  const Disc<Perception, double>& counts() const { return merged_; }
-  /// The counts the most recent wave added to counts(): what a caller
-  /// keeping its own running tally (across runs) merges after each wave.
+  /// The unnormalized per-perception counts (integer-valued) of the
+  /// executions that went terminal during the most recent wave.
   const Disc<Perception, double>& wave_delta() const { return wave_delta_; }
-  /// counts() normalized over the terminal trials (empty when none).
-  Disc<Perception, double> partial_fdist() const;
-  /// Drives any remaining waves, builds each chunk's full tally (the
-  /// waves kept deltas only), then merges chunk-major exactly as the
-  /// one-shot path does -- bit-identical to sample_fdist in kBatched
-  /// mode.
-  Disc<Perception, double> final_fdist();
 
   /// Counters summed over the chunks (valid between waves).
   BatchStats batch_stats() const;
@@ -312,9 +280,8 @@ class IncrementalFdistRun {
   ThreadPool& pool_;
   std::size_t rounds_per_wave_ = 1;
   std::vector<Chunk> chunks_;
-  Disc<Perception, double> merged_;
   Disc<Perception, double> wave_delta_;
-  ParallelSampler::WaveReport report_;
+  WaveReport report_;
   std::size_t wave_ = 0;
   bool done_ = false;
 };

@@ -4,12 +4,12 @@
 // The secure-emulation relation <=_SE reduces to deciding whether the
 // distinguishing advantage eps -- the balance distance between the
 // sampled f-dists of E||A and E||B -- lies above or below a threshold.
-// The fixed-trial estimators (impl/balance.hpp) burn their whole trial
-// budget regardless of how early that decision is statistically settled;
-// this module supplies the statistics that let them stop: a confidence-
-// sequence engine that consumes the per-wave partial tallies of
-// ParallelSampler::sample_fdist_incremental (via IncrementalFdistRun)
-// and returns kAboveThreshold / kBelowThreshold as soon as the whole
+// A fixed-trial estimate burns its whole trial budget regardless of how
+// early that decision is statistically settled; this module supplies the
+// statistics that let it stop: a confidence-sequence engine that
+// consumes running tallies built from the per-wave deltas of
+// IncrementalFdistRun (sched/sampler.hpp) and returns
+// kAboveThreshold / kBelowThreshold as soon as the whole
 // confidence interval clears the threshold, at an overall error
 // probability <= delta over the entire (data-dependent, unboundedly
 // long) sequence of looks.
@@ -81,11 +81,11 @@ enum class SeqVerdict {
 enum class SeqBound { kEmpiricalBernstein, kHoeffding };
 
 /// Budget and decision parameters for one sampled epsilon check.
-/// max_trials == 0 deactivates the policy entirely (legacy fixed-trial
-/// call sites pass a default-constructed policy); max_trials > 0 with
-/// delta == 0 is the fixed-trial *reference* mode (run the whole budget,
-/// no looks, verdict by point comparison) -- the "before" row of the
-/// E22 draw-count tables.
+/// max_trials == 0 deactivates the policy entirely (a family sweep whose
+/// cells are all exact takes a default-constructed one); max_trials > 0
+/// with delta == 0 is the fixed-trial mode (run the whole budget, no
+/// looks, verdict by point comparison) -- the sampled cells of a
+/// fixed-trial sweep and the "before" row of the E22 draw-count tables.
 struct SequentialPolicy {
   /// Per-side trial budget; the sequential run never commits more.
   std::size_t max_trials = 0;
@@ -94,7 +94,7 @@ struct SequentialPolicy {
   /// The eps threshold the verdict is measured against.
   double threshold = 0.0;
   /// Lockstep rounds per incremental wave; 0 = auto-tune (see
-  /// ParallelSampler::sample_fdist_incremental).
+  /// IncrementalFdistRun).
   std::size_t rounds_per_wave = 0;
 
   /// First stage size; later stages grow geometrically by `growth` until

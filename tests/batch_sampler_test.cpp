@@ -45,6 +45,7 @@
 #include "secure/adversary.hpp"
 #include "stat_util.hpp"
 #include "util/thread_pool.hpp"
+#include "wave_tally.hpp"
 
 namespace cdse {
 namespace {
@@ -340,33 +341,37 @@ TEST(BatchSamplerUnit, RunRoundsResumeIsBitIdentical) {
 }
 
 TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
+  // take_counts after every round hands out each terminal class once:
+  // the running sum of its deltas only grows, and at completion it
+  // equals one take_counts over a whole replay of the run.
   auto coin = make_coin("bs_mono", Rational(1, 3));
   UniformScheduler sched(kDepth);
   TraceInsight f;
   BatchSampler bs(*coin, sched, 5000, Xoshiro256(66), kDepth);
-  std::vector<std::pair<Perception, double>> prev;
+  Disc<Perception, double> tally;
   while (!bs.done()) {
     bs.run_rounds(1);
-    const auto& counts = bs.accumulate_counts(f);
+    const Disc<Perception, double> prev = tally;
+    tally.merge(bs.take_counts(f));
     // Every previously seen perception keeps at least its old mass.
-    for (const auto& [perc, count] : prev) {
-      double now = 0.0;
-      for (const auto& [p2, c2] : counts.entries()) {
-        if (p2 == perc) now = c2;
-      }
-      EXPECT_GE(now, count);
+    for (const auto& [perc, count] : prev.entries()) {
+      EXPECT_GE(tally.mass(perc), count);
     }
-    prev.assign(counts.entries().begin(), counts.entries().end());
   }
+  EXPECT_TRUE(bs.take_counts(f).empty());
   double total = 0.0;
-  for (const auto& [perc, count] : prev) total += count;
+  for (const auto& [perc, count] : tally.entries()) total += count;
   EXPECT_DOUBLE_EQ(total, 5000.0);
+  UniformScheduler sched2(kDepth);
+  BatchSampler whole(*coin, sched2, 5000, Xoshiro256(66), kDepth);
+  whole.run_to_completion();
+  expect_bit_identical(tally, whole.take_counts(f), "one fold");
 }
 
 TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
-  // The headline incremental contract: driven to completion, the waved
-  // path merges the exact same chunk tallies in the exact same order as
-  // the one-shot call -- bit-identical, per worker count.
+  // The one-shot call is a single wave of the same run. Waves of one
+  // round hand out the same integer class counts, which sum exactly, so
+  // a run driven to completion matches it bit for bit, per worker count.
   TraceInsight f;
   ParallelSampler sampler(mac_factory("bs_iosh"), uniform_factory(kDepth));
   WarmupPlan plan;
@@ -376,8 +381,9 @@ TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
     ThreadPool pool(workers);
     const auto oneshot = sampler.sample_fdist(f, kTrials, 909, kDepth, pool,
                                               SamplingMode::kBatched);
-    const auto waved = sampler.sample_fdist_incremental(
-        f, kTrials, 909, kDepth, pool, /*rounds_per_wave=*/1);
+    IncrementalFdistRun run(sampler, f, kTrials, 909, kDepth, pool,
+                            /*rounds_per_wave=*/1);
+    const auto waved = testing::drive_waves(run);
     expect_bit_identical(oneshot, waved,
                          std::to_string(workers) + " workers");
   }
@@ -390,11 +396,12 @@ TEST(BatchSampler, IncrementalWavesReportProgressAndPartialTallies) {
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
   ThreadPool pool(4);
-  std::vector<ParallelSampler::WaveReport> reports;
-  const auto dist = sampler.sample_fdist_incremental(
-      f, kTrials, 1001, kDepth, pool, /*rounds_per_wave=*/1,
-      [&](const ParallelSampler::WaveReport& rep,
-          const Disc<Perception, double>& partial) {
+  IncrementalFdistRun run(sampler, f, kTrials, 1001, kDepth, pool,
+                          /*rounds_per_wave=*/1);
+  std::vector<IncrementalFdistRun::WaveReport> reports;
+  const auto dist = testing::drive_waves(
+      run, [&](const IncrementalFdistRun::WaveReport& rep,
+               const Disc<Perception, double>& partial) {
         reports.push_back(rep);
         if (rep.trials_done > 0) {
           double total = 0.0;
@@ -413,7 +420,7 @@ TEST(BatchSampler, IncrementalWavesReportProgressAndPartialTallies) {
   }
   EXPECT_TRUE(reports.back().done);
   EXPECT_EQ(reports.back().trials_done, kTrials);
-  EXPECT_GE(sampler.last_batch_stats().action_draws, kTrials);
+  EXPECT_GE(run.batch_stats().action_draws, kTrials);
   double total = 0.0;
   for (const auto& [perc, w] : dist.entries()) total += w;
   EXPECT_NEAR(total, 1.0, 1e-9);
@@ -426,15 +433,17 @@ TEST(BatchSampler, IncrementalEarlyStopReturnsNormalizedPartial) {
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
   ThreadPool pool(2);
+  IncrementalFdistRun run(sampler, f, kTrials, 2002, kDepth, pool,
+                          /*rounds_per_wave=*/1);
   std::size_t waves_seen = 0;
-  const auto dist = sampler.sample_fdist_incremental(
-      f, kTrials, 2002, kDepth, pool, /*rounds_per_wave=*/1,
-      [&](const ParallelSampler::WaveReport&,
-          const Disc<Perception, double>&) {
+  const auto dist = testing::drive_waves(
+      run, [&](const IncrementalFdistRun::WaveReport&,
+               const Disc<Perception, double>&) {
         ++waves_seen;
         return false;  // stop after the first wave
       });
   EXPECT_EQ(waves_seen, 1u);
+  EXPECT_FALSE(run.done());
   double total = 0.0;
   for (const auto& [perc, w] : dist.entries()) total += w;
   if (!dist.entries().empty()) {
@@ -454,8 +463,9 @@ TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
   ThreadPool pool(4);
   const auto serial = sampler.sample_fdist(f, kTrials, 3003, kDepth, pool,
                                            SamplingMode::kSerial);
-  const auto waved = sampler.sample_fdist_incremental(
-      f, kTrials, 4004, kDepth, pool, /*rounds_per_wave=*/2);
+  IncrementalFdistRun run(sampler, f, kTrials, 4004, kDepth, pool,
+                          /*rounds_per_wave=*/2);
+  const auto waved = testing::drive_waves(run);
   EXPECT_TRUE(testing::fdists_match(serial, kTrials, waved, kTrials));
 }
 

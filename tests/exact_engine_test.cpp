@@ -577,8 +577,7 @@ TEST(ExactEngineGrid, FamilySweepIsWorkerCountIndependent) {
   auto sweep = [&](std::size_t workers) {
     ThreadPool pool(workers);
     return family_epsilon_sweep(real, ideal, word, TraceInsight(), ks, 12,
-                                /*exact_upto=*/4, /*trials=*/0, /*seed=*/1,
-                                pool);
+                                /*exact_upto=*/4, /*seed=*/1, pool);
   };
   const FamilySweepReport one = sweep(1);
   for (std::size_t workers : {std::size_t{2}, std::size_t{4}}) {

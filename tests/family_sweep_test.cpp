@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <stdexcept>
+
 #include "crypto/pairs.hpp"
 #include "protocols/environment.hpp"
 #include "secure/adversary.hpp"
@@ -49,7 +53,7 @@ TEST(FamilySweep, MacEpsilonIsExactlyTwoToMinusKAcrossK) {
   const FamilySweepReport report = family_epsilon_sweep(
       mac_side_family(base, true), mac_side_family(base, false),
       mac_word_family(base), TraceInsight(), ks, 12,
-      /*exact_upto=*/6, /*trials=*/0, /*seed=*/1, pool);
+      /*exact_upto=*/6, /*seed=*/1, pool);
   ASSERT_EQ(report.rows.size(), ks.size());
   for (std::size_t i = 0; i < ks.size(); ++i) {
     ASSERT_TRUE(report.rows[i].exact.has_value());
@@ -68,7 +72,8 @@ TEST(FamilySweep, SampledRowsCarryErrorRadius) {
   const FamilySweepReport report = family_epsilon_sweep(
       mac_side_family(base, true), mac_side_family(base, false),
       mac_word_family(base), TraceInsight(), ks, 12,
-      /*exact_upto=*/1, /*trials=*/20000, /*seed=*/7, pool);
+      /*exact_upto=*/1, /*seed=*/7, pool, {},
+      SequentialPolicy::fixed(20000));
   ASSERT_EQ(report.rows.size(), 3u);
   EXPECT_TRUE(report.rows[0].exact.has_value());
   EXPECT_FALSE(report.rows[1].exact.has_value());
@@ -77,41 +82,56 @@ TEST(FamilySweep, SampledRowsCarryErrorRadius) {
   EXPECT_NEAR(report.rows[2].sampled, 0.125, 0.02);
 }
 
-TEST(FamilySweep, ConstantGapFamilyIsNotNegligible) {
-  // A family whose advantage does not decay must be rejected.
-  const std::string base = "fs_c";
-  PsioaFamily real{
-      "const_real", [base](std::uint32_t k) -> PsioaPtr {
+/// E_k || MAC_1 on the `real` side: the advantage stays 1/2 at every k.
+PsioaFamily constant_gap_family(const std::string& base, bool real) {
+  return PsioaFamily{
+      real ? "const_real" : "const_ideal",
+      [base, real](std::uint32_t k) -> PsioaPtr {
         const std::string tag = base + std::to_string(k);
         const RealIdealPair pair = make_otmac_pair(1, tag);  // fixed k=1
         auto env = make_probe_env_matching(
             "env_" + tag, {act("auth_" + tag)}, acts({"rejected_" + tag}),
             act("forged_" + tag), act("acc_" + tag));
-        auto adv = make_sink_adversary(tag + "_adv", {},
+        auto adv = make_sink_adversary(tag + (real ? "_adv" : "_adv2"), {},
                                        acts({"forge_" + tag}));
-        return compose(env, compose(pair.real.ptr(), adv));
+        const StructuredPsioa& side = real ? pair.real : pair.ideal;
+        return compose(env, compose(side.ptr(), adv));
       }};
-  PsioaFamily ideal{
-      "const_ideal", [base](std::uint32_t k) -> PsioaPtr {
-        const std::string tag = base + std::to_string(k);
-        const RealIdealPair pair = make_otmac_pair(1, tag);
-        auto env = make_probe_env_matching(
-            "env_" + tag, {act("auth_" + tag)}, acts({"rejected_" + tag}),
-            act("forged_" + tag), act("acc_" + tag));
-        auto adv = make_sink_adversary(tag + "_adv2", {},
-                                       acts({"forge_" + tag}));
-        return compose(env, compose(pair.ideal.ptr(), adv));
-      }};
+}
+
+TEST(FamilySweep, ConstantGapFamilyIsNotNegligible) {
+  // A family whose advantage does not decay must be rejected.
+  const std::string base = "fs_c";
   ThreadPool pool(2);
   const std::vector<std::uint32_t> ks{1, 2, 3, 4};
   const FamilySweepReport report = family_epsilon_sweep(
-      real, ideal, mac_word_family(base), TraceInsight(), ks, 12, 4, 0, 1,
-      pool);
+      constant_gap_family(base, true), constant_gap_family(base, false),
+      mac_word_family(base), TraceInsight(), ks, 12, 4, 1, pool);
   EXPECT_FALSE(report.negligible_looking);
   for (const auto& row : report.rows) {
     ASSERT_TRUE(row.exact.has_value());
     EXPECT_EQ(*row.exact, Rational(1, 2));
   }
+}
+
+TEST(FamilySweep, UnsampledRowsAreRejectedNotReadAsZero) {
+  // Past exact_upto with no sampling policy the cells would keep
+  // sampled = 0, and this non-negligible family would look negligible.
+  // The sweep rejects the call before it builds any cell.
+  const std::string base = "fs_d";
+  const PsioaFamily real = constant_gap_family(base, true);
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  const PsioaFamily counted{real.name, [real, builds](std::uint32_t k) {
+                              builds->fetch_add(1);
+                              return real.make(k);
+                            }};
+  ThreadPool pool(2);
+  const std::vector<std::uint32_t> ks{1, 2, 3, 4};
+  EXPECT_THROW(family_epsilon_sweep(counted, constant_gap_family(base, false),
+                                    mac_word_family(base), TraceInsight(), ks,
+                                    12, /*exact_upto=*/1, /*seed=*/1, pool),
+               std::invalid_argument);
+  EXPECT_EQ(builds->load(), 0);
 }
 
 }  // namespace

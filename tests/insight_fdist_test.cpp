@@ -6,6 +6,7 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "impl/balance.hpp"
 #include "protocols/coinflip.hpp"
@@ -119,15 +120,15 @@ TEST(Balance, SampledEpsilonTracksExact) {
                           Rational(1, 2));
   };
   auto mks = [] { return std::make_shared<UniformScheduler>(2); };
-  const SampledEpsilon se =
-      sampled_balance_epsilon(mk1, mks, mk2, mks, f, 60000, 7, 10, pool);
+  const SequentialEpsilon se = sequential_balance_epsilon(
+      mk1, mks, mk2, mks, f, SequentialPolicy::fixed(60000), 7, 10, pool);
   EXPECT_NEAR(se.estimate, 0.25, 0.02);
   EXPECT_GT(se.radius, 0.0);
 }
 
-// Error contract: when one chunk's factory throws, the other chunks'
-// trials survive, but sampled_balance_epsilon must fail the whole
-// estimate instead of returning an epsilon from the survivors.
+// Error contract: when a factory or the insight function throws, the
+// sampled epsilon fails as a whole instead of returning an estimate from
+// the chunks that survived.
 
 TEST(Balance, SampledEpsilonThrowsWhenAutomatonFactoryThrows) {
   ThreadPool pool(4);
@@ -136,16 +137,19 @@ TEST(Balance, SampledEpsilonThrowsWhenAutomatonFactoryThrows) {
     return make_bernoulli("ins_t1", "ins_go_t", "ins_y_t", "ins_n_t",
                           Rational(1, 4));
   };
+  // A prepared sampler builds its automaton once, so the first call is
+  // the only one.
   auto calls = std::make_shared<std::atomic<int>>(0);
   auto flaky = [mk, calls]() -> PsioaPtr {
-    if (calls->fetch_add(1) == 1) throw std::runtime_error("factory down");
+    if (calls->fetch_add(1) == 0) throw std::runtime_error("factory down");
     return mk();
   };
   auto mks = [] { return std::make_shared<UniformScheduler>(2); };
-  EXPECT_THROW(
-      sampled_balance_epsilon(mk, mks, flaky, mks, f, 4000, 7, 10, pool),
-      std::runtime_error);
-  EXPECT_GE(calls->load(), 2);
+  EXPECT_THROW(sequential_balance_epsilon(mk, mks, flaky, mks, f,
+                                          SequentialPolicy::fixed(4000), 7,
+                                          10, pool),
+               std::runtime_error);
+  EXPECT_EQ(calls->load(), 1);
 }
 
 TEST(Balance, SampledEpsilonThrowsWhenSchedulerFactoryThrows) {
@@ -156,15 +160,70 @@ TEST(Balance, SampledEpsilonThrowsWhenSchedulerFactoryThrows) {
                           Rational(1, 4));
   };
   auto mks = [] { return std::make_shared<UniformScheduler>(2); };
+  // The first call warms the prepared sampler; the second builds a
+  // chunk's scheduler.
   auto calls = std::make_shared<std::atomic<int>>(0);
   auto flaky = [mks, calls]() -> SchedulerPtr {
     if (calls->fetch_add(1) == 1) throw std::runtime_error("scheduler down");
     return mks();
   };
-  EXPECT_THROW(
-      sampled_balance_epsilon(mk, flaky, mk, mks, f, 4000, 7, 10, pool),
-      std::runtime_error);
+  EXPECT_THROW(sequential_balance_epsilon(mk, flaky, mk, mks, f,
+                                          SequentialPolicy::fixed(4000), 7,
+                                          10, pool),
+               std::runtime_error);
   EXPECT_GE(calls->load(), 2);
+}
+
+/// AcceptInsight that throws on its third call (calls may race: chunks
+/// fold on pool workers).
+class ThirdCallThrows : public InsightFunction {
+ public:
+  explicit ThirdCallThrows(ActionId accept) : inner_(accept) {}
+  Perception apply(Psioa& automaton,
+                   const ExecFragment& alpha) const override {
+    if (calls_.fetch_add(1) == 2) throw std::runtime_error("insight down");
+    return inner_.apply(automaton, alpha);
+  }
+  std::string name() const override { return "third-call-throws"; }
+  int calls() const { return calls_.load(); }
+
+ private:
+  AcceptInsight inner_;
+  mutable std::atomic<int> calls_{0};
+};
+
+TEST(Balance, SequentialEpsilonThrowsWhenInsightThrows) {
+  auto mk1 = [] {
+    return make_bernoulli("ins_v1", "ins_go_v", "ins_y_v", "ins_n_v",
+                          Rational(1, 4));
+  };
+  auto mk2 = [] {
+    return make_bernoulli("ins_v2", "ins_go_v", "ins_y_v", "ins_n_v",
+                          Rational(1, 2));
+  };
+  auto mks = [] { return std::make_shared<UniformScheduler>(2); };
+  const SequentialPolicy fixed = SequentialPolicy::fixed(4000);
+  // One worker runs the lone chunk on the calling thread; four run every
+  // wave's chunks as pool tasks.
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    ThirdCallThrows bad(act("ins_y_v"));
+    try {
+      (void)sequential_balance_epsilon(mk1, mks, mk2, mks, bad, fixed, 7, 10,
+                                       pool);
+      ADD_FAILURE() << "a throwing insight produced an epsilon";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "insight down");
+    }
+    EXPECT_GE(bad.calls(), 3);
+    // The pool took the exception back and still serves a clean verdict.
+    AcceptInsight good(act("ins_y_v"));
+    const SequentialEpsilon se = sequential_balance_epsilon(
+        mk1, mks, mk2, mks, good, fixed, 7, 10, pool);
+    EXPECT_EQ(se.trials, 4000u);
+    EXPECT_NEAR(se.estimate, 0.25, 0.05);
+  }
 }
 
 TEST(Balance, ProbeEnvironmentDrivesDistinguishing) {

@@ -556,8 +556,7 @@ TEST(QuotientGrid, FamilySweepMatchesUnreduced) {
   auto sweep = [&](const ReductionPolicy& policy) {
     ThreadPool pool(4);
     return family_epsilon_sweep(real, ideal, word, TraceInsight(), ks, 12,
-                                /*exact_upto=*/4, /*trials=*/0, /*seed=*/1,
-                                pool, policy);
+                                /*exact_upto=*/4, /*seed=*/1, pool, policy);
   };
   const FamilySweepReport plain = sweep(ReductionPolicy::none());
   const FamilySweepReport red = sweep(ReductionPolicy::bisimulation());

@@ -6,7 +6,7 @@
 //   unit      -- spending schedule, radius formulas, verdict latching.
 //   waves     -- IncrementalFdistRun: auto-tune contract, delta-merge
 //                cost accounting (merge_entries), completed-run
-//                bit-identity with the one-shot path.
+//                bit-identity with the one-shot (single-wave) path.
 //   coverage  -- simulation: the realized false-decision rate of the
 //                confidence sequence stays under delta across seeded
 //                replicates (the plug-in witness-event approximation is
@@ -58,6 +58,7 @@
 #include "sched/schedulers.hpp"
 #include "secure/adversary.hpp"
 #include "stat_util.hpp"
+#include "wave_tally.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -293,17 +294,19 @@ TEST(SeqEstWaves, DeltaMergeWorkIsBoundedByDistinctExecutions) {
   IncrementalFdistRun run(sampler, f, kTrials, 11, kDepth, pool, 1);
   std::size_t merged_total = 0;
   std::size_t waves = 0;
+  Disc<Perception, double> tally;
   while (!run.done()) {
     merged_total += run.step_wave().merge_entries;
+    tally.merge(run.wave_delta());
     ++waves;
   }
   EXPECT_GT(waves, 1u);
   EXPECT_GT(merged_total, 0u);
   // Every merged entry is a terminal class discovered exactly once.
   EXPECT_LE(merged_total, run.batch_stats().distinct_executions);
-  // The running tally accounts for every trial.
+  // The caller's running tally accounts for every trial.
   double total = 0.0;
-  for (const auto& [perc, c] : run.counts().entries()) total += c;
+  for (const auto& [perc, c] : tally.entries()) total += c;
   EXPECT_DOUBLE_EQ(total, static_cast<double>(kTrials));
 }
 
@@ -318,11 +321,11 @@ TEST(SeqEstWaves, CompletedRunIsBitIdenticalToOneShot) {
   const auto one_shot =
       sampler.sample_fdist(f, kTrials, 9, kDepth, pool, SamplingMode::kBatched);
   IncrementalFdistRun run(sampler, f, kTrials, 9, kDepth, pool, 1);
-  const auto inc = run.final_fdist();
+  const auto inc = testing::drive_waves(run);
   ASSERT_EQ(inc.entries().size(), one_shot.entries().size());
   for (std::size_t i = 0; i < inc.entries().size(); ++i) {
     EXPECT_EQ(inc.entries()[i].first, one_shot.entries()[i].first);
-    EXPECT_DOUBLE_EQ(inc.entries()[i].second, one_shot.entries()[i].second);
+    EXPECT_EQ(inc.entries()[i].second, one_shot.entries()[i].second);
   }
 }
 
@@ -333,11 +336,11 @@ TEST(SeqEstWaves, EarlyStopReturnsNormalizedPartial) {
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
+  IncrementalFdistRun run(sampler, f, kTrials, 13, kDepth, pool, 1);
   std::size_t waves_seen = 0;
-  const auto partial = sampler.sample_fdist_incremental(
-      f, kTrials, 13, kDepth, pool, 1,
-      [&](const ParallelSampler::WaveReport& rep,
-          const Disc<Perception, double>& fdist) {
+  const auto partial = testing::drive_waves(
+      run, [&](const IncrementalFdistRun::WaveReport& rep,
+               const Disc<Perception, double>& fdist) {
         ++waves_seen;
         if (rep.trials_done == 0) return true;
         double mass = 0.0;
@@ -777,7 +780,7 @@ TEST(SeqEstImpl, FamilySweepSequentialCellsMatchExactSides) {
   const FamilySweepReport report = family_epsilon_sweep(
       mac_side_family(base, true), mac_side_family(base, false),
       mac_word_family(base), TraceInsight(), ks, 12,
-      /*exact_upto=*/2, /*trials=*/0, /*seed=*/3, pool, {}, seq);
+      /*exact_upto=*/2, /*seed=*/3, pool, {}, seq);
   ASSERT_EQ(report.rows.size(), 4u);
   EXPECT_TRUE(report.rows[0].exact.has_value());
   EXPECT_TRUE(report.rows[1].exact.has_value());
@@ -794,7 +797,7 @@ TEST(SeqEstImpl, FamilySweepSequentialCellsMatchExactSides) {
   const FamilySweepReport fixed = family_epsilon_sweep(
       mac_side_family(base, true), mac_side_family(base, false),
       mac_word_family(base), TraceInsight(), ks, 12,
-      /*exact_upto=*/2, /*trials=*/0, /*seed=*/3, pool, {},
+      /*exact_upto=*/2, /*seed=*/3, pool, {},
       SequentialPolicy::fixed(1u << 16));
   EXPECT_GT(fixed.rows[2].sampled, 0.08);
   EXPECT_LT(fixed.rows[3].sampled, 0.08);
