@@ -360,8 +360,7 @@ BENCHMARK(BM_ColdWarmupFreeze)
     ->UseRealTime();
 
 void BM_ExactConeEnumeration(benchmark::State& state) {
-  // The iterative pending-edge default; the Legacy row below is the
-  // recursive reference it replaced (one ExecFragment copy per edge).
+  // The iterative pending-edge enumerator over a coin's cone.
   const std::size_t depth = static_cast<std::size_t>(state.range(0));
   auto coin = make_coin("e10_d", Rational(1, 2));
   UniformScheduler sched(depth);
@@ -376,17 +375,6 @@ void BM_ExactConeEnumeration(benchmark::State& state) {
   state.counters["leaves"] = static_cast<double>(stats.leaves);
 }
 BENCHMARK(BM_ExactConeEnumeration)->Arg(6)->Arg(9)->Arg(12);
-
-void BM_ExactConeEnumerationLegacy(benchmark::State& state) {
-  const std::size_t depth = static_cast<std::size_t>(state.range(0));
-  auto coin = make_coin("e10_d2", Rational(1, 2));
-  UniformScheduler sched(depth);
-  TraceInsight f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exact_fdist_recursive(*coin, sched, f, depth));
-  }
-}
-BENCHMARK(BM_ExactConeEnumerationLegacy)->Arg(6)->Arg(9)->Arg(12);
 
 void BM_ParallelExactFdist(benchmark::State& state) {
   // Deterministic parallel exact f-dist of a faulty channel (fault

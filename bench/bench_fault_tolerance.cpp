@@ -20,12 +20,16 @@
 //      pushes the biased real coin *toward* the fair ideal, an expected
 //      non-monotonicity the closed form pins down.
 //
-// A final degradation drill exercises the hardened engine: a guarded
-// sampled run against a 1 ms deadline must come back partial-but-usable,
-// and a persistently throwing workload must burn its seed-rotation
+// A final degradation drill exercises the hardened engine, the
+// SampleGuard of ParallelSampler's serial walk: a guarded sampled run
+// against a 1 ms deadline must come back partial-but-usable, and a
+// workload whose every chunk attempt throws must burn its seed-rotation
 // retries and report failure instead of tearing the harness down. Main
 // table rows run through bench::guarded_row, so a genuinely failing row
 // degrades to a partial row + non-zero exit, never an abort mid-table.
+
+#include <stdexcept>
+#include <string>
 
 #include "bench_util.hpp"
 #include "fault/byzantine.hpp"
@@ -116,18 +120,21 @@ bool drop_sweep_cointoss() {
       const Rational eps = balance_distance(rd, id);
       const Rational expected = b + d * (Rational(1, 2) - b);
 
-      // Sampled cross-check through the guarded engine (generous budget:
-      // it must come back complete here).
+      // Sampled cross-check through the guarded serial walk (generous
+      // budget: it must come back complete here).
       SampleGuard guard;
       guard.deadline = std::chrono::milliseconds(10000);
       guard.max_retries = 2;
+      const SchedulerFactory drive = [&] { return driver(tag); };
+      ParallelSampler real_sampler(make_real, drive);
+      ParallelSampler ideal_sampler(make_ideal, drive);
+      real_sampler.prepare(WarmupPlan{}, 24);
+      ideal_sampler.prepare(WarmupPlan{}, 24);
       SampleReport rep_r, rep_i;
-      const auto srd = guarded_parallel_sample_fdist(
-          make_real, [&] { return driver(tag); }, f, 20000, 42, 24, pool,
-          guard, &rep_r);
-      const auto sid = guarded_parallel_sample_fdist(
-          make_ideal, [&] { return driver(tag); }, f, 20000, 43, 24, pool,
-          guard, &rep_i);
+      const auto srd = real_sampler.sample_fdist(
+          f, 20000, 42, 24, pool, SamplingMode::kSerial, guard, &rep_r);
+      const auto sid = ideal_sampler.sample_fdist(
+          f, 20000, 43, 24, pool, SamplingMode::kSerial, guard, &rep_i);
       const double seps = balance_distance(srd, sid);
       const bool sampled_ok = rep_r.complete && rep_i.complete &&
                               std::abs(seps - eps.to_double()) < 0.02;
@@ -269,6 +276,16 @@ bool byzantine_sweep_cointoss() {
   return ok;
 }
 
+/// An insight function that fails on every execution: the persistent
+/// fault the degradation drill injects into every chunk attempt.
+class ThrowingInsight : public InsightFunction {
+ public:
+  Perception apply(Psioa&, const ExecFragment&) const override {
+    throw std::runtime_error("injected fault");
+  }
+  std::string name() const override { return "throwing"; }
+};
+
 bool degradation_drill() {
   bench::print_header(
       "E17.5: degradation drill (hardened engine)",
@@ -276,25 +293,25 @@ bool degradation_drill() {
       "retries burned, clean failure report, no teardown");
   ThreadPool pool;
   bool ok = true;
+  const std::string tag = "e17e";
+  ParallelSampler sampler(
+      [&]() -> PsioaPtr {
+        const CoinTossPair p = make_cointoss_pair(kK, tag);
+        return compose(arm0_env(tag),
+                       compose(p.real.ptr(), make_biaser_adversary(tag)));
+      },
+      [&] { return driver(tag); });
+  sampler.prepare(WarmupPlan{}, 24);
 
   // Deadline: a 1 ms budget against 50M requested trials must come back
   // incomplete but still usable.
   {
-    const std::string tag = "e17e";
-    const CoinTossPair pair = make_cointoss_pair(kK, tag);
-    auto make_sys = [&]() -> PsioaPtr {
-      const CoinTossPair p = make_cointoss_pair(kK, tag);
-      return compose(arm0_env(tag),
-                     compose(p.real.ptr(), make_biaser_adversary(tag)));
-    };
-    (void)pair;
     SampleGuard guard;
     guard.deadline = std::chrono::milliseconds(1);
     SampleReport rep;
     AcceptInsight f(act("acc_" + tag));
-    const auto dist = guarded_parallel_sample_fdist(
-        make_sys, [&] { return driver(tag); }, f, 50'000'000, 7, 24, pool,
-        guard, &rep);
+    const auto dist = sampler.sample_fdist(
+        f, 50'000'000, 7, 24, pool, SamplingMode::kSerial, guard, &rep);
     const bool partial_ok = rep.deadline_hit && !rep.complete &&
                             rep.trials_done > 0 &&
                             rep.trials_done < rep.trials_requested &&
@@ -306,16 +323,15 @@ bool degradation_drill() {
     ok = ok && partial_ok;
   }
 
-  // Persistent failure: every attempt throws; the guard must rotate seeds
-  // max_retries times per chunk and report a clean failure.
+  // Persistent failure: every chunk attempt throws; the guard must rotate
+  // seeds max_retries times per chunk and report a clean failure.
   {
     SampleGuard guard;
     guard.max_retries = 2;
     SampleReport rep;
-    AcceptInsight f(act("acc_e17e"));
-    const auto dist = guarded_parallel_sample_fdist(
-        []() -> PsioaPtr { throw std::runtime_error("injected fault"); },
-        [&] { return driver("e17e"); }, f, 1000, 7, 24, pool, guard, &rep);
+    const ThrowingInsight f;
+    const auto dist = sampler.sample_fdist(
+        f, 1000, 7, 24, pool, SamplingMode::kSerial, guard, &rep);
     const bool fail_ok = !rep.complete && rep.trials_done == 0 &&
                          rep.retries_used > 0 && !rep.error.empty() &&
                          dist.empty();

@@ -13,14 +13,16 @@
 // 1 - (p^2 + (1-p)^2) = 2p(1-p), p = 2^-k -- strictly above the
 // single-query 2^-k. The harness asserts both facts.
 
-// E13b -- exact-engine ablation on the same search schema: the legacy
-// recursive enumerator vs the iterative prefix-sharing engine vs the
-// parallel engine at 1/2/4/8 workers, on a faulty-channel pair whose
-// probabilistic fault branching gives every word a real cone. All
-// engines must return the identical word, epsilon and words_evaluated
-// (the determinism contract of sched/exact_engine.hpp); wall-clock rows
-// with the ConeStats counters each search fills are written
-// machine-readably to BENCH_exact.json.
+// E13b -- exact-engine timing on the same search schema: the serial
+// prefix-sharing search vs the parallel engine at 1/2/4/8 workers, on a
+// faulty-channel pair whose probabilistic fault branching gives every
+// word a real cone. Every row must return the recorded reference answer
+// (word, epsilon 33/256, 4166 words evaluated), which tier-1 derives from
+// the per-word reference search
+// (ExactEngineSearch.FaultyChannelWorkloadMatchesReference) -- the
+// determinism contract of sched/exact_engine.hpp. Wall-clock rows with
+// the ConeStats counters each search fills, and speedups against the
+// serial row, are written machine-readably to BENCH_exact.json.
 //
 // E13c -- quotient-reduction ablation: an interleaving-heavy composed
 // stack (two independent "fork" automata, each branching uniformly into
@@ -142,7 +144,7 @@ void write_bench_exact_json(const std::vector<AblationRow>& rows,
                             const std::vector<QuotientRow>& qrows) {
   std::FILE* out = std::fopen("BENCH_exact.json", "w");
   if (out == nullptr) return;
-  const double legacy_seconds = rows.front().seconds;
+  const double serial_seconds = rows.front().seconds;
   std::FILE* o = out;
   std::fprintf(o, "{\n  \"experiment\": \"E13b/E13c exact-engine ablations\",\n");
   std::fprintf(o,
@@ -152,25 +154,22 @@ void write_bench_exact_json(const std::vector<AblationRow>& rows,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const AblationRow& r = rows[i];
     const ConeStats& s = r.best.stats;
-    // Only the counters a search fills: the legacy search fills no
-    // ConeStats, only the parallel search splits subtrees, and the word
-    // searches never push frames or reach the leaf cap.
-    std::string counters;
-    if (i > 0) {
-      counters = ", \"halts\": " + std::to_string(s.halts);
-      if (r.workers > 0) {
-        counters += ", \"splits\": " + std::to_string(s.splits);
-      }
-      counters += ", \"prefix_hits\": " + std::to_string(s.prefix_hits) +
-                  ", \"prefix_misses\": " + std::to_string(s.prefix_misses);
+    // Only the counters a search fills: only the parallel search splits
+    // subtrees, and the word searches never push frames or reach the
+    // leaf cap.
+    std::string counters = ", \"halts\": " + std::to_string(s.halts);
+    if (r.workers > 0) {
+      counters += ", \"splits\": " + std::to_string(s.splits);
     }
+    counters += ", \"prefix_hits\": " + std::to_string(s.prefix_hits) +
+                ", \"prefix_misses\": " + std::to_string(s.prefix_misses);
     std::fprintf(
         o,
         "    {\"engine\": \"%s\", \"workers\": %zu, \"seconds\": %.6f, "
-        "\"speedup_vs_legacy\": %.2f, \"eps\": \"%s\", "
+        "\"speedup_vs_serial\": %.2f, \"eps\": \"%s\", "
         "\"words_evaluated\": %zu%s}%s\n",
         r.engine.c_str(), r.workers, r.seconds,
-        r.seconds > 0.0 ? legacy_seconds / r.seconds : 0.0,
+        r.seconds > 0.0 ? serial_seconds / r.seconds : 0.0,
         r.best.eps.to_string().c_str(), r.best.words_evaluated,
         counters.c_str(), i + 1 < rows.size() ? "," : "");
   }
@@ -203,9 +202,9 @@ void write_bench_exact_json(const std::vector<AblationRow>& rows,
 
 int run_e13b(std::vector<AblationRow>& out_rows) {
   bench::print_header(
-      "E13b: exact-engine ablation (legacy vs prefix-shared vs parallel)",
-      "all engines return the identical word/eps/words; prefix sharing "
-      "and worker fan-out only change wall-clock");
+      "E13b: exact-engine timing (prefix-shared serial vs parallel)",
+      "every engine returns the recorded reference word/eps/words; worker "
+      "fan-out only changes wall-clock");
   const std::string tag = "e13x";
   FaultPlan plan_l;
   plan_l.drop = Rational(1, 8);
@@ -227,16 +226,16 @@ int run_e13b(std::vector<AblationRow>& out_rows) {
   const std::size_t max_len = 7;
   const std::size_t depth = 12;
   TraceInsight f;
+  // The per-word reference search's answer on this workload (tier-1
+  // recomputes it on every run).
+  const ActionId send0 = act("send0_" + tag);
+  const std::vector<ActionId> ref_word{send0, send0,
+                                       act("faultdeliver_" + tag),
+                                       act("recv0_" + tag), send0, send0};
+  const Rational ref_eps(33, 256);
+  const std::size_t ref_words = 4166;
 
   std::vector<AblationRow> rows;
-  {
-    PsioaPtr lhs = make_lhs();
-    PsioaPtr rhs = make_rhs();
-    bench::Timer t;
-    BestDistinguisher best =
-        search_best_word_legacy(*lhs, *rhs, alphabet, max_len, f, depth);
-    rows.push_back({"legacy-recursive", 0, t.seconds(), std::move(best)});
-  }
   {
     PsioaPtr lhs = make_lhs();
     PsioaPtr rhs = make_rhs();
@@ -253,19 +252,17 @@ int run_e13b(std::vector<AblationRow>& out_rows) {
     rows.push_back({"parallel", workers, t.seconds(), std::move(best)});
   }
 
-  const double legacy_seconds = rows.front().seconds;
-  const BestDistinguisher& ref = rows.front().best;
+  const double serial_seconds = rows.front().seconds;
   bool ok = true;
   bench::print_row({"engine", "workers", "seconds", "speedup", "eps",
                     "words", "prefix-hits"},
                    17);
   for (const AblationRow& r : rows) {
-    const bool same = r.best.word == ref.word && r.best.eps == ref.eps &&
-                      r.best.words_evaluated == ref.words_evaluated;
-    ok = ok && same;
+    ok = ok && r.best.word == ref_word && r.best.eps == ref_eps &&
+         r.best.words_evaluated == ref_words;
     char spd[32];
     std::snprintf(spd, sizeof spd, "%.2fx",
-                  r.seconds > 0.0 ? legacy_seconds / r.seconds : 0.0);
+                  r.seconds > 0.0 ? serial_seconds / r.seconds : 0.0);
     char sec[32];
     std::snprintf(sec, sizeof sec, "%.3f", r.seconds);
     bench::print_row({r.engine, std::to_string(r.workers), sec, spd,
@@ -275,17 +272,16 @@ int run_e13b(std::vector<AblationRow>& out_rows) {
                      17);
   }
   // Every counter BENCH_exact.json reports must have counted something.
-  // Prefix sharing must actually fire -- the speedup claim rests on it --
-  // and the parallel search must split subtrees at every worker count.
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const ConeStats& s = rows[i].best.stats;
+  // Prefix sharing must actually fire, and the parallel search must
+  // split subtrees at every worker count.
+  for (const AblationRow& r : rows) {
+    const ConeStats& s = r.best.stats;
     ok = ok && s.halts > 0 && s.prefix_hits > 0 && s.prefix_misses > 0;
-    if (rows[i].workers > 0) ok = ok && s.splits > 0;
+    if (r.workers > 0) ok = ok && s.splits > 0;
   }
-  ok = ok && ref.eps > Rational(0);
   out_rows = std::move(rows);
   return bench::verdict(
-      ok, "E13b: every engine agrees with the recursive reference");
+      ok, "E13b: every engine returns the recorded reference answer");
 }
 
 /// One fork: s0 branches uniformly (internal action) into `width` mid

@@ -73,18 +73,20 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # QuotientPsioa views in all of the above), the batched alias
   # sampler (frozen alias tables read lock-free by lockstep workers),
   # the sequential estimator (incremental waves + stratified
-  # per-stratum cursors fanned out over the pool), and the sampled
+  # per-stratum cursors fanned out over the pool), the sampled
   # epsilon's error contract (Balance: factories and insight functions
-  # that throw inside pool-run waves).
+  # that throw inside pool-run waves), and the deadline / retry guard of
+  # ParallelSampler's serial walk (GuardedSampler: retries build fresh
+  # views over the shared residue while other chunks sample).
   echo "== tsan: ThreadSanitizer build + concurrency suites =="
   cmake -B build-tsan -S . -DCDSE_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target snapshot_test thread_pool_test intern_test intern_gc_test \
              service_soak_test exact_engine_test quotient_test \
              alias_test batch_sampler_test seq_estimator_test \
-             insight_fdist_test
+             insight_fdist_test fault_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst|Balance\.'
+    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst|Balance\.|GuardedSampler'
   echo "== tsan pass clean =="
   exit 0
 fi
@@ -174,10 +176,10 @@ for name in ("mac_impl_above", "mac_impl_below"):
           f"{rows[name]['seq_draws']} draws ({red:.1f}x)")
     assert red >= 2.0, f"{name}: draw reduction {red:.2f}x below 2x floor"
 PY
-  # E13/E13b/E13c self-check the engine-equivalence claims (legacy vs
-  # iterative vs parallel, raw vs bisimulation quotient) and emit the
-  # exact-engine ablation tables, including the quotient reduction-ratio
-  # rows.
+  # E13/E13b/E13c self-check the engine-equivalence claims (serial
+  # prefix-shared vs parallel search against the recorded reference
+  # answer, raw vs bisimulation quotient) and emit the exact-engine
+  # tables, including the quotient reduction-ratio rows.
   (cd build-bench && ./bench/bench_optimal_distinguisher)
   test -s build-bench/BENCH_exact.json
   # E18 at smoke scale: a small soak across the worker sweep plus the

@@ -141,10 +141,7 @@ SequentialEpsilon plain_sequential_epsilon(
     term_r += run_r.trials_terminal();
     committed = n_committed;
     ++stage;
-    next_stage = std::max<std::size_t>(
-        stage_trials + 1,
-        static_cast<std::size_t>(policy.growth *
-                                 static_cast<double>(stage_trials)));
+    next_stage = policy.next_stage(stage_trials);
   }
 
   SequentialEpsilon out;
@@ -333,10 +330,7 @@ SequentialEpsilon split_sequential_epsilon(
                             split_scale(r), committed, draws_done);
       decided = dec.verdict != SeqVerdict::kUndecided;
     }
-    next_stage = std::max<std::size_t>(
-        stage_trials + 1,
-        static_cast<std::size_t>(policy.growth *
-                                 static_cast<double>(stage_trials)));
+    next_stage = policy.next_stage(stage_trials);
   }
 
   out.estimate = estimate;
@@ -427,6 +421,7 @@ SequentialEpsilon sequential_balance_epsilon(
     const InsightFunction& f, const SequentialPolicy& policy,
     std::uint64_t seed, std::size_t max_depth, ThreadPool& pool,
     SamplingMode mode) {
+  policy.validate();
   if (!policy.active()) {
     throw std::invalid_argument(
         "sequential_balance_epsilon: policy.max_trials == 0 (inactive)");

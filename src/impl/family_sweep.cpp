@@ -13,6 +13,7 @@ FamilySweepReport family_epsilon_sweep(
     const std::vector<std::uint32_t>& ks, std::size_t max_depth,
     std::uint32_t exact_upto, std::uint64_t seed, ThreadPool& pool,
     const ReductionPolicy& policy, const SequentialPolicy& seq) {
+  seq.validate();
   // An unsampled cell would keep sampled = 0, which the classifier reads
   // as decay to zero.
   for (const std::uint32_t k : ks) {

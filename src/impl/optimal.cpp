@@ -63,60 +63,11 @@ void merge(Candidate& best, const Candidate& other, const LexRank& lex) {
   if (other.set) offer(best, other.word, other.eps, lex);
 }
 
-/// Evaluates the word on one system through the recursive reference
-/// enumerator: exact f-dist plus the longest schedule length reached
-/// anywhere in the support (for pruning).
-struct WordEval {
-  ExactDisc<Perception> fdist;
-  std::size_t max_reached = 0;
-};
-
-WordEval evaluate_legacy(Psioa& system, const std::vector<ActionId>& word,
-                         const InsightFunction& f, std::size_t depth) {
-  // Inputs are schedulable: the word doubles as the environment's
-  // injection strategy, so the search covers open systems too. Callers
-  // restrict the alphabet to the actions an environment could drive.
-  SequenceScheduler sched(word, /*local_only=*/false);
-  WordEval ev;
-  for_each_halted_execution_recursive(
-      system, sched, depth,
-      [&](const ExecFragment& alpha, const Rational& p) {
-        ev.fdist.add(f.apply(system, alpha), p);
-        ev.max_reached = std::max(ev.max_reached, alpha.length());
-      });
-  return ev;
-}
-
-void search_legacy(Psioa& lhs, Psioa& rhs,
-                   const std::vector<ActionId>& alphabet, std::size_t max_len,
-                   const InsightFunction& f, std::size_t depth,
-                   std::vector<ActionId>& word, BestDistinguisher& best) {
-  const WordEval l = evaluate_legacy(lhs, word, f, depth);
-  const WordEval r = evaluate_legacy(rhs, word, f, depth);
-  ++best.words_evaluated;
-  const Rational eps = balance_distance(l.fdist, r.fdist);
-  if (eps > best.eps) {
-    best.eps = eps;
-    best.word = word;
-  }
-  if (word.size() >= max_len) return;
-  // Extensions only matter when at least one side can consume the next
-  // letter, i.e. the current word did not stall strictly early on both.
-  if (!word.empty() && l.max_reached < word.size() &&
-      r.max_reached < word.size()) {
-    return;
-  }
-  for (ActionId a : alphabet) {
-    word.push_back(a);
-    search_legacy(lhs, rhs, alphabet, max_len, f, depth, word, best);
-    word.pop_back();
-  }
-}
-
-/// The prefix-sharing DFS: identical traversal and pruning to the legacy
-/// search, but each word's f-dists come from extending the parent's
-/// cached frontier. Child frontiers are evicted once their subtree is
-/// exhausted, so the cache holds the ancestors of the active word only.
+/// The prefix-sharing DFS: identical traversal and pruning to the
+/// per-word search, but each word's f-dists come from extending the
+/// parent's cached frontier. Child frontiers are evicted once their
+/// subtree is exhausted, so the cache holds the ancestors of the active
+/// word only.
 void search_prefix(ConeFrontierCache& cl, ConeFrontierCache& cr,
                    const std::vector<ActionId>& alphabet, std::size_t max_len,
                    const LexRank& lex, std::vector<ActionId>& word,
@@ -145,15 +96,6 @@ void search_prefix(ConeFrontierCache& cl, ConeFrontierCache& cr,
 
 std::string BestDistinguisher::word_string() const {
   return trace_string(word);
-}
-
-BestDistinguisher search_best_word_legacy(
-    Psioa& lhs, Psioa& rhs, const std::vector<ActionId>& alphabet,
-    std::size_t max_len, const InsightFunction& f, std::size_t depth) {
-  BestDistinguisher best;
-  std::vector<ActionId> word;
-  search_legacy(lhs, rhs, alphabet, max_len, f, depth, word, best);
-  return best;
 }
 
 BestDistinguisher search_best_word(Psioa& lhs, Psioa& rhs,
@@ -263,7 +205,7 @@ BestDistinguisher search_best_word_parallel(
   // Phase 1 (calling thread): breadth-first over the word tree until
   // enough un-expanded subtrees exist to feed the pool. Expansion uses
   // the same prune-then-extend rule as the DFS, so phase-1 words plus
-  // the subtree words partition exactly the legacy evaluation set.
+  // the subtree words partition exactly the per-word evaluation set.
   auto lv = left_view();
   auto rv = right_view();
   ConeFrontierCache cl(*lv, f, depth);

@@ -18,12 +18,15 @@
 // (ConeFrontierCache) instead of re-enumerating the shared prefix cone
 // per word; search_best_word_parallel additionally freezes both systems
 // into shared snapshots and fans independent word subtrees across a
-// ThreadPool. Both visit exactly the legacy set of words (identical
-// pruning, hence identical words_evaluated) and resolve epsilon ties to
-// the first word in the search pre-order -- equivalently, the
-// lexicographically smallest word under the alphabet's order -- so all
-// three engines return the identical word and epsilon, and the parallel
-// result is independent of the worker count.
+// ThreadPool. Both visit exactly the words of the plain per-word search
+// (identical pruning, hence identical words_evaluated) and resolve
+// epsilon ties to the first word in the search pre-order --
+// equivalently, the lexicographically smallest word under the
+// alphabet's order -- so they return the identical word and epsilon,
+// and the parallel result is independent of the worker count. The
+// per-word search, which re-enumerates both cones for every word, is
+// the test-only reference they are pinned against
+// (tests/reference_engines.hpp).
 
 #include <vector>
 
@@ -55,13 +58,6 @@ BestDistinguisher search_best_word(Psioa& lhs, Psioa& rhs,
                                    const InsightFunction& f,
                                    std::size_t depth,
                                    const ReductionPolicy& policy = {});
-
-/// The historical per-word engine: re-enumerates both cones through the
-/// recursive reference enumerator for every word. Kept as the
-/// differential baseline for tests and the E13 engine-ablation bench.
-BestDistinguisher search_best_word_legacy(
-    Psioa& lhs, Psioa& rhs, const std::vector<ActionId>& alphabet,
-    std::size_t max_len, const InsightFunction& f, std::size_t depth);
 
 /// Parallel prefix-sharing search. Freezes one warmed instance per side
 /// (WarmupPlan horizon = depth, so workers hit lock-free compiled rows),

@@ -8,12 +8,12 @@
 // measure of "halted at alpha" events -- and therefore every f-dist -- is
 // computed exactly by depth-first enumeration.
 //
-// The default enumerator is iterative (sched/exact_engine.hpp): an
-// explicit pending-edge stack over ONE in-place path, visiting events in
-// exactly the historical recursive pre-order but without the per-edge
-// ExecFragment copy. The recursive enumerator survives as
-// for_each_halted_execution_recursive, the differential reference the
-// exact-engine test suite pins every new engine against.
+// The enumerator is iterative (sched/exact_engine.hpp): an explicit
+// pending-edge stack over ONE in-place path, visiting events in exactly
+// the pre-order of the plain recursive walk but without its per-edge
+// ExecFragment copy. That recursive walk lives on as a test-only
+// reference (tests/reference_engines.hpp), which the exact-engine suite
+// pins the visit order and every engine's f-dists against.
 //
 // Executions that are still live at `max_depth` are accounted as halted
 // there; pass a bound at least as large as the scheduler's own bound to
@@ -68,24 +68,12 @@ void for_each_halted_execution(
     const std::function<void(const ExecFragment&, const Rational&)>& visit,
     ConeStats* stats = nullptr);
 
-/// The historical recursive enumerator, kept verbatim as the
-/// differential reference for tests/exact_engine_test.cpp (same visit
-/// order, same validation, one ExecFragment copy per edge).
-void for_each_halted_execution_recursive(
-    Psioa& automaton, Scheduler& sched, std::size_t max_depth,
-    const std::function<void(const ExecFragment&, const Rational&)>& visit);
-
 /// f-dist_{(., .)}(sigma): the image of epsilon_sigma under the insight
 /// function, exactly (Def 3.5).
 ExactDisc<Perception> exact_fdist(Psioa& automaton, Scheduler& sched,
                                   const InsightFunction& f,
                                   std::size_t max_depth,
                                   ConeStats* stats = nullptr);
-
-/// exact_fdist through the recursive reference enumerator.
-ExactDisc<Perception> exact_fdist_recursive(Psioa& automaton, Scheduler& sched,
-                                            const InsightFunction& f,
-                                            std::size_t max_depth);
 
 /// Exact probability that the scheduled process produces an execution
 /// whose trace contains `a`. Convenience built on the enumerator.

@@ -117,7 +117,7 @@ void enumerate_cone(
         }
       }
     }
-    // The recursive enumerator descends into the first edge first;
+    // A recursive walk descends into the first edge first;
     // reversing the freshly pushed run makes the LIFO pops replay that
     // exact pre-order.
     std::reverse(stack.begin() + first_child, stack.end());

@@ -1,12 +1,14 @@
 #pragma once
 // Iterative, parallel, prefix-sharing exact cone-measure engine.
 //
-// The recursive enumerator of sched/cone_measure.hpp deep-copied the
-// ExecFragment on every edge (an O(depth) copy per edge, O(depth * edges)
-// total) and re-enumerated the entire shared prefix cone for every word
-// of the optimal-distinguisher search and every (environment, scheduler)
-// cell of the implementation sweeps. This module replaces it with the
-// standard exact-model-checking decomposition:
+// A plain recursive cone enumerator deep-copies the ExecFragment on
+// every edge (an O(depth) copy per edge, O(depth * edges) total) and
+// re-enumerates the entire shared prefix cone for every word of the
+// optimal-distinguisher search and every (environment, scheduler) cell
+// of the implementation sweeps. This module replaces it with the
+// standard exact-model-checking decomposition (the recursive walk and
+// the per-word search stay in tests/reference_engines.hpp as the
+// references the exact-engine suite pins these engines against):
 //
 //   enumerate_cone     -- an explicit pending-edge stack that push/pops
 //       ONE in-place path (ExecFragment::truncate + append). The live
@@ -104,7 +106,7 @@ std::optional<ReducedSystem> reduce_for_enumeration(
 /// Extends for_each_halted_execution's visit contract with a live
 /// in-place path: enumerates the cone of the subtree rooted at `path`
 /// (whose cone probability is `prefix_prob`) under `sched`, visiting
-/// every halt/leaf event in the recursive enumerator's pre-order. `path`
+/// every halt/leaf event in the recursive walk's pre-order. `path`
 /// is mutated during the walk and restored to its entry contents before
 /// returning (on success); the reference passed to `visit` aliases it,
 /// so callers must copy if they retain fragments.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -72,80 +74,6 @@ std::uint64_t rotate_seed(std::uint64_t seed, std::size_t attempt) {
 }
 
 }  // namespace
-
-Disc<Perception, double> guarded_parallel_sample_fdist(
-    const PsioaFactory& make_automaton, const SchedulerFactory& make_sched,
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, const SampleGuard& guard,
-    SampleReport* report) {
-  struct ChunkOutcome {
-    Disc<Perception, double> counts;
-    std::size_t done = 0;
-    std::size_t retries = 0;
-    bool timed_out = false;
-    std::string error;
-  };
-  const std::size_t chunks = std::max<std::size_t>(1, pool.size());
-  std::vector<ChunkOutcome> outcome(chunks);
-  parallel_for_chunks(
-      pool, trials,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        ChunkOutcome& out = outcome[chunk];
-        const std::size_t want = end - begin;
-        for (std::size_t attempt = 0;; ++attempt) {
-          out.counts = Disc<Perception, double>{};
-          out.done = 0;
-          out.timed_out = false;
-          try {
-            PsioaPtr automaton = make_automaton();
-            SchedulerPtr sched = make_sched();
-            Xoshiro256 rng =
-                Xoshiro256::for_stream(rotate_seed(seed, attempt), chunk);
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t i = 0; i < want; ++i) {
-              if (guard.deadline.count() > 0 &&
-                  std::chrono::steady_clock::now() - t0 >= guard.deadline) {
-                out.timed_out = true;
-                break;
-              }
-              const ExecFragment alpha =
-                  sample_execution(*automaton, *sched, rng, max_depth);
-              out.counts.add(f.apply(*automaton, alpha), 1.0);
-              ++out.done;
-            }
-            return;
-          } catch (const std::exception& e) {
-            if (out.error.empty()) out.error = e.what();
-          } catch (...) {
-            if (out.error.empty()) out.error = "non-standard exception";
-          }
-          if (attempt >= guard.max_retries) {
-            out.counts = Disc<Perception, double>{};
-            out.done = 0;
-            return;
-          }
-          ++out.retries;
-        }
-      });
-  SampleReport rep;
-  rep.trials_requested = trials;
-  for (const auto& c : outcome) {
-    rep.trials_done += c.done;
-    rep.retries_used += c.retries;
-    rep.deadline_hit = rep.deadline_hit || c.timed_out;
-    if (rep.error.empty() && !c.error.empty()) rep.error = c.error;
-  }
-  rep.complete = rep.trials_done == trials;
-  Disc<Perception, double> merged;
-  if (rep.trials_done > 0) {
-    const double n = static_cast<double>(rep.trials_done);
-    for (const auto& c : outcome) {
-      merged.merge(c.counts, [n](double count) { return count / n; });
-    }
-  }
-  if (report != nullptr) *report = rep;
-  return merged;
-}
 
 // -- shared frozen snapshots ------------------------------------------------
 
@@ -232,46 +160,122 @@ SchedulerPtr ParallelSampler::worker_scheduler() const {
 
 Disc<Perception, double> ParallelSampler::sample_fdist(
     const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, SamplingMode mode) {
+    std::size_t max_depth, ThreadPool& pool, SamplingMode mode,
+    const SampleGuard& guard, SampleReport* report) {
   if (!prepared()) {
     throw std::logic_error("ParallelSampler: prepare() before sample_fdist()");
   }
-  const double n = static_cast<double>(trials);
   Disc<Perception, double> merged;
   if (mode == SamplingMode::kBatched) {
+    if (guard.deadline.count() > 0 || guard.max_retries > 0) {
+      throw std::invalid_argument(
+          "ParallelSampler: a batched chunk has no trial boundary to stop "
+          "or retry at; guard kSerial runs only");
+    }
     IncrementalFdistRun run(*this, f, trials, seed, max_depth, pool,
                             std::numeric_limits<std::size_t>::max());
     run.step_wave();
     last_stats_ = run.snapshot_stats();
     last_batch_stats_ = run.batch_stats();
+    if (report != nullptr) {
+      *report = SampleReport{};
+      report->trials_requested = trials;
+      report->trials_done = trials;
+    }
+    const double n = static_cast<double>(trials);
     merged.merge(run.wave_delta(), [n](double count) { return count / n; });
     return merged;
   }
-  // Mirrors guarded_parallel_sample_fdist chunk for chunk and draw for
-  // draw: same static partition, same per-chunk streams, same merge
-  // order. The only difference is what backs the automaton each worker
-  // drives.
-  const std::size_t chunks = pool.size();
-  std::vector<Disc<Perception, double>> partial(chunks);
-  std::vector<SnapshotStats> stats(chunks);
+  // One chunk per worker over the pool's static partition. An attempt
+  // that throws leaves nothing behind: its counts are reset on retry and
+  // its view's counters are never read.
+  struct ChunkOutcome {
+    Disc<Perception, double> counts;
+    SnapshotStats stats;
+    std::size_t done = 0;
+    std::size_t retries = 0;
+    bool timed_out = false;
+    bool failed = false;           // every attempt threw
+    std::exception_ptr first_error;
+    std::string error;
+
+    void note(const char* what) {
+      if (first_error != nullptr) return;
+      first_error = std::current_exception();
+      error = what;
+    }
+  };
+  std::vector<ChunkOutcome> outcome(pool.size());
   parallel_for_chunks(
       pool, trials,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto view = std::make_shared<SnapshotPsioa>(snapshot_, residue_);
-        SchedulerPtr sched = worker_scheduler();
-        Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
-        for (std::size_t i = begin; i < end; ++i) {
-          const ExecFragment alpha =
-              sample_execution(*view, *sched, rng, max_depth);
-          partial[chunk].add(f.apply(*view, alpha), 1.0);
+        ChunkOutcome& out = outcome[chunk];
+        for (std::size_t attempt = 0;; ++attempt) {
+          out.counts = Disc<Perception, double>{};
+          out.done = 0;
+          out.timed_out = false;
+          try {
+            const std::shared_ptr<SnapshotPsioa> view = worker_view();
+            const SchedulerPtr sched = worker_scheduler();
+            Xoshiro256 rng =
+                Xoshiro256::for_stream(rotate_seed(seed, attempt), chunk);
+            const auto t0 = std::chrono::steady_clock::now();
+            for (std::size_t i = begin; i < end; ++i) {
+              if (guard.deadline.count() > 0 &&
+                  std::chrono::steady_clock::now() - t0 >= guard.deadline) {
+                out.timed_out = true;
+                break;
+              }
+              const ExecFragment alpha =
+                  sample_execution(*view, *sched, rng, max_depth);
+              out.counts.add(f.apply(*view, alpha), 1.0);
+              ++out.done;
+            }
+            out.stats = view->snapshot_stats();
+            return;
+          } catch (const std::exception& e) {
+            out.note(e.what());
+          } catch (...) {
+            out.note("non-standard exception");
+          }
+          if (attempt >= guard.max_retries) {
+            out.counts = Disc<Perception, double>{};
+            out.done = 0;
+            out.failed = true;
+            return;
+          }
+          ++out.retries;
         }
-        stats[chunk] = view->snapshot_stats();
       });
+
+  SampleReport rep;
+  rep.trials_requested = trials;
+  std::exception_ptr failure;
   last_stats_ = SnapshotStats{};
-  for (const auto& s : stats) last_stats_ += s;
   last_batch_stats_ = BatchStats{};
-  for (const auto& p : partial) {
-    merged.merge(p, [n](double count) { return count / n; });
+  for (const ChunkOutcome& c : outcome) {
+    rep.trials_done += c.done;
+    rep.retries_used += c.retries;
+    rep.deadline_hit = rep.deadline_hit || c.timed_out;
+    if (rep.error.empty()) rep.error = c.error;
+    if (failure == nullptr && c.failed) failure = c.first_error;
+    last_stats_ += c.stats;
+  }
+  rep.complete = rep.trials_done == trials;
+  if (report != nullptr) {
+    *report = rep;
+  } else if (!rep.complete) {
+    if (failure != nullptr) std::rethrow_exception(failure);
+    throw std::runtime_error(
+        "ParallelSampler: deadline cut the run short at " +
+        std::to_string(rep.trials_done) + "/" + std::to_string(trials) +
+        " trials (pass a SampleReport to accept a partial estimate)");
+  }
+  if (rep.trials_done > 0) {
+    const double n = static_cast<double>(rep.trials_done);
+    for (const ChunkOutcome& c : outcome) {
+      merged.merge(c.counts, [n](double count) { return count / n; });
+    }
   }
   return merged;
 }

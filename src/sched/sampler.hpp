@@ -11,19 +11,16 @@
 // historical partial-sum walk, so sampled results are draw-for-draw
 // identical at fixed seed.
 //
-// Two parallel fan-outs, each chunk on its own RNG stream:
-//   - guarded_parallel_sample_fdist builds one automaton + scheduler per
-//     chunk from *factories* (each warms its own memo tables), with
-//     per-chunk wall-clock deadlines checked between trials and
-//     retry-with-seed-rotation when a chunk's automaton or scheduler
-//     throws. It degrades to a partial, still-normalized estimate plus a
-//     SampleReport instead of tearing the experiment down (fault sweeps,
-//     foreign automata).
-//   - ParallelSampler warms one instance, freezes its compiled tables
-//     and fans trials over thin read-only views of the shared snapshot:
-//     serially, or as the chunks of an IncrementalFdistRun, the one
-//     batched fan-out (a one-shot batched f-dist is a single wave that
-//     runs every chunk to completion).
+// ParallelSampler warms one instance, freezes its compiled tables and
+// fans trials over thin read-only views of the shared snapshot, each
+// chunk on its own RNG stream: serially (kSerial), or as the chunks of
+// an IncrementalFdistRun, the one batched fan-out (a one-shot batched
+// f-dist is a single wave that runs every chunk to completion). A
+// serial run can carry a SampleGuard -- per-chunk wall-clock deadlines
+// checked between trials, retry-with-seed-rotation when a chunk throws
+// -- and degrade to a partial, still-normalized estimate plus a
+// SampleReport instead of tearing the experiment down (fault sweeps,
+// foreign automata).
 
 #include <chrono>
 #include <cstdint>
@@ -64,7 +61,8 @@ Disc<Perception, double> sample_fdist(Psioa& automaton, Scheduler& sched,
                                       std::size_t trials, std::uint64_t seed,
                                       std::size_t max_depth);
 
-/// Failure policy for the guarded sampler.
+/// Failure policy for a serial ParallelSampler::sample_fdist run. The
+/// default guard is disarmed: no deadline, no retries.
 struct SampleGuard {
   /// Wall-clock budget per chunk, checked between trials (each trial is
   /// already depth-bounded, so checks are reached). zero() = unlimited.
@@ -74,7 +72,7 @@ struct SampleGuard {
   std::size_t max_retries = 0;
 };
 
-/// What actually happened during a guarded run.
+/// What actually happened during a sample_fdist run.
 struct SampleReport {
   bool complete = true;          ///< every requested trial ran
   bool deadline_hit = false;     ///< at least one chunk ran out of time
@@ -85,24 +83,6 @@ struct SampleReport {
 
   explicit operator bool() const { return complete; }
 };
-
-/// Clone-per-worker parallel estimate; never throws on task failure.
-/// Each chunk c builds its own automaton + scheduler and uses stream c
-/// of `seed`; results are merged deterministically (chunk partitioning
-/// depends on pool size, so cross-pool-size reproducibility holds at
-/// fixed pool size; per-seed statistical validity always holds). Chunks
-/// that exceed `guard.deadline` contribute the trials they finished;
-/// chunks whose automaton/scheduler throws are retried on rotated seed
-/// streams (seed' = seed + (attempt+1)*golden-gamma) up to
-/// guard.max_retries, and a throwing attempt's partial trials are
-/// discarded as tainted. The returned distribution is normalized over
-/// report->trials_done, so it is a valid estimate of the f-dist from
-/// however many trials survived.
-Disc<Perception, double> guarded_parallel_sample_fdist(
-    const PsioaFactory& make_automaton, const SchedulerFactory& make_sched,
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, const SampleGuard& guard,
-    SampleReport* report);
 
 // -- shared frozen snapshots ------------------------------------------------
 
@@ -143,31 +123,49 @@ std::size_t warm_automaton(MemoPsioa& automaton, Scheduler& sched,
 /// warm-up plan, and freezes its compiled tables (and the scheduler's
 /// per-state choice rows); sample_fdist() then fans trials over thin
 /// SnapshotPsioa views -- no per-worker clone, no per-worker warm-up,
-/// one copy of the compiled tables regardless of worker count. Chunking
-/// and RNG streams mirror guarded_parallel_sample_fdist exactly, so at
-/// the same seeds a prepared sampler reproduces the clone-per-worker
-/// path draw-for-draw in kSerial mode (tests/snapshot_test.cpp pins
-/// this).
+/// one copy of the compiled tables regardless of worker count. In
+/// kSerial mode chunk c of the pool's static partition draws from
+/// stream c of `seed`, so a prepared sampler reproduces, draw for draw,
+/// one warmed clone per worker driven over the same chunks and streams
+/// (tests/snapshot_test.cpp builds that reference and pins this).
 class ParallelSampler {
  public:
   ParallelSampler(PsioaFactory make_automaton, SchedulerFactory make_sched);
 
   /// Warms and freezes. `max_depth` bounds the warm-up episodes (use the
   /// depth you will sample at). Subsequent calls re-warm and re-freeze
-  /// from scratch.
+  /// from scratch. The automaton factory runs here and nowhere else, so
+  /// what it throws propagates from prepare().
   void prepare(const WarmupPlan& plan, std::size_t max_depth);
   bool prepared() const { return snapshot_ != nullptr; }
 
   /// Normalized f-dist estimate from `trials` executions. kBatched runs
   /// one IncrementalFdistRun wave that takes every chunk to completion
   /// and divides its counts by `trials`.
+  ///
+  /// kSerial honours `guard`: each attempt of a chunk builds a fresh
+  /// view and scheduler and draws from stream c of
+  /// seed + attempt * golden-gamma (attempt 0 is stream c of `seed`);
+  /// the deadline is checked between trials; an attempt that throws
+  /// (scheduler factory, insight function, overflow row) has its trials
+  /// discarded and is retried up to guard.max_retries times. The
+  /// estimate is normalized over the trials that survived, and
+  /// last_stats() sums the surviving attempts. An incomplete run fills
+  /// `report` and returns the partial estimate; without a report it
+  /// throws instead -- the exception of the first chunk that exhausted
+  /// its retries, else std::runtime_error for a deadline cut. A batched
+  /// chunk has no trial boundary to stop or retry at, so kBatched
+  /// rejects an armed guard with std::invalid_argument (a report comes
+  /// back complete).
   Disc<Perception, double> sample_fdist(const InsightFunction& f,
                                         std::size_t trials,
                                         std::uint64_t seed,
                                         std::size_t max_depth,
                                         ThreadPool& pool,
                                         SamplingMode mode =
-                                            SamplingMode::kSerial);
+                                            SamplingMode::kSerial,
+                                        const SampleGuard& guard = {},
+                                        SampleReport* report = nullptr);
 
   /// A fresh thin worker view / scheduler, as handed to each chunk.
   /// Exposed for the differential tests and for callers integrating the

@@ -3,8 +3,31 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
 
 namespace cdse {
+
+void SequentialPolicy::validate() const {
+  if (std::isnan(threshold)) {
+    throw std::invalid_argument("SequentialPolicy: threshold is NaN");
+  }
+  if (!(delta >= 0.0 && delta < 1.0)) {
+    throw std::invalid_argument("SequentialPolicy: delta must lie in [0, 1)");
+  }
+  if (!(std::isfinite(growth) && growth >= 1.0)) {
+    throw std::invalid_argument(
+        "SequentialPolicy: growth must be finite and >= 1");
+  }
+}
+
+std::size_t SequentialPolicy::next_stage(std::size_t stage_trials) const {
+  const double grown = growth * static_cast<double>(stage_trials);
+  std::size_t next = max_trials;
+  if (grown < static_cast<double>(max_trials)) {
+    next = grown > 0.0 ? static_cast<std::size_t>(grown) : 0;
+  }
+  return std::max(stage_trials + 1, next);
+}
 
 double seq_spend(double delta, std::size_t look) {
   if (look == 0) look = 1;

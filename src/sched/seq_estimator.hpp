@@ -126,6 +126,17 @@ struct SequentialPolicy {
   bool active() const { return max_trials > 0; }
   bool sequential() const { return active() && delta > 0.0; }
 
+  /// Throws std::invalid_argument unless the threshold is not NaN, delta
+  /// lies in [0, 1) and growth is finite and >= 1. A NaN threshold
+  /// compares false against every estimate (a silent "below"), and a NaN
+  /// delta silently turns the run fixed-trial. The default policy is
+  /// valid.
+  void validate() const;
+  /// The stage after one of `stage_trials`: growth * stage_trials,
+  /// clamped to max_trials before the cast to an integer, and at least
+  /// stage_trials + 1.
+  std::size_t next_stage(std::size_t stage_trials) const;
+
   /// Fixed-trial reference: whole budget, no looks.
   static SequentialPolicy fixed(std::size_t trials) {
     SequentialPolicy p;

@@ -107,10 +107,14 @@ TEST(Sampler, ParallelEstimateMatchesExactAndIsSeedDeterministic) {
   auto make_sched = [] {
     return std::make_shared<UniformScheduler>(3);
   };
-  const auto s1 = guarded_parallel_sample_fdist(
-      make_aut, make_sched, f, 40000, 99, 10, pool, SampleGuard{}, nullptr);
-  const auto s2 = guarded_parallel_sample_fdist(
-      make_aut, make_sched, f, 40000, 99, 10, pool, SampleGuard{}, nullptr);
+  // Two independently prepared samplers: the estimate is a function of
+  // the seed and the pool size only.
+  ParallelSampler a(make_aut, make_sched);
+  ParallelSampler b(make_aut, make_sched);
+  a.prepare(WarmupPlan{}, 10);
+  b.prepare(WarmupPlan{}, 10);
+  const auto s1 = a.sample_fdist(f, 40000, 99, 10, pool);
+  const auto s2 = b.sample_fdist(f, 40000, 99, 10, pool);
   EXPECT_EQ(s1.entries().size(), s2.entries().size());
   for (std::size_t i = 0; i < s1.entries().size(); ++i) {
     EXPECT_EQ(s1.entries()[i].first, s2.entries()[i].first);

@@ -3,9 +3,9 @@
 //
 // Layers:
 //   order        -- the iterative pending-edge enumerator must replay the
-//                   recursive reference visit-for-visit (same fragments,
-//                   same probabilities, same pre-order), not just sum to
-//                   the same measure.
+//                   recursive reference (reference_engines.hpp)
+//                   visit-for-visit (same fragments, same probabilities,
+//                   same pre-order), not just sum to the same measure.
 //   differential -- exact f-dists from the iterative enumerator and from
 //                   ParallelConeEngine at 1/2/4/8 workers must equal the
 //                   recursive reference bit-for-bit across the same stack
@@ -16,10 +16,12 @@
 //                   per-word enumeration under SequenceScheduler(w),
 //                   max_reached matches the per-word evaluator, prefix
 //                   hits fire, eviction works.
-//   search       -- search_best_word (prefix-shared), the legacy
-//                   recursive search, and search_best_word_parallel at
+//   search       -- search_best_word (prefix-shared), the per-word
+//                   reference search, and search_best_word_parallel at
 //                   1/2/4/8 workers return the identical word, epsilon,
-//                   and words_evaluated.
+//                   and words_evaluated, on the MAC pair and on the E13b
+//                   faulty-channel workload (whose recorded answer is
+//                   pinned too).
 //   frames       -- regression guard: the live pending-edge stack scales
 //                   with depth x branching, not with cone size.
 //   validation   -- Def 3.1 side-condition throws propagate through the
@@ -55,6 +57,7 @@
 #include "psioa/hide.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
+#include "reference_engines.hpp"
 #include "sched/schedulers.hpp"
 #include "secure/adversary.hpp"
 #include "secure/emulation.hpp"
@@ -62,6 +65,10 @@
 
 namespace cdse {
 namespace {
+
+using testing::exact_fdist_recursive;
+using testing::for_each_halted_execution_recursive;
+using testing::search_best_word_legacy;
 
 constexpr std::size_t kDepth = 4;
 const std::size_t kWorkerCounts[] = {1, 2, 4, 8};
@@ -351,9 +358,46 @@ TEST(ExactEngineFrontier, PrefixLevelsAreSharedNotReenumerated) {
 
 // ----------------------------------------------------------------- search
 
+/// The per-word reference search, the prefix-shared search and the
+/// parallel search at every worker count must return the identical word,
+/// epsilon and words_evaluated. Factories build everything fresh per
+/// call: pool workers each get their own instances, never sharing a memo
+/// table. Returns the reference result.
+BestDistinguisher expect_searches_agree(const PsioaFactory& make_lhs,
+                                        const PsioaFactory& make_rhs,
+                                        const std::vector<ActionId>& alphabet,
+                                        std::size_t max_len,
+                                        std::size_t depth) {
+  TraceInsight f;
+  PsioaPtr l1 = make_lhs();
+  PsioaPtr r1 = make_rhs();
+  const BestDistinguisher legacy =
+      search_best_word_legacy(*l1, *r1, alphabet, max_len, f, depth);
+
+  PsioaPtr l2 = make_lhs();
+  PsioaPtr r2 = make_rhs();
+  const BestDistinguisher shared =
+      search_best_word(*l2, *r2, alphabet, max_len, f, depth);
+  EXPECT_EQ(shared.word, legacy.word);
+  EXPECT_EQ(shared.eps, legacy.eps);
+  EXPECT_EQ(shared.words_evaluated, legacy.words_evaluated);
+  // The whole point of the frontier cache: deeper words reuse ancestors.
+  EXPECT_GT(shared.stats.prefix_hits, 0u);
+  EXPECT_GT(shared.stats.prefix_misses, 0u);
+
+  for (std::size_t workers : kWorkerCounts) {
+    ThreadPool pool(workers);
+    const BestDistinguisher par = search_best_word_parallel(
+        make_lhs, make_rhs, alphabet, max_len, f, depth, pool);
+    EXPECT_EQ(par.word, legacy.word) << "workers=" << workers;
+    EXPECT_EQ(par.eps, legacy.eps) << "workers=" << workers;
+    EXPECT_EQ(par.words_evaluated, legacy.words_evaluated)
+        << "workers=" << workers;
+  }
+  return legacy;
+}
+
 TEST(ExactEngineSearch, LegacyPrefixSharedAndParallelAgree) {
-  // Factories build everything fresh per call: pool workers each get
-  // their own instances, never sharing a memo table.
   const PsioaFactory make_lhs = []() -> PsioaPtr {
     const RealIdealPair pair = make_otmac_pair(2, "xe_s");
     auto adv = make_sink_adversary("xe_s_adv", {}, acts({"forge_xe_s"}));
@@ -367,34 +411,43 @@ TEST(ExactEngineSearch, LegacyPrefixSharedAndParallelAgree) {
   const std::vector<ActionId> alphabet{
       act("auth_xe_s"), act("forge_xe_s"), act("forged_xe_s"),
       act("rejected_xe_s")};
-  TraceInsight f;
-
-  PsioaPtr l1 = make_lhs();
-  PsioaPtr r1 = make_rhs();
   const BestDistinguisher legacy =
-      search_best_word_legacy(*l1, *r1, alphabet, 4, f, 10);
+      expect_searches_agree(make_lhs, make_rhs, alphabet, 4, 10);
   EXPECT_EQ(legacy.eps, Rational(1, 4));
+}
 
-  PsioaPtr l2 = make_lhs();
-  PsioaPtr r2 = make_rhs();
-  const BestDistinguisher shared =
-      search_best_word(*l2, *r2, alphabet, 4, f, 10);
-  EXPECT_EQ(shared.word, legacy.word);
-  EXPECT_EQ(shared.eps, legacy.eps);
-  EXPECT_EQ(shared.words_evaluated, legacy.words_evaluated);
-  // The whole point of the frontier cache: deeper words reuse ancestors.
-  EXPECT_GT(shared.stats.prefix_hits, 0u);
-  EXPECT_GT(shared.stats.prefix_misses, 0u);
-
-  for (std::size_t workers : kWorkerCounts) {
-    ThreadPool pool(workers);
-    const BestDistinguisher par = search_best_word_parallel(
-        make_lhs, make_rhs, alphabet, 4, f, 10, pool);
-    EXPECT_EQ(par.word, legacy.word) << "workers=" << workers;
-    EXPECT_EQ(par.eps, legacy.eps) << "workers=" << workers;
-    EXPECT_EQ(par.words_evaluated, legacy.words_evaluated)
-        << "workers=" << workers;
-  }
+TEST(ExactEngineSearch, FaultyChannelWorkloadMatchesReference) {
+  // The E13b workload: two faulty channels with different fault rates,
+  // whose probabilistic fault branching gives every word a real cone.
+  // bench_optimal_distinguisher times the production searches on it and
+  // checks them against this recorded answer.
+  const std::string tag = "xe_e13b";
+  FaultPlan plan_l;
+  plan_l.drop = Rational(1, 8);
+  plan_l.duplicate = Rational(1, 8);
+  plan_l.delay = Rational(1, 4);
+  FaultPlan plan_r;
+  plan_r.drop = Rational(1, 4);
+  plan_r.duplicate = Rational(1, 8);
+  plan_r.delay = Rational(1, 8);
+  const PsioaFactory make_lhs = [tag, plan_l]() -> PsioaPtr {
+    return make_faulty_channel(tag, plan_l);
+  };
+  const PsioaFactory make_rhs = [tag, plan_r]() -> PsioaPtr {
+    return make_faulty_channel(tag, plan_r);
+  };
+  const std::vector<ActionId> alphabet{
+      act("send0_" + tag), act("send1_" + tag), act("recv0_" + tag),
+      act("recv1_" + tag), act("faultdeliver_" + tag)};
+  const BestDistinguisher legacy =
+      expect_searches_agree(make_lhs, make_rhs, alphabet, 7, 12);
+  EXPECT_EQ(legacy.eps, Rational(33, 256));
+  EXPECT_EQ(legacy.words_evaluated, 4166u);
+  const ActionId send0 = act("send0_" + tag);
+  const ActionId deliver = act("faultdeliver_" + tag);
+  const ActionId recv0 = act("recv0_" + tag);
+  EXPECT_EQ(legacy.word, (std::vector<ActionId>{send0, send0, deliver, recv0,
+                                                send0, send0}));
 }
 
 TEST(ExactEngineSearch, IdenticalSystemsStayZeroThroughAllEngines) {

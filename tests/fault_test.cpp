@@ -1,12 +1,14 @@
 // Fault-injection adapters (src/fault): FaultPlan validation, the
 // loss/duplication/delay wrapper, crash-stop as PCA destruction, the
-// Byzantine corruption wrapper, scheduler perturbation, and the guarded
-// sampler the fault sweeps run on.
+// Byzantine corruption wrapper, scheduler perturbation, and the
+// deadline / retry guard of ParallelSampler's serial walk, which the
+// fault sweeps sample through.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 
 #include "fault/byzantine.hpp"
 #include "fault/crash.hpp"
@@ -305,26 +307,39 @@ TEST(Perturbed, RejectsRateOutsideUnitInterval) {
 
 // ------------------------------------------------------ guarded sampler
 
+PsioaFactory lossy_factory(const std::string& tag) {
+  return [tag]() -> PsioaPtr {
+    return make_lossy_channel(tag, Rational(1, 2));
+  };
+}
+
+/// A sampler over `fa` under `fs`, warmed and frozen for depth 10.
+ParallelSampler prepared_sampler(const PsioaFactory& fa,
+                                 const SchedulerFactory& fs) {
+  ParallelSampler sampler(fa, fs);
+  sampler.prepare(WarmupPlan{}, 10);
+  return sampler;
+}
+
+SchedulerPtr uniform6() { return std::make_shared<UniformScheduler>(6); }
+
 TEST(GuardedSampler, CompleteRunMatchesUnguarded) {
   // An armed guard that never fires (a deadline no chunk reaches, retries
   // no chunk needs) must not perturb the run: same seed, same chunking,
-  // same estimate as the default guard.
+  // same estimate as the default guard, with or without a report.
   ThreadPool pool(2);
-  auto factory = [] { return make_lossy_channel("gs", Rational(1, 2)); };
-  auto sched_factory = [] {
-    return std::make_shared<UniformScheduler>(6);
-  };
+  ParallelSampler sampler = prepared_sampler(lossy_factory("gs"), uniform6);
   TraceInsight f;
   SampleGuard armed;
   armed.deadline = std::chrono::hours(1);
   armed.max_retries = 3;
   SampleReport rep;
-  const auto guarded = guarded_parallel_sample_fdist(
-      factory, sched_factory, f, 4000, 11, 10, pool, armed, &rep);
+  const auto guarded = sampler.sample_fdist(f, 4000, 11, 10, pool,
+                                            SamplingMode::kSerial, armed, &rep);
   SampleReport plain_rep;
-  const auto plain = guarded_parallel_sample_fdist(
-      factory, sched_factory, f, 4000, 11, 10, pool, SampleGuard{},
-      &plain_rep);
+  const auto plain =
+      sampler.sample_fdist(f, 4000, 11, 10, pool, SamplingMode::kSerial,
+                           SampleGuard{}, &plain_rep);
   EXPECT_TRUE(rep.complete);
   EXPECT_TRUE(bool(rep));
   EXPECT_FALSE(rep.deadline_hit);
@@ -332,74 +347,112 @@ TEST(GuardedSampler, CompleteRunMatchesUnguarded) {
   EXPECT_EQ(rep.retries_used, 0u);
   EXPECT_TRUE(plain_rep.complete);
   EXPECT_EQ(guarded, plain);
+  EXPECT_EQ(sampler.sample_fdist(f, 4000, 11, 10, pool), plain);
 }
 
 TEST(GuardedSampler, DeadlineYieldsPartialNormalizedEstimate) {
   ThreadPool pool(2);
-  auto factory = [] { return make_lossy_channel("gd", Rational(1, 2)); };
-  auto sched_factory = [] {
-    return std::make_shared<UniformScheduler>(6);
-  };
+  ParallelSampler sampler = prepared_sampler(lossy_factory("gd"), uniform6);
   TraceInsight f;
   SampleGuard guard;
   guard.deadline = std::chrono::milliseconds(1);
   SampleReport rep;
-  const auto dist = guarded_parallel_sample_fdist(
-      factory, sched_factory, f, 100'000'000, 11, 10, pool, guard, &rep);
+  const auto dist = sampler.sample_fdist(f, 100'000'000, 11, 10, pool,
+                                         SamplingMode::kSerial, guard, &rep);
   EXPECT_TRUE(rep.deadline_hit);
   EXPECT_FALSE(rep.complete);
   EXPECT_GT(rep.trials_done, 0u);
   EXPECT_LT(rep.trials_done, rep.trials_requested);
   // Partial but still a probability distribution over perceptions.
   EXPECT_TRUE(dist.is_probability(1e-9));
+  // Without a report there is nowhere to say the estimate is partial.
+  EXPECT_THROW(sampler.sample_fdist(f, 100'000'000, 11, 10, pool,
+                                    SamplingMode::kSerial, guard),
+               std::runtime_error);
 }
 
 TEST(GuardedSampler, RetryWithSeedRotationRecovers) {
-  // Single-worker pool => one chunk: the first attempt throws, the retry
-  // (on a rotated seed stream) succeeds, and the run completes.
+  // Single-worker pool => one chunk. Scheduler-factory call 0 belongs to
+  // prepare(); call 1 (the chunk's first attempt) throws, the retry on a
+  // rotated seed stream succeeds, and the run completes.
   ThreadPool pool(1);
   std::atomic<int> calls{0};
-  auto factory = [&calls]() -> PsioaPtr {
-    if (calls.fetch_add(1) == 0) {
-      throw std::runtime_error("transient construction failure");
-    }
-    return make_lossy_channel("gr", Rational(1, 2));
-  };
-  auto sched_factory = [] {
-    return std::make_shared<UniformScheduler>(6);
-  };
+  ParallelSampler sampler = prepared_sampler(
+      lossy_factory("gr"), [&calls]() -> SchedulerPtr {
+        if (calls.fetch_add(1) == 1) {
+          throw std::runtime_error("transient construction failure");
+        }
+        return uniform6();
+      });
   TraceInsight f;
   SampleGuard guard;
   guard.max_retries = 2;
   SampleReport rep;
-  const auto dist = guarded_parallel_sample_fdist(
-      factory, sched_factory, f, 500, 11, 10, pool, guard, &rep);
+  const auto dist = sampler.sample_fdist(f, 500, 11, 10, pool,
+                                         SamplingMode::kSerial, guard, &rep);
   EXPECT_TRUE(rep.complete);
   EXPECT_EQ(rep.trials_done, 500u);
   EXPECT_EQ(rep.retries_used, 1u);
-  EXPECT_GE(calls.load(), 2);
+  EXPECT_GE(calls.load(), 3);
   EXPECT_TRUE(dist.is_probability(1e-9));
 }
 
 TEST(GuardedSampler, ExhaustedRetriesReportCleanFailure) {
+  // Every scheduler-factory call after prepare()'s throws, so every
+  // attempt of the lone chunk fails.
   ThreadPool pool(1);
-  auto factory = []() -> PsioaPtr {
-    throw std::runtime_error("persistent failure");
-  };
-  auto sched_factory = [] {
-    return std::make_shared<UniformScheduler>(6);
-  };
+  std::atomic<int> calls{0};
+  ParallelSampler sampler = prepared_sampler(
+      lossy_factory("ge"), [&calls]() -> SchedulerPtr {
+        if (calls.fetch_add(1) > 0) {
+          throw std::runtime_error("persistent failure");
+        }
+        return uniform6();
+      });
   TraceInsight f;
   SampleGuard guard;
   guard.max_retries = 3;
   SampleReport rep;
-  const auto dist = guarded_parallel_sample_fdist(
-      factory, sched_factory, f, 500, 11, 10, pool, guard, &rep);
+  const auto dist = sampler.sample_fdist(f, 500, 11, 10, pool,
+                                         SamplingMode::kSerial, guard, &rep);
   EXPECT_FALSE(rep.complete);
   EXPECT_EQ(rep.trials_done, 0u);
   EXPECT_EQ(rep.retries_used, 3u);
   EXPECT_NE(rep.error.find("persistent failure"), std::string::npos);
   EXPECT_TRUE(dist.empty());
+  // Without a report the chunk's own exception propagates.
+  try {
+    (void)sampler.sample_fdist(f, 500, 11, 10, pool, SamplingMode::kSerial,
+                               guard);
+    ADD_FAILURE() << "exhausted run without a report returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("persistent failure"),
+              std::string::npos);
+  }
+}
+
+TEST(GuardedSampler, BatchedModeRejectsArmedGuard) {
+  // A batched chunk has no trial boundary to stop or retry at.
+  ThreadPool pool(2);
+  ParallelSampler sampler = prepared_sampler(lossy_factory("gb"), uniform6);
+  TraceInsight f;
+  SampleGuard deadline;
+  deadline.deadline = std::chrono::milliseconds(5);
+  SampleGuard retries;
+  retries.max_retries = 1;
+  EXPECT_THROW(sampler.sample_fdist(f, 100, 11, 10, pool,
+                                    SamplingMode::kBatched, deadline),
+               std::invalid_argument);
+  EXPECT_THROW(sampler.sample_fdist(f, 100, 11, 10, pool,
+                                    SamplingMode::kBatched, retries),
+               std::invalid_argument);
+  SampleReport rep;
+  rep.complete = false;
+  const auto dist = sampler.sample_fdist(f, 100, 11, 10, pool,
+                                         SamplingMode::kBatched, {}, &rep);
+  EXPECT_TRUE(rep.complete);
+  EXPECT_EQ(rep.trials_done, 100u);
+  EXPECT_TRUE(dist.is_probability(1e-9));
 }
 
 }  // namespace

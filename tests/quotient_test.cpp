@@ -47,6 +47,7 @@
 #include "psioa/hide.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
+#include "reference_engines.hpp"
 #include "sched/exact_engine.hpp"
 #include "sched/schedulers.hpp"
 #include "secure/adversary.hpp"
@@ -56,6 +57,8 @@
 
 namespace cdse {
 namespace {
+
+using testing::exact_fdist_recursive;
 
 constexpr std::size_t kDepth = 4;
 const std::size_t kWorkerCounts[] = {1, 2, 4, 8};

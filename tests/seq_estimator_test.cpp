@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -802,6 +803,76 @@ TEST(SeqEstImpl, FamilySweepSequentialCellsMatchExactSides) {
   EXPECT_GT(fixed.rows[2].sampled, 0.08);
   EXPECT_LT(fixed.rows[3].sampled, 0.08);
   EXPECT_GE(fixed.total_draws, 2 * report.total_draws);
+}
+
+// ------------------------------------------------------ policy validation
+
+TEST(SeqEstWaves, MalformedPolicyRejectedBeforeWork) {
+  // A malformed policy is a typed error before any automaton is built: a
+  // NaN threshold would read every estimate as "below", a NaN delta would
+  // silently run fixed-trial, and a NaN, negative, sub-unit or infinite
+  // growth would feed an undefined float-to-integer stage cast.
+  const std::string tag = "se_bad";
+  const std::size_t depth = 12;
+  TraceInsight f;
+  ThreadPool pool(2);
+  std::size_t built = 0;
+  const auto counted = [&built](const PsioaFactory& fa) -> PsioaFactory {
+    return [&built, fa] {
+      ++built;
+      return fa();
+    };
+  };
+  const auto run = [&](const SequentialPolicy& policy) {
+    return sequential_balance_epsilon(
+        counted(mac_side_factory(tag, true)), mac_word_factory(tag),
+        counted(mac_side_factory(tag, false)), mac_word_factory(tag), f,
+        policy, 7, depth, pool);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<SequentialPolicy> bad;
+  SequentialPolicy nan_threshold = SequentialPolicy::fixed(16384);
+  nan_threshold.threshold = nan;
+  bad.push_back(nan_threshold);
+  for (double growth : {nan, -2.0, 0.5, inf}) {
+    SequentialPolicy p = SequentialPolicy::deciding(0.03, 16384);
+    p.growth = growth;
+    bad.push_back(p);
+  }
+  for (double delta : {nan, 1.0, 1.5}) {
+    SequentialPolicy p = SequentialPolicy::deciding(0.03, 16384);
+    p.delta = delta;
+    bad.push_back(p);
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(run(bad[i]), std::invalid_argument) << "case " << i;
+  }
+  EXPECT_EQ(built, 0u);
+
+  // The family sweep rejects the policy before its exact cells run.
+  std::size_t family_built = 0;
+  PsioaFamily lhs = mac_side_family("se_bad_f", true);
+  lhs.make = [&family_built, make = lhs.make](std::uint32_t k) {
+    ++family_built;
+    return make(k);
+  };
+  EXPECT_THROW(family_epsilon_sweep(lhs, mac_side_family("se_bad_f", false),
+                                    mac_word_family("se_bad_f"), f, {1, 2, 3},
+                                    depth, /*exact_upto=*/2, /*seed=*/3, pool,
+                                    {}, bad[1]),
+               std::invalid_argument);
+  EXPECT_EQ(family_built, 0u);
+
+  // A huge finite growth is valid: the stage after the first clamps to
+  // the budget. With the threshold at the exact epsilon (1/16) no verdict
+  // fires, so the run spends the whole budget in exactly two stages.
+  SequentialPolicy huge = SequentialPolicy::deciding(1.0 / 16.0, 16384);
+  huge.growth = 1e300;
+  const SequentialEpsilon se = run(huge);
+  EXPECT_EQ(se.verdict, SeqVerdict::kUndecided);
+  EXPECT_EQ(se.stages, 2u);
+  EXPECT_EQ(se.trials, 16384u);
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 // hidden/renamed/structured/PCA stacks. The concurrency half hammers one
 // snapshot's overflow path from 8 workers (run under TSan by the CI
 // `tsan` job) and pins seed-reproducibility of ParallelSampler against
-// the clone-per-worker paths it replaces.
+// clone-per-worker references built in the tests (fresh leaf clones and
+// warmed composed clones, one per chunk).
 
 #include <gtest/gtest.h>
 
@@ -358,21 +359,42 @@ TEST(SnapshotStatsTest, ShallowWarmupOverflowsDeterministically) {
 }
 
 TEST(SnapshotSeedReproducibility, MatchesCloneParallelPathOnLeafSystem) {
-  // Clone-per-worker sampling of a coin (the guarded fan-out under a
-  // default guard) must be reproduced exactly -- same chunks, same
-  // streams, same draws, same merge -- by the snapshot path.
+  // Clone-per-worker sampling of a coin -- one fresh, unwarmed instance
+  // and scheduler per chunk, chunk c on stream c, counts normalized in
+  // chunk order -- must be reproduced exactly (same chunks, same streams,
+  // same draws, same merge) by the snapshot path. The coin is a leaf, so
+  // the clones walk Rational transitions while the snapshot walks its
+  // compiled rows.
   const PsioaFactory fa = [] { return make_coin("sn_coin", Rational(1, 3)); };
   const SchedulerFactory fs = [] {
     return std::make_shared<UniformScheduler>(8);
   };
   TraceInsight f;
+  const std::size_t trials = 4000;
+  const std::uint64_t seed = 17;
   ThreadPool pool(4);
-  const auto plain = guarded_parallel_sample_fdist(fa, fs, f, 4000, 17, 8,
-                                                   pool, SampleGuard{},
-                                                   nullptr);
+
+  std::vector<Disc<Perception, double>> per_chunk(pool.size());
+  parallel_for_chunks(
+      pool, trials,
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        PsioaPtr clone = fa();
+        SchedulerPtr sched = fs();
+        Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
+        for (std::size_t i = begin; i < end; ++i) {
+          const ExecFragment alpha = sample_execution(*clone, *sched, rng, 8);
+          per_chunk[chunk].add(f.apply(*clone, alpha), 1.0);
+        }
+      });
+  Disc<Perception, double> plain;
+  const double n = static_cast<double>(trials);
+  for (const auto& p : per_chunk) {
+    plain.merge(p, [n](double count) { return count / n; });
+  }
+
   ParallelSampler sampler(fa, fs);
   sampler.prepare(full_plan(8), 8);
-  const auto shared = sampler.sample_fdist(f, 4000, 17, 8, pool);
+  const auto shared = sampler.sample_fdist(f, trials, seed, 8, pool);
   EXPECT_EQ(shared, plain);
 }
 
