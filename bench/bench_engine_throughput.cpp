@@ -214,9 +214,8 @@ BENCHMARK(BM_SnapshotParallelFdist)
 /// Shared body of the batched-engine rows (E20/E21): the chosen stack
 /// over one frozen snapshot, stepped by the batched lockstep engine.
 /// Emits the full BatchStats counter set into the JSON rows -- the
-/// amortization pair (action_draws vs row_lookups) plus the block-kernel
-/// accounting (rng_blocks / block_draws / singleton_skips /
-/// rejection_redraws).
+/// amortization pair (action_draws vs row_lookups) plus the class-split
+/// accounting (split_draws / singleton_skips).
 void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
                           std::size_t depth, bool local_only) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
@@ -248,18 +247,16 @@ void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
   state.counters["choice_lookups"] = static_cast<double>(bs.choice_lookups);
   state.counters["distinct_execs"] =
       static_cast<double>(bs.distinct_executions);
-  state.counters["rng_blocks"] = static_cast<double>(bs.blocks_filled);
-  state.counters["block_draws"] = static_cast<double>(bs.block_draws);
+  state.counters["split_draws"] = static_cast<double>(bs.split_draws);
   state.counters["singleton_skips"] =
       static_cast<double>(bs.singleton_skips);
-  state.counters["rejection_redraws"] =
-      static_cast<double>(bs.rejection_redraws);
   state.counters["rss_kb"] = rss_kb();
 }
 
 /// E20/E21: the MAC workload of BM_SnapshotParallelFdist stepped by the
-/// batched engine's block draw kernel -- wide RNG fills, SoA alias
-/// gathers, singleton elision.
+/// batched engine -- multinomial class splits, singleton elision. (The
+/// row keeps the name it had under the block draw kernel the splits
+/// replaced.)
 void BM_BlockBatchedFdist(benchmark::State& state) {
   BM_BatchedFdistStack(state, [] { return make_mac_system("e10_m", true); },
                        12, /*local_only=*/true);
@@ -272,12 +269,12 @@ BENCHMARK(BM_BlockBatchedFdist)
     ->UseRealTime();
 
 /// E21, ledger stack: the dynamic-creation PCA ledger ensemble -- wider
-/// choice rows and genuinely probabilistic transitions, so the block
-/// kernel leans on bulk fills rather than singleton elision here.
+/// choice rows and genuinely probabilistic transitions, so the splits
+/// draw binomials here rather than leaning on singleton elision.
 void BM_BlockBatchedLedgerFdist(benchmark::State& state) {
   // The non-local uniform scheduler keeps a residual halt slot in every
-  // choice row, so the ledger rows exercise genuine bulk fills (the MAC
-  // rows above lean on singleton elision instead).
+  // choice row, so the ledger rows exercise genuine binomial splits (the
+  // MAC rows above lean on singleton elision instead).
   BM_BatchedFdistStack(state,
                        [] { return make_ledger_system(2, "e10_o").dynamic; },
                        8, /*local_only=*/false);

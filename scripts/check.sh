@@ -13,9 +13,9 @@
 #   scripts/check.sh --bench-smoke  # Release build of the E10 engine
 #                               # bench, tiny-parameter run, checks that
 #                               # BENCH_engine.json is produced (incl.
-#                               # the E21 block-kernel rows, their
-#                               # block-vs-serial speedup floor and
-#                               # kernel counters, plus the E22
+#                               # the E21 batched rows, their
+#                               # batched-vs-serial speedup floor and
+#                               # split counters, plus the E22
 #                               # sequential-estimator rows and their
 #                               # 2x draw-reduction floor); also
 #                               # runs the E18 service soak at <=1k
@@ -24,13 +24,11 @@
 #                               # this)
 #   scripts/check.sh --portable # portable-baseline build with
 #                               # -DCDSE_NATIVE_ARCH=OFF; runs the RNG /
-#                               # alias / batch-sampler suites with the
-#                               # block kernels forced to the scalar ISA
-#                               # path (CDSE_BLOCK_ISA=scalar), proving
-#                               # the dispatch fallback alone passes the
-#                               # bit-identity and chi-square gates (the
-#                               # CI portable-baseline job runs exactly
-#                               # this)
+#                               # binomial / split-row / batch-sampler
+#                               # suites, proving the baseline-ISA build
+#                               # passes the chi-square and determinism
+#                               # gates (the CI portable-baseline job
+#                               # runs exactly this)
 #   scripts/check.sh --verdict  # the verdict benchmark's own test
 #                               # (verdictbench/selftest.py): builds
 #                               # verdict_bench in Release and checks, on
@@ -70,8 +68,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # the exact cone-measure engine (ParallelConeEngine subtree fan-out,
   # parallel distinguisher search, parallel sweep grids), and the
   # quotient reduction (shared minimized snapshots behind per-worker
-  # QuotientPsioa views in all of the above), the batched alias
-  # sampler (frozen alias tables read lock-free by lockstep workers),
+  # QuotientPsioa views in all of the above), the batched sampler
+  # (frozen split rows read lock-free by lockstep workers),
   # the sequential estimator (incremental waves + stratified
   # per-stratum cursors fanned out over the pool), the sampled
   # epsilon's error contract (Balance: factories and insight functions
@@ -83,7 +81,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j "$JOBS" \
     --target snapshot_test thread_pool_test intern_test intern_gc_test \
              service_soak_test exact_engine_test quotient_test \
-             alias_test batch_sampler_test seq_estimator_test \
+             multinomial_test batch_sampler_test seq_estimator_test \
              insight_fdist_test fault_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst|Balance\.|GuardedSampler'
@@ -92,19 +90,16 @@ if [[ "${1:-}" == "--tsan" ]]; then
 fi
 
 if [[ "${1:-}" == "--portable" ]]; then
-  # Portable baseline: no -march=native, and the runtime ISA dispatch in
-  # the block kernels pinned to the scalar path via CDSE_BLOCK_ISA. The
-  # RNG / alias / batch-sampler suites carry the bit-identity and
-  # chi-square gates, so a pass here certifies the portable fallback is
-  # exactly as correct as the vector path -- the lowest common
-  # denominator any deployment target gets.
-  echo "== portable: CDSE_NATIVE_ARCH=OFF build + scalar-ISA suites =="
+  # Portable baseline: no -march=native. The RNG, binomial, split-row and
+  # batch-sampler suites carry the chi-square and determinism gates, so
+  # a pass here certifies the baseline-ISA build samples the same laws --
+  # the lowest common denominator any deployment target gets.
+  echo "== portable: CDSE_NATIVE_ARCH=OFF build + sampling suites =="
   cmake -B build-portable -S . -DCDSE_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-portable -j "$JOBS" \
-    --target rng_test alias_test batch_sampler_test
-  CDSE_BLOCK_ISA=scalar ctest --test-dir build-portable \
-    --output-on-failure -j "$JOBS" \
-    -R 'Xoshiro|XoshiroBlock|AliasDraws|AliasFrozen|BatchSampler'
+    --target rng_test multinomial_test batch_sampler_test
+  ctest --test-dir build-portable --output-on-failure -j "$JOBS" \
+    -R 'Xoshiro|Binomial|SplitRow|AliasBuild|AliasDraws|AliasFrozen|BatchSampler'
   echo "== portable pass clean =="
   exit 0
 fi
@@ -132,18 +127,18 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     --benchmark_min_time=0.05 --benchmark_out=BENCH_engine.json \
     --benchmark_out_format=json)
   test -s build-bench/BENCH_engine.json
-  # The E20/E21 rows: the serial snapshot row and the block-kernel rows
-  # on the MAC stack and on the ledger PCA stack must all be present...
+  # The E20/E21 rows: the serial snapshot row and the batched rows on
+  # the MAC stack and on the ledger PCA stack must all be present...
   grep -q BM_SnapshotParallelFdist build-bench/BENCH_engine.json
   grep -q BM_BlockBatchedFdist build-bench/BENCH_engine.json
   grep -q BM_BlockBatchedLedgerFdist build-bench/BENCH_engine.json
-  # ...the block kernel must beat the serial walk over the same frozen
-  # MAC snapshot, and its counters must show the kernel at work: elided
-  # singleton draws on the MAC stack, bulk RNG fills on the ledger.
-  # Absolute numbers from a shared runner are noise, but the ratio of two
-  # rows in one process is stable: about 30x at one worker, so a 10x
-  # floor has a wide margin while still catching a regression that falls
-  # off the block kernel.
+  # ...the batched engine must beat the serial walk over the same frozen
+  # MAC snapshot, and its counters must show the class splits at work:
+  # elided singleton draws on the MAC stack, binomial splits on the
+  # ledger. Absolute numbers from a shared runner are noise, but the
+  # ratio of two rows in one process is stable, so a 10x floor has a
+  # wide margin while still catching a regression that falls off the
+  # batched engine.
   python3 - <<'PY'
 import json
 with open("build-bench/BENCH_engine.json") as f:
@@ -151,12 +146,12 @@ with open("build-bench/BENCH_engine.json") as f:
 serial = rows["BM_SnapshotParallelFdist/1/real_time"]["items_per_second"]
 mac = rows["BM_BlockBatchedFdist/1/real_time"]
 ratio = mac["items_per_second"] / serial
-print(f"E21 speedup floor: block {mac['items_per_second']:.0f}/s / serial "
+print(f"E21 speedup floor: batched {mac['items_per_second']:.0f}/s / serial "
       f"{serial:.0f}/s = {ratio:.1f}x (floor 10x)")
-assert ratio >= 10.0, f"block kernel only {ratio:.1f}x over serial (< 10x)"
-assert mac["singleton_skips"] > 0, "MAC block row elided no singleton draws"
+assert ratio >= 10.0, f"batched engine only {ratio:.1f}x over serial (< 10x)"
+assert mac["singleton_skips"] > 0, "MAC batched row elided no singleton draws"
 ledger = rows["BM_BlockBatchedLedgerFdist/1/real_time"]
-assert ledger["rng_blocks"] > 0, "ledger block row filled no RNG blocks"
+assert ledger["split_draws"] > 0, "ledger batched row drew no split binomials"
 PY
   # E22: the sequential-estimator rows must land in the artifact, every
   # row's verdict must agree with the fixed-trial reference, and the MAC

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/stats.hpp"
@@ -232,6 +234,45 @@ void score_split_sides(SplitSide& l, SplitSide& r, double boost) {
   score(r);
 }
 
+/// Splits `stage_trials` (at least the stratum count k) over the strata:
+/// every stratum gets max(1, min(min_trials, stage_trials / k)), and the
+/// rest goes by steering weight, largest remainder first (ties to the
+/// lower index). The allocation sums to exactly `stage_trials`.
+std::vector<std::size_t> allocate_split_stage(
+    const std::vector<double>& weights, std::size_t stage_trials,
+    std::size_t min_trials) {
+  const std::size_t k = weights.size();
+  const std::size_t floor_n =
+      std::max<std::size_t>(1, std::min(min_trials, stage_trials / k));
+  const std::size_t rest = stage_trials - floor_n * k;
+  double total_w = 0.0;
+  for (double w : weights) total_w += w;
+  std::vector<std::size_t> alloc(k, floor_n);
+  std::vector<double> frac(k, 0.0);
+  std::size_t handed = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double share = total_w > 0.0 ? weights[i] / total_w
+                                       : 1.0 / static_cast<double>(k);
+    const double ideal = share * static_cast<double>(rest);
+    const auto whole = std::min(rest - handed,
+                                static_cast<std::size_t>(std::floor(ideal)));
+    alloc[i] += whole;
+    handed += whole;
+    frac[i] = ideal - std::floor(ideal);
+  }
+  std::vector<std::size_t> order(k);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return frac[a] > frac[b];
+                   });
+  for (std::size_t j = 0; handed < rest; j = (j + 1) % k) {
+    ++alloc[order[j]];
+    ++handed;
+  }
+  return alloc;
+}
+
 /// One stage of conditional sampling for one side.
 void run_split_stage(SplitSide& side, const ParallelSampler& sampler,
                      const InsightFunction& f, std::size_t stage_trials,
@@ -240,18 +281,9 @@ void run_split_stage(SplitSide& side, const ParallelSampler& sampler,
                      std::uint64_t* draws) {
   const std::size_t k = side.strata.live.size();
   if (k == 0) return;
-  double total_w = 0.0;
-  for (double w : side.weights) total_w += w;
-  std::vector<std::size_t> alloc(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const double share =
-        total_w > 0.0 ? side.weights[i] / total_w : 1.0 / static_cast<double>(k);
-    alloc[i] = std::max<std::size_t>(
-        std::max<std::size_t>(1, min_trials),
-        static_cast<std::size_t>(
-            std::llround(share * static_cast<double>(stage_trials))));
-    side.sampled += alloc[i];
-  }
+  const std::vector<std::size_t> alloc =
+      allocate_split_stage(side.weights, stage_trials, min_trials);
+  side.sampled += stage_trials;
   BatchStats stats;
   std::vector<Disc<Perception, double>> fresh = stratified_sample_counts(
       sampler, f, side.strata, alloc, stage_seed, max_depth, pool, &stats);
@@ -281,6 +313,16 @@ SequentialEpsilon split_sequential_epsilon(
 
   SequentialEpsilon out;
   out.strata = l.strata.live.size() + r.strata.live.size();
+  // Every stage samples every live stratum of both sides at least once,
+  // so a stage is never smaller than the wider side's stratum count.
+  const std::size_t min_stage =
+      std::max(l.strata.live.size(), r.strata.live.size());
+  if (policy.max_trials < min_stage) {
+    throw std::invalid_argument(
+        "sequential_balance_epsilon: max_trials is below the " +
+        std::to_string(min_stage) + " live strata at split_depth " +
+        std::to_string(policy.split_depth));
+  }
 
   if (l.strata.live.empty() && r.strata.live.empty()) {
     // Everything halted before split_depth: both f-dists are exact.
@@ -311,8 +353,10 @@ SequentialEpsilon split_sequential_epsilon(
       policy.sequential() ? std::max<std::size_t>(1, policy.initial_trials)
                           : policy.max_trials;
   while (committed < policy.max_trials && !decided) {
+    const std::size_t remaining = policy.max_trials - committed;
+    if (remaining < min_stage) break;  // no whole stage fits the budget
     const std::size_t stage_trials =
-        std::min(next_stage, policy.max_trials - committed);
+        std::min(std::max(next_stage, min_stage), remaining);
     run_split_stage(l, left, f, stage_trials, policy.split_min_trials,
                     seq_stage_seed(seed, stage, 0), max_depth, pool,
                     &draws_done);

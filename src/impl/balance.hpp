@@ -73,7 +73,14 @@ struct SequentialEpsilon {
 /// BatchSampler cursors sample the conditional continuations, and the
 /// stratified tally reweights by exact cone mass, with sample budget
 /// steered toward strata whose action words show the largest cross-side
-/// cone-mass gap (policy.split_boost). The plain path stays available
+/// cone-mass gap (policy.split_boost). A splitting stage allocates
+/// exactly its size: every live stratum gets max(1, min(
+/// policy.split_min_trials, stage / strata)) and the rest goes by
+/// steering weight, largest remainder first; a stage is at least the
+/// wider side's stratum count, and the run ends when less than that is
+/// left of the budget, so it never commits more than policy.max_trials.
+/// A budget below the stratum count is rejected (std::invalid_argument)
+/// before any sampling. The plain path stays available
 /// (split_depth == 0) as the differential reference. kSerial mode is
 /// rejected (std::invalid_argument); policy.active() is required. An
 /// exception from a factory, a scheduler or the insight function

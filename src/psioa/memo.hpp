@@ -10,9 +10,10 @@
 // MemoPsioa separates the exact semantic layer from the evaluation
 // layer: subclasses implement compute_signature / compute_transition
 // once, and the base caches per reachable state the resolved Signature
-// and per (state, action) a CompiledRow holding both the exact
-// StateDist and a compiled double-CDF over its support, so the sampling
-// fast-path never touches Rational arithmetic or re-runs composition
+// and per (state, action) a CompiledRow holding the exact StateDist, a
+// compiled double-CDF over its support (the serial walk) and a split row
+// (the batched sampler's multinomial class splits), so the sampling
+// fast-paths never touch Rational arithmetic or re-run composition
 // products. signature() / transition() return the cached *exact*
 // objects, which keeps the exact cone enumerator byte-identical:
 // memoization is semantics-neutral by construction, and the property
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "psioa/psioa.hpp"
-#include "util/alias.hpp"
+#include "util/multinomial.hpp"
 
 namespace cdse {
 
@@ -50,17 +51,17 @@ class CompiledSnapshot;
 /// distribution plus a running double-CDF over its support, built once.
 /// sample() walks the CDF exactly the way the sampler historically
 /// walked to_double() partial sums, so the refactor is draw-for-draw
-/// reproducible at fixed seed. The row also carries a Walker alias
-/// table over the same support, built at the same compile time and
-/// frozen (immutably shared across workers) together with the CDF: the
-/// batched sampler's block kernel draws targets through it in O(1),
-/// equivalent to sample() in distribution but not draw-for-draw (the
-/// two consume the RNG differently).
+/// reproducible at fixed seed. The row also carries a split row over the
+/// same support (util/multinomial.hpp), built at the same compile time
+/// and frozen (immutably shared across workers) together with the CDF:
+/// the batched sampler divides a whole trajectory class over the targets
+/// through it with one binomial per slot, equivalent to `count` calls of
+/// sample() in distribution but not draw-for-draw.
 struct CompiledRow {
   StateDist dist;             ///< exact eta_{(A,q,a)}, canonical form
   std::vector<State> targets; ///< dist support, in entry order
   std::vector<double> cdf;    ///< running sums of dist weights as doubles
-  AliasTable alias;           ///< O(1) draw table over the same support
+  SplitRow split;             ///< multinomial class splits, same support
 
   static CompiledRow compile(StateDist d) {
     CompiledRow row;
@@ -76,7 +77,7 @@ struct CompiledRow {
       row.cdf.push_back(acc);
       weights.push_back(wd);
     }
-    row.alias = AliasTable::build(weights);
+    row.split = SplitRow::build(weights);
     row.dist = std::move(d);
     return row;
   }

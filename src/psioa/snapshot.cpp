@@ -181,7 +181,7 @@ CompiledRow compile_row_by_encoding(StateDist d, Psioa& encoder) {
     row.cdf.push_back(acc);
     weights.push_back(w);
   }
-  row.alias = AliasTable::build(weights);
+  row.split = SplitRow::build(weights);
   row.dist = std::move(d);
   return row;
 }

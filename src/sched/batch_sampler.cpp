@@ -8,15 +8,6 @@
 
 namespace cdse {
 
-namespace {
-
-/// Draws resolved per bulk fill by the block kernel. Large enough to
-/// amortize dispatch and fill overhead, small enough to keep the three
-/// scratch buffers (~64 KiB total) in L2.
-constexpr std::uint64_t kDrawBlock = 4096;
-
-}  // namespace
-
 BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
                            std::size_t trials, const Xoshiro256& rng,
                            std::size_t max_depth)
@@ -27,10 +18,7 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
       memo_(dynamic_cast<MemoPsioa*>(&automaton)),
       trials_(trials),
       max_depth_(max_depth),
-      rng_(rng),
-      // Pinned derivation: one draw from the scalar stream seeds the lane
-      // block, so the block schedule is a pure function of the stream.
-      block_(rng_()) {
+      rng_(rng) {
   const State q0 = automaton_.start_state();
   nodes_.push_back(PathNode{-1, kInvalidAction, q0});
   if (trials_ > 0) {
@@ -49,7 +37,6 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
       trials_(trials),
       max_depth_(max_depth),
       rng_(rng),
-      block_(rng_()),
       prefix_(prefix) {
   // All trials start as one class at the prefix's last state; depth_
   // counts absolute execution length, so scheduler rows and the
@@ -81,10 +68,9 @@ void BatchSampler::flush_survivors() {
   flushed_ = true;
 }
 
-void BatchSampler::tally_draws(const AliasTable& alias, std::uint64_t count,
+void BatchSampler::tally_draws(const SplitRow& row, std::uint64_t count,
                                std::vector<std::uint64_t>& tally) {
-  const std::size_t n_slots = alias.size();
-  if (n_slots == 1) {
+  if (row.size() == 1) {
     // Singleton elision: one slot means the draw is determined; spend no
     // RNG at all. (Deterministic transitions dominate the stack
     // workloads, so this skips most of the logical draw volume.)
@@ -92,23 +78,7 @@ void BatchSampler::tally_draws(const AliasTable& alias, std::uint64_t count,
     stats_.singleton_skips += count;
     return;
   }
-  const auto bound = static_cast<std::uint32_t>(n_slots);
-  std::uint64_t left = count;
-  while (left > 0) {
-    const auto m = static_cast<std::size_t>(std::min(left, kDrawBlock));
-    if (idx_buf_.size() < m) {
-      idx_buf_.resize(m);
-      u_buf_.resize(m);
-      out_buf_.resize(m);
-    }
-    stats_.rejection_redraws += block_.fill_below(idx_buf_.data(), m, bound);
-    block_.fill_uniform(u_buf_.data(), m);
-    alias.pick_block(idx_buf_.data(), u_buf_.data(), out_buf_.data(), m);
-    for (std::size_t k = 0; k < m; ++k) ++tally[out_buf_[k]];
-    ++stats_.blocks_filled;
-    stats_.block_draws += 2 * static_cast<std::uint64_t>(m);
-    left -= m;
-  }
+  stats_.split_draws += row.split(rng_, count, tally.data());
 }
 
 void BatchSampler::one_round() {
@@ -151,7 +121,7 @@ void BatchSampler::one_round() {
     }
 
     const std::size_t n_actions = choice->actions.size();
-    const std::size_t n_slots = choice->alias.size();
+    const std::size_t n_slots = choice->split.size();
     // Transition rows of this run, resolved on first use. Memo rows live
     // in node-stable maps; fallback rows (no compiled engine) are
     // compiled once per run into a deque for address stability.
@@ -162,7 +132,7 @@ void BatchSampler::one_round() {
       const std::size_t c = order_[j];
       act_tally_.assign(n_slots, 0);
       stats_.action_draws += cls_count_[c];
-      tally_draws(choice->alias, cls_count_[c], act_tally_);
+      tally_draws(choice->split, cls_count_[c], act_tally_);
       // Slots past the action list are the residual-mass halt slot.
       std::uint64_t halted = 0;
       for (std::size_t s = n_actions; s < n_slots; ++s) halted += act_tally_[s];
@@ -183,7 +153,7 @@ void BatchSampler::one_round() {
         const std::size_t n_targets = row.targets.size();
         tgt_tally_.assign(n_targets, 0);
         stats_.target_draws += act_tally_[s];
-        tally_draws(row.alias, act_tally_[s], tgt_tally_);
+        tally_draws(row.split, act_tally_[s], tgt_tally_);
         for (std::size_t t = 0; t < n_targets; ++t) {
           if (tgt_tally_[t] == 0) continue;
           const auto child = static_cast<std::int32_t>(nodes_.size());
@@ -271,7 +241,7 @@ std::vector<ExecFragment> sample_executions(Psioa& automaton,
                                             BatchStats* stats) {
   BatchSampler bs(automaton, sched, n, rng, max_depth);
   bs.run_to_completion();
-  rng = bs.scalar_rng();
+  rng = bs.rng();
   if (stats != nullptr) *stats += bs.stats();
   return bs.fragments();
 }

@@ -1,6 +1,6 @@
 #pragma once
-// Batched lockstep execution sampling over compiled alias rows, with a
-// vectorized block draw kernel and an incremental-rounds API.
+// Batched lockstep execution sampling with exact multinomial class
+// splits, and an incremental-rounds API.
 //
 // The serial sampler (sched/sampler.hpp) walks one execution at a time:
 // every step pays a scheduler row lookup, a linear CDF scan, a compiled
@@ -22,25 +22,20 @@
 //     until a terminal class is expanded for the insight function, and
 //     the insight function itself runs once per *distinct* execution,
 //     weighted by its class count.
-//   - Draws go through the rows' Walker alias tables (util/alias.hpp):
-//     O(1) per draw regardless of support width.
-//
-// Draw kernel: a XoshiroBlock derived from the chunk's scalar stream
-// resolves a class's draws in bulk -- one fill_below for the slot
-// indices, one fill_uniform for the thresholds, one
-// AliasTable::pick_block gather, then a scalar tally -- with singleton
-// rows (one slot, one target) resolved algebraically without touching
-// the RNG at all. The block fills and the gather dispatch between a
-// portable scalar loop and an AVX2 body at runtime (util/rng.hpp); both
-// produce bit-identical tallies, which tests/batch_sampler_test.cpp pins
-// end to end at every worker count.
+//   - A class's executions pick independently from the same row, so the
+//     counts landing in the row's slots are Multinomial(count, p). The
+//     rows' split rows (util/multinomial.hpp) draw that split exactly,
+//     one binomial per slot: the cost of a round follows the number of
+//     classes and the row widths, not the number of trials. A singleton
+//     row (one slot) hands the whole class to its slot without touching
+//     the RNG.
 //
 // Equivalence contract: batched results equal serial results in
 // *distribution*, not draw-for-draw -- classes consume the RNG in
-// class-sorted order and alias picks spend two uniforms where a CDF scan
-// spends one. The statistical harness (tests/stat_util.hpp) pins the
-// pairing with chi-square differential tests; the serial path remains
-// the reference (SamplingMode::kSerial).
+// class-sorted order, one binomial per slot where the serial walk spends
+// one uniform per pick. The statistical harness
+// (tests/stat_util.hpp) pins the pairing with chi-square differential
+// tests; the serial path remains the reference (SamplingMode::kSerial).
 //
 // Scheduler contract: rounds query choice rows through synthetic
 // fragments that carry the correct last state and length but dummy
@@ -49,15 +44,15 @@
 // sequence, task. History-reading schedulers (oblivious-fn) would see
 // garbage words and are not supported in batched mode.
 //
-// Determinism: one RNG stream (the block kernel's lane block is derived
-// from it by one scalar draw, a pinned pure function), classes sorted by
-// (state, node id) each round, actions drawn in row order, targets in
-// row order -- the whole schedule is a pure function of (seed, trials,
-// max_depth), so batched runs are reproducible even though they are not
-// draw-for-draw aligned with the serial walk. The
-// incremental API below preserves this: pausing and resuming at any
-// round boundary replays the identical schedule
-// (run_rounds(a); run_rounds(b) == run_rounds(a + b), bit-identically).
+// Determinism: one RNG stream, classes sorted by (state, node id) each
+// round, actions split in row order, targets in row order -- the whole
+// schedule is a pure function of (seed, trials, max_depth), so batched
+// runs are reproducible on one build and host even though they are not
+// draw-for-draw aligned with the serial walk (the binomials use libm's
+// log and exp; see util/multinomial.hpp). The incremental API below
+// preserves this: pausing and resuming at any round boundary replays the
+// identical schedule (run_rounds(a); run_rounds(b) == run_rounds(a + b),
+// bit-identically).
 
 #include <cstddef>
 #include <cstdint>
@@ -73,7 +68,7 @@ namespace cdse {
 
 /// Counters of one batched run, for the E20/E21 benches and the tests:
 /// how much row-lookup amortization the class grouping bought, and how
-/// the block kernel spent (or elided) its RNG traffic.
+/// many binomials the class splits drew (or elided).
 struct BatchStats {
   std::size_t rounds = 0;        ///< lockstep rounds executed
   std::size_t classes_peak = 0;  ///< live trajectory classes, maximum
@@ -83,11 +78,8 @@ struct BatchStats {
   std::size_t action_draws = 0;    ///< logical action draws (incl. elided)
   std::size_t target_draws = 0;    ///< logical target draws (incl. elided)
   std::size_t distinct_executions = 0;  ///< terminal classes (f.apply calls)
-  // Block-kernel accounting:
-  std::size_t blocks_filled = 0;   ///< bulk fill operations issued
-  std::size_t block_draws = 0;     ///< RNG values produced by bulk fills
+  std::size_t split_draws = 0;     ///< binomials drawn by class splits
   std::size_t singleton_skips = 0; ///< logical draws elided (1-slot rows)
-  std::size_t rejection_redraws = 0;  ///< fill_below debias re-draws
 
   BatchStats& operator+=(const BatchStats& o) {
     rounds += o.rounds;
@@ -99,10 +91,8 @@ struct BatchStats {
     action_draws += o.action_draws;
     target_draws += o.target_draws;
     distinct_executions += o.distinct_executions;
-    blocks_filled += o.blocks_filled;
-    block_draws += o.block_draws;
+    split_draws += o.split_draws;
     singleton_skips += o.singleton_skips;
-    rejection_redraws += o.rejection_redraws;
     return *this;
   }
 };
@@ -119,8 +109,7 @@ struct BatchStats {
 class BatchSampler {
  public:
   /// Prepares `trials` executions of `automaton` under `sched`. The RNG
-  /// is copied in; one scalar draw seeds the lane block (the pinned
-  /// derivation).
+  /// is copied in; every class split draws from it.
   BatchSampler(Psioa& automaton, Scheduler& sched, std::size_t trials,
                const Xoshiro256& rng, std::size_t max_depth);
 
@@ -165,9 +154,9 @@ class BatchSampler {
 
   const BatchStats& stats() const { return stats_; }
 
-  /// The scalar RNG state after construction and all rounds so far (the
-  /// one-shot wrappers hand it back to their caller's stream).
-  const Xoshiro256& scalar_rng() const { return rng_; }
+  /// The RNG state after all rounds so far (the one-shot wrappers hand
+  /// it back to their caller's stream).
+  const Xoshiro256& rng() const { return rng_; }
 
  private:
   struct PathNode {
@@ -183,8 +172,9 @@ class BatchSampler {
   void one_round();
   void flush_survivors();
   void push_terminal(std::int32_t node, std::uint64_t count);
-  /// Tallies `count` draws from `alias` into tally[0..alias.size()).
-  void tally_draws(const AliasTable& alias, std::uint64_t count,
+  /// Splits `count` executions over the slots of `row` into
+  /// tally[0..row.size()).
+  void tally_draws(const SplitRow& row, std::uint64_t count,
                    std::vector<std::uint64_t>& tally);
   ExecFragment fragment_of(std::int32_t leaf) const;
 
@@ -194,7 +184,6 @@ class BatchSampler {
   std::size_t trials_ = 0;
   std::size_t max_depth_ = 0;
   Xoshiro256 rng_;
-  XoshiroBlock block_;  // seeded by one draw from rng_
 
   /// Conditioning prefix (importance splitting); node 0 stands in for
   /// its last state, and fragment_of grafts expansions onto a copy.
@@ -217,10 +206,6 @@ class BatchSampler {
   std::vector<std::size_t> order_;
   std::vector<std::uint64_t> act_tally_;
   std::vector<std::uint64_t> tgt_tally_;
-  // Block-kernel scratch.
-  std::vector<std::uint32_t> idx_buf_;
-  std::vector<double> u_buf_;
-  std::vector<std::uint32_t> out_buf_;
 
   // terminal_[0, counted_) has been handed out by take_counts.
   std::size_t counted_ = 0;
@@ -232,8 +217,7 @@ class BatchSampler {
 /// (classes expanded back to one fragment per execution, in a
 /// deterministic class order). The batched twin of calling
 /// sample_execution n times; used by the differential tests. The
-/// caller's rng is advanced by however much the run consumed from the
-/// scalar stream (the one derivation draw).
+/// caller's rng is advanced by however much the run's splits consumed.
 std::vector<ExecFragment> sample_executions(
     Psioa& automaton, Scheduler& sched, Xoshiro256& rng, std::size_t n,
     std::size_t max_depth, BatchStats* stats = nullptr);

@@ -312,8 +312,10 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
   const std::size_t rem = trials % chunks;
 
   if (rounds_per_wave == 0) {
-    // Auto-tune (see the header contract): target ~4096 logical draws
-    // per wave per chunk at ~2 draws per live trial per round.
+    // Auto-tune (see the header contract). It does not target a draw
+    // cost -- class splits cost per class, not per trial -- but waves are
+    // the look points, so the rule fixes the look schedule and with it
+    // the stopping time of every seeded sequential verdict.
     const std::size_t per_chunk = std::max<std::size_t>(1, per + (rem ? 1 : 0));
     rounds_per_wave = std::max<std::size_t>(1, 2048 / per_chunk);
   }

@@ -39,8 +39,8 @@ namespace cdse {
 /// Which stepping engine ParallelSampler::sample_fdist drives per chunk.
 ///   kSerial  -- one execution at a time, the draw-for-draw reproducible
 ///               walk.
-///   kBatched -- lockstep trajectory-class batches over the rows' alias
-///               tables with the block draw kernel
+///   kBatched -- lockstep trajectory-class batches, each class divided
+///               over a row by an exact multinomial split
 ///               (sched/batch_sampler.hpp). Distribution-equivalent to
 ///               kSerial at the same seed and trial count, but not
 ///               draw-for-draw aligned; the chi-square harness
@@ -232,15 +232,14 @@ class IncrementalFdistRun {
   /// Requires sampler.prepared(); holds references to `f` and `pool`
   /// for its lifetime.
   ///
-  /// rounds_per_wave contract: 0 auto-tunes the wave size to target
-  /// ~4096 logical draws per wave per chunk -- each round resolves about
-  /// two logical draws (action + target) per live trial, so the chosen
-  /// value is max(1, 2048 / per_chunk_trials): chunks carrying >= 2048
-  /// trials report after every round, small chunks batch enough rounds
-  /// that wave overhead (fan-out + merge + look) stays amortized. The
-  /// auto-tuned value is surfaced in WaveReport::rounds_per_wave. Any
-  /// nonzero value is used as given; SIZE_MAX finishes the run in one
-  /// wave.
+  /// rounds_per_wave contract: 0 auto-tunes the wave size to
+  /// max(1, 2048 / per_chunk_trials): chunks carrying >= 2048 trials
+  /// report after every round, small chunks batch several rounds per
+  /// wave. Waves are where the sequential driver looks, so this rule
+  /// fixes the look schedule -- and with it the stopping time of every
+  /// seeded sequential verdict. The auto-tuned value is surfaced in
+  /// WaveReport::rounds_per_wave. Any nonzero value is used as given;
+  /// SIZE_MAX finishes the run in one wave.
   IncrementalFdistRun(const ParallelSampler& sampler,
                       const InsightFunction& f, std::size_t trials,
                       std::uint64_t seed, std::size_t max_depth,

@@ -9,10 +9,11 @@
 // over transitions, which is how we represent it.
 //
 // Weights are exact rationals so that the cone-measure enumerator stays
-// exact end to end. The Monte-Carlo sampler instead consumes ChoiceRow,
-// a compiled double-CDF view of choose(); schedulers whose decision
-// depends only on lstate (uniform, priority) memoize compiled rows per
-// state, everything else compiles on the fly.
+// exact end to end. The Monte-Carlo samplers instead consume ChoiceRow,
+// a compiled view of choose() -- a double CDF for the serial walk and a
+// split row for the batched sampler's multinomial class splits;
+// schedulers whose decision depends only on lstate (uniform, priority)
+// memoize compiled rows per state, everything else compiles on the fly.
 
 #include <functional>
 #include <memory>
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "psioa/execution.hpp"
-#include "util/alias.hpp"
+#include "util/multinomial.hpp"
 
 namespace cdse {
 
@@ -41,16 +42,17 @@ using ActionChoice = ExactDisc<ActionId>;
 /// rounding gap to the last action instead of falling through to a halt
 /// the exact semantics assigns probability zero.
 ///
-/// The row also carries a Walker alias table, compiled (and frozen into
-/// FrozenChoiceTable, shared immutably across workers) together with the
-/// CDF: slots 0..actions-1 are the actions, and a non-exhaustive row has
-/// one extra halt slot carrying the exact residual mass. The batched
-/// sampler's block kernel draws through it in O(1) -- equivalent to
-/// sample() in distribution, not draw-for-draw.
+/// The row also carries a split row (util/multinomial.hpp), compiled (and
+/// frozen into FrozenChoiceTable, shared immutably across workers)
+/// together with the CDF: slots 0..actions-1 are the actions, and a
+/// non-exhaustive row has one last halt slot carrying the exact residual
+/// mass. The batched sampler divides a whole trajectory class over the
+/// slots through it -- equivalent to `count` calls of sample() in
+/// distribution, not draw-for-draw.
 struct ChoiceRow {
   std::vector<ActionId> actions;
   std::vector<double> cdf;
-  AliasTable alias;  ///< slots: actions, then one halt slot if !exhaustive
+  SplitRow split;  ///< slots: actions, then one halt slot if !exhaustive
   bool exhaustive = false;  ///< exact total mass == 1 (no halt residual)
 
   bool empty() const { return actions.empty(); }
@@ -71,11 +73,11 @@ struct ChoiceRow {
     if (row.actions.empty()) return row;  // pure halt: no table needed
     // An overweight row (total > 1, caught elsewhere by the exact
     // enumerator's validation) degrades to exhaustive rather than
-    // feeding a negative halt weight to the alias builder.
+    // feeding a negative halt weight to the split-row builder.
     const Rational residual = Rational(1) - c.total();
     row.exhaustive = residual <= Rational(0);
     if (!row.exhaustive) weights.push_back(residual.to_double());
-    row.alias = AliasTable::build(weights);
+    row.split = SplitRow::build(weights);
     return row;
   }
 

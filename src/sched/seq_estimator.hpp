@@ -119,8 +119,10 @@ struct SequentialPolicy {
   /// allocation (the unbiased-variance reference the chi-square gate
   /// certifies).
   double split_boost = 4.0;
-  /// Every live stratum draws at least this many conditional samples per
-  /// stage (unbiasedness requires every stratum sampled).
+  /// Every live stratum draws at least min(split_min_trials, stage /
+  /// strata) conditional samples per stage, and never fewer than one
+  /// (unbiasedness requires every stratum sampled); the floor comes out
+  /// of the stage, not on top of it.
   std::size_t split_min_trials = 64;
 
   bool active() const { return max_trials > 0; }

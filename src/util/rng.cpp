@@ -1,10 +1,5 @@
 #include "util/rng.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-
 namespace cdse {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -63,273 +58,6 @@ std::uint64_t Xoshiro256::below(std::uint64_t n) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-// -- block fills -------------------------------------------------------------
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define CDSE_X86_DISPATCH 1
-#else
-#define CDSE_X86_DISPATCH 0
-#endif
-
-#if defined(__GNUC__) && !defined(__clang__)
-#define CDSE_FORCE_INLINE inline __attribute__((always_inline))
-#else
-#define CDSE_FORCE_INLINE inline
-#endif
-
-namespace {
-
-// One loop body per fill, shared verbatim by the portable and AVX2
-// instantiations: every operation is exact integer or power-of-two
-// double arithmetic, so the two instantiations are bit-identical by
-// construction and differ only in codegen width.
-
-CDSE_FORCE_INLINE void advance_rounds_body(std::uint64_t* s0,
-                                           std::uint64_t* s1,
-                                           std::uint64_t* s2,
-                                           std::uint64_t* s3,
-                                           std::uint64_t* out,
-                                           std::size_t rounds) {
-  for (std::size_t r = 0; r < rounds; ++r) {
-    std::uint64_t* o = out + r * XoshiroBlock::kLanes;
-    for (std::size_t j = 0; j < XoshiroBlock::kLanes; ++j) {
-      const std::uint64_t x1 = s1[j];
-      o[j] = rotl(x1 * 5, 7) * 9;
-      const std::uint64_t t = x1 << 17;
-      s2[j] ^= s0[j];
-      s3[j] ^= x1;
-      s1[j] ^= s2[j];
-      s0[j] ^= s3[j];
-      s2[j] ^= t;
-      s3[j] = rotl(s3[j], 45);
-    }
-  }
-}
-
-CDSE_FORCE_INLINE void to_uniform_body(const std::uint64_t* raw, double* out,
-                                       std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(raw[i] >> 11) * 0x1.0p-53;
-  }
-}
-
-CDSE_FORCE_INLINE void below_candidates_body(const std::uint64_t* raw,
-                                             std::uint32_t* out,
-                                             std::uint32_t* lo, std::size_t n,
-                                             std::uint32_t bound) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t p = (raw[i] >> 32) * static_cast<std::uint64_t>(bound);
-    out[i] = static_cast<std::uint32_t>(p >> 32);
-    lo[i] = static_cast<std::uint32_t>(p);
-  }
-}
-
-void advance_rounds_portable(std::uint64_t* s0, std::uint64_t* s1,
-                             std::uint64_t* s2, std::uint64_t* s3,
-                             std::uint64_t* out, std::size_t rounds) {
-  advance_rounds_body(s0, s1, s2, s3, out, rounds);
-}
-
-void to_uniform_portable(const std::uint64_t* raw, double* out,
-                         std::size_t n) {
-  to_uniform_body(raw, out, n);
-}
-
-void below_candidates_portable(const std::uint64_t* raw, std::uint32_t* out,
-                               std::uint32_t* lo, std::size_t n,
-                               std::uint32_t bound) {
-  below_candidates_body(raw, out, lo, n, bound);
-}
-
-#if CDSE_X86_DISPATCH
-__attribute__((target("avx2"))) void advance_rounds_avx2(
-    std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2, std::uint64_t* s3,
-    std::uint64_t* out, std::size_t rounds) {
-  advance_rounds_body(s0, s1, s2, s3, out, rounds);
-}
-
-__attribute__((target("avx2"))) void to_uniform_avx2(const std::uint64_t* raw,
-                                                     double* out,
-                                                     std::size_t n) {
-  to_uniform_body(raw, out, n);
-}
-
-__attribute__((target("avx2"))) void below_candidates_avx2(
-    const std::uint64_t* raw, std::uint32_t* out, std::uint32_t* lo,
-    std::size_t n, std::uint32_t bound) {
-  below_candidates_body(raw, out, lo, n, bound);
-}
-#endif
-
-bool cpu_has_avx2() {
-#if CDSE_X86_DISPATCH
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-// Dispatch cache: -1 = unresolved, else the resolved BlockIsa value.
-// Forcing stores the request and invalidates the cache; resolution
-// happens once, on the next fill.
-std::atomic<int> g_isa_forced{static_cast<int>(BlockIsa::kAuto)};
-std::atomic<int> g_isa_cache{-1};
-
-BlockIsa resolve_isa() {
-  BlockIsa want = static_cast<BlockIsa>(g_isa_forced.load());
-  if (want == BlockIsa::kAuto) {
-    if (const char* env = std::getenv("CDSE_BLOCK_ISA")) {
-      if (std::strcmp(env, "scalar") == 0) want = BlockIsa::kScalar;
-      if (std::strcmp(env, "avx2") == 0) want = BlockIsa::kAvx2;
-    }
-  }
-  if (want == BlockIsa::kAuto) {
-    want = cpu_has_avx2() ? BlockIsa::kAvx2 : BlockIsa::kScalar;
-  }
-  // A forced/env AVX2 request on hardware without it degrades to scalar
-  // rather than faulting; the two paths are bit-identical anyway.
-  if (want == BlockIsa::kAvx2 && !cpu_has_avx2()) want = BlockIsa::kScalar;
-  g_isa_cache.store(static_cast<int>(want));
-  return want;
-}
-
-inline bool use_avx2() {
-  int cached = g_isa_cache.load(std::memory_order_relaxed);
-  if (cached < 0) cached = static_cast<int>(resolve_isa());
-  return static_cast<BlockIsa>(cached) == BlockIsa::kAvx2;
-}
-
-}  // namespace
-
-void set_block_isa(BlockIsa isa) {
-  g_isa_forced.store(static_cast<int>(isa));
-  g_isa_cache.store(-1);
-}
-
-BlockIsa resolved_block_isa() {
-  const int cached = g_isa_cache.load();
-  if (cached >= 0) return static_cast<BlockIsa>(cached);
-  return resolve_isa();
-}
-
-XoshiroBlock::XoshiroBlock(std::uint64_t seed) {
-  // Lane j IS scalar stream j: the block is the SoA transpose of
-  // Xoshiro256::for_stream(seed, 0..kLanes-1).
-  for (std::size_t j = 0; j < kLanes; ++j) {
-    const Xoshiro256 lane = Xoshiro256::for_stream(seed, j);
-    for (std::size_t w = 0; w < 4; ++w) s_[w][j] = lane.s_[w];
-  }
-}
-
-XoshiroBlock XoshiroBlock::for_stream(std::uint64_t seed,
-                                      std::uint64_t stream) {
-  std::uint64_t sm = seed ^ (0x6a09e667f3bcc909ULL * (stream + 1));
-  return XoshiroBlock(splitmix64(sm));
-}
-
-void XoshiroBlock::refill() {
-#if CDSE_X86_DISPATCH
-  if (use_avx2()) {
-    advance_rounds_avx2(s_[0], s_[1], s_[2], s_[3], buf_, 1);
-    buf_pos_ = 0;
-    return;
-  }
-#endif
-  advance_rounds_portable(s_[0], s_[1], s_[2], s_[3], buf_, 1);
-  buf_pos_ = 0;
-}
-
-std::uint64_t XoshiroBlock::next_raw() {
-  if (buf_pos_ == kLanes) refill();
-  return buf_[buf_pos_++];
-}
-
-void XoshiroBlock::fill_raw(std::uint64_t* out, std::size_t n) {
-  std::size_t i = 0;
-  // Drain the carry buffer first so the interleaved sequence is
-  // independent of fill-call granularity.
-  while (buf_pos_ < kLanes && i < n) out[i++] = buf_[buf_pos_++];
-  const std::size_t rounds = (n - i) / kLanes;
-  if (rounds > 0) {
-#if CDSE_X86_DISPATCH
-    if (use_avx2()) {
-      advance_rounds_avx2(s_[0], s_[1], s_[2], s_[3], out + i, rounds);
-    } else {
-      advance_rounds_portable(s_[0], s_[1], s_[2], s_[3], out + i, rounds);
-    }
-#else
-    advance_rounds_portable(s_[0], s_[1], s_[2], s_[3], out + i, rounds);
-#endif
-    i += rounds * kLanes;
-  }
-  while (i < n) out[i++] = next_raw();
-}
-
-namespace {
-constexpr std::size_t kFillChunk = 512;  // stack scratch per bulk pass
-}  // namespace
-
-void XoshiroBlock::fill_uniform(double* out, std::size_t n) {
-  std::uint64_t raw[kFillChunk];
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t m = n - done < kFillChunk ? n - done : kFillChunk;
-    fill_raw(raw, m);
-#if CDSE_X86_DISPATCH
-    if (use_avx2()) {
-      to_uniform_avx2(raw, out + done, m);
-    } else {
-      to_uniform_portable(raw, out + done, m);
-    }
-#else
-    to_uniform_portable(raw, out + done, m);
-#endif
-    done += m;
-  }
-}
-
-std::size_t XoshiroBlock::fill_below(std::uint32_t* out, std::size_t n,
-                                     std::uint32_t bound) {
-  if (bound == 0) {
-    throw std::invalid_argument("XoshiroBlock::fill_below: bound must be > 0");
-  }
-  const std::uint32_t thresh =
-      static_cast<std::uint32_t>((std::uint64_t{1} << 32) % bound);
-  std::uint64_t raw[kFillChunk];
-  std::uint32_t lo[kFillChunk];
-  std::size_t rejects = 0;
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t m = n - done < kFillChunk ? n - done : kFillChunk;
-    fill_raw(raw, m);
-#if CDSE_X86_DISPATCH
-    if (use_avx2()) {
-      below_candidates_avx2(raw, out + done, lo, m, bound);
-    } else {
-      below_candidates_portable(raw, out + done, lo, m, bound);
-    }
-#else
-    below_candidates_portable(raw, out + done, lo, m, bound);
-#endif
-    if (thresh != 0) {
-      // Rejection fixup, ascending position order, re-drawing from the
-      // words after the chunk -- a deterministic schedule shared by
-      // every ISA (the candidate pass is pure arithmetic).
-      for (std::size_t i = 0; i < m; ++i) {
-        if (lo[i] >= thresh) continue;
-        std::uint64_t p;
-        do {
-          ++rejects;
-          p = (next_raw() >> 32) * static_cast<std::uint64_t>(bound);
-        } while (static_cast<std::uint32_t>(p) < thresh);
-        out[done + i] = static_cast<std::uint32_t>(p >> 32);
-      }
-    }
-    done += m;
-  }
-  return rejects;
 }
 
 }  // namespace cdse

@@ -1,6 +1,5 @@
 #pragma once
-// xoshiro256** PRNG with splitmix64 seeding, cheap stream splitting, and
-// a wide block generator for the vectorized sampling kernels.
+// xoshiro256** PRNG with splitmix64 seeding and cheap stream splitting.
 //
 // Execution sampling (sched/sampler.hpp) fans Monte-Carlo trials over a
 // thread pool; each worker needs an independent, reproducible stream. A
@@ -8,26 +7,10 @@
 // so every experiment in bench/ is bit-reproducible regardless of thread
 // count or interleaving.
 //
-// XoshiroBlock is the bulk producer behind the batched sampler's block
-// draw kernel (sched/batch_sampler.hpp): kLanes scalar streams advanced
-// in structure-of-arrays lockstep, filling whole buffers of raw words,
-// unit uniforms and debiased bounded indices per call. The lane
-// derivation is pinned -- lane j of XoshiroBlock(seed) IS the scalar
-// stream Xoshiro256::for_stream(seed, j), and outputs interleave
-// round-robin (output i comes from lane i % kLanes) -- so block output
-// is a pure function of the seed, independent of how many values each
-// fill call requested and of which ISA the fill dispatched to.
-//
-// ISA dispatch: every fill has one portable scalar loop; on x86-64 the
-// same loop body is additionally compiled under target("avx2") and
-// selected at runtime when the CPU supports it. Both paths perform
-// identical exact integer / power-of-two double arithmetic, so their
-// outputs are bit-identical -- tests/rng_test.cpp pins this, and the
-// batched sampler's acceptance gate extends it to whole-tally equality.
-// set_block_isa / CDSE_BLOCK_ISA=scalar|avx2|auto force a path (tests,
-// the portable CI job).
+// The batched sampler (sched/batch_sampler.hpp) draws from the same
+// scalar generator: each chunk's stream feeds the binomials of its
+// multinomial class splits (util/multinomial.hpp) directly.
 
-#include <cstddef>
 #include <cstdint>
 
 namespace cdse {
@@ -65,70 +48,7 @@ class Xoshiro256 {
   bool bernoulli(double p) { return uniform() < p; }
 
  private:
-  friend class XoshiroBlock;
   std::uint64_t s_[4];
-};
-
-/// Which implementation the block fills dispatch to. kAuto resolves to
-/// kAvx2 when the CPU supports it (x86-64 only), else kScalar. The
-/// resolved choice is cached; set_block_isa overrides it (kAuto
-/// re-resolves, honoring the CDSE_BLOCK_ISA environment variable).
-enum class BlockIsa { kAuto, kScalar, kAvx2 };
-
-/// Forces the block-fill implementation (tests and the portable CI job;
-/// thread-safe, but flipping it mid-fill races the dispatch cache --
-/// set it before fan-out).
-void set_block_isa(BlockIsa isa);
-
-/// The implementation block fills currently dispatch to: kScalar or
-/// kAvx2, never kAuto.
-BlockIsa resolved_block_isa();
-
-/// kLanes interleaved xoshiro256** streams advanced in SoA lockstep.
-///
-/// Derivation contract (pinned by tests/rng_test.cpp): lane j of
-/// XoshiroBlock(seed) is exactly Xoshiro256::for_stream(seed, j), and
-/// the block's output sequence interleaves lanes round-robin. Fills of
-/// any size consume that one fixed sequence via an internal carry
-/// buffer, so results are independent of fill-call granularity.
-class XoshiroBlock {
- public:
-  static constexpr std::size_t kLanes = 8;
-
-  explicit XoshiroBlock(std::uint64_t seed);
-
-  /// Stream-split twin of Xoshiro256::for_stream: the block whose lanes
-  /// derive from stream `stream` of `seed`.
-  static XoshiroBlock for_stream(std::uint64_t seed, std::uint64_t stream);
-
-  /// Next raw word of the interleaved sequence (scalar convenience; the
-  /// fixup path of fill_below and tests use it).
-  std::uint64_t next_raw();
-
-  /// Fills out[0..n) with the next n raw words.
-  void fill_raw(std::uint64_t* out, std::size_t n);
-
-  /// Fills out[0..n) with uniforms in [0, 1): each raw word v maps to
-  /// (v >> 11) * 2^-53, the Xoshiro256::uniform mapping (exact, so the
-  /// scalar and AVX2 paths agree bitwise).
-  void fill_uniform(double* out, std::size_t n);
-
-  /// Fills out[0..n) with debiased uniform indices in [0, bound),
-  /// bound in [1, 2^32). Per output, the high 32 bits of the next raw
-  /// word go through 32-bit Lemire multiply-shift; outputs whose
-  /// product low half lands under 2^32 mod bound are then re-drawn in
-  /// ascending position order from the words *after* the n already
-  /// consumed (a deterministic two-pass schedule, identical under every
-  /// ISA). Returns the number of rejection re-draws consumed.
-  std::size_t fill_below(std::uint32_t* out, std::size_t n,
-                         std::uint32_t bound);
-
- private:
-  void refill();
-
-  alignas(64) std::uint64_t s_[4][kLanes];
-  std::uint64_t buf_[kLanes];
-  std::size_t buf_pos_ = kLanes;  // == kLanes: carry buffer empty
 };
 
 }  // namespace cdse

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -243,7 +244,7 @@ TEST(BatchSampler, SnapshotBatchedMatchesSerialOverFrozenTables) {
   }
 }
 
-// ------------------------------------------------------------ draw kernel
+// ----------------------------------------------------------- split kernel
 
 /// Exact (bitwise) equality of two estimates -- the bar for "same
 /// schedule", much stronger than the chi-square harness.
@@ -257,43 +258,6 @@ void expect_bit_identical(const Disc<Perception, double>& a,
   }
 }
 
-TEST(BatchSampler, BlockKernelIsaPathsProduceBitIdenticalTallies) {
-  // The acceptance gate for the runtime dispatch: forcing the scalar and
-  // the AVX2 block bodies must yield the same estimate to the last bit,
-  // at every worker count.
-  set_block_isa(BlockIsa::kAvx2);
-  const bool have_avx2 = resolved_block_isa() == BlockIsa::kAvx2;
-  set_block_isa(BlockIsa::kAuto);
-  if (!have_avx2) GTEST_SKIP() << "CPU lacks AVX2; single-path build";
-
-  TraceInsight f;
-  for (const Stack& stack : stack_zoo()) {
-    ParallelSampler sampler(stack.make, uniform_factory(kDepth));
-    WarmupPlan plan;
-    plan.horizon = kDepth;
-    sampler.prepare(plan, kDepth);
-    for (std::size_t workers : kWorkerCounts) {
-      ThreadPool pool(workers);
-      set_block_isa(BlockIsa::kScalar);
-      const auto scalar = sampler.sample_fdist(f, kTrials, 707, kDepth, pool,
-                                               SamplingMode::kBatched);
-      const BatchStats scalar_stats = sampler.last_batch_stats();
-      set_block_isa(BlockIsa::kAvx2);
-      const auto vector = sampler.sample_fdist(f, kTrials, 707, kDepth, pool,
-                                               SamplingMode::kBatched);
-      const BatchStats vector_stats = sampler.last_batch_stats();
-      set_block_isa(BlockIsa::kAuto);
-      expect_bit_identical(scalar, vector,
-                           std::string(stack.label) + " at " +
-                               std::to_string(workers) + " workers");
-      EXPECT_EQ(scalar_stats.block_draws, vector_stats.block_draws);
-      EXPECT_EQ(scalar_stats.rejection_redraws,
-                vector_stats.rejection_redraws);
-      EXPECT_EQ(scalar_stats.singleton_skips, vector_stats.singleton_skips);
-    }
-  }
-}
-
 TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
   TraceInsight f;
   ParallelSampler sampler(mac_factory("bs_ctr"), uniform_factory(kDepth));
@@ -303,17 +267,52 @@ TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
   ThreadPool pool(2);
   (void)sampler.sample_fdist(f, kTrials, 808, kDepth, pool,
                              SamplingMode::kBatched);
-  const BatchStats block = sampler.last_batch_stats();
+  const BatchStats bs = sampler.last_batch_stats();
   // Logical draws count every draw, elided or not...
-  EXPECT_GE(block.action_draws, kTrials);
-  // ...but the block kernel must have elided singleton rows (the MAC
-  // stack's transitions are mostly deterministic) and bulk-filled the
-  // rest.
-  EXPECT_GT(block.singleton_skips, 0u);
-  EXPECT_GT(block.blocks_filled, 0u);
-  EXPECT_GT(block.block_draws, 0u);
-  EXPECT_LT(block.block_draws,
-            2 * (block.action_draws + block.target_draws));
+  EXPECT_GE(bs.action_draws, kTrials);
+  // ...but the splits must have elided singleton rows (the MAC stack's
+  // transitions are mostly deterministic) and drawn binomials for the
+  // rest -- far fewer than one per logical draw.
+  EXPECT_GT(bs.singleton_skips, 0u);
+  EXPECT_GT(bs.split_draws, 0u);
+  EXPECT_LT(bs.split_draws * 10, bs.action_draws + bs.target_draws);
+}
+
+/// Widest row a batched run over `snap` can split: the widest target
+/// row, or a choice row over every compiled action of a state plus its
+/// halt slot.
+std::size_t widest_row(const CompiledSnapshot& snap) {
+  std::size_t widest = 1;
+  for (const auto& [q, fs] : snap.frozen_states()) {
+    (void)q;
+    widest = std::max(widest, fs.rows.size() + 1);
+    for (const auto& [a, row] : fs.rows) {
+      (void)a;
+      widest = std::max(widest, row.split.size());
+    }
+  }
+  return widest;
+}
+
+TEST(BatchSampler, SplitDrawsFollowClassesNotTrials) {
+  // A million trials on the MAC stack: the binomials drawn are bounded
+  // by the class steps times the widest row, while the logical draws
+  // scale with the trials.
+  constexpr std::size_t kMillion = 1000000;
+  TraceInsight f;
+  ParallelSampler sampler(mac_factory("bs_cls"), uniform_factory(kDepth));
+  WarmupPlan plan;
+  plan.horizon = kDepth;
+  sampler.prepare(plan, kDepth);
+  ThreadPool pool(1);
+  (void)sampler.sample_fdist(f, kMillion, 1212, kDepth, pool,
+                             SamplingMode::kBatched);
+  const BatchStats bs = sampler.last_batch_stats();
+  const std::size_t widest = widest_row(*sampler.snapshot());
+  ASSERT_GT(widest, 1u);
+  EXPECT_GT(bs.split_draws, 0u);
+  EXPECT_LE(bs.split_draws, bs.class_steps * (widest - 1));
+  EXPECT_GE(bs.action_draws + bs.target_draws, kMillion);
 }
 
 // ------------------------------------------------------ incremental rounds
@@ -452,7 +451,7 @@ TEST(BatchSampler, IncrementalEarlyStopReturnsNormalizedPartial) {
 }
 
 TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
-  // The chi-square gate through the incremental path: waved block-kernel
+  // The chi-square gate through the incremental path: waved split-kernel
   // estimates remain statistically indistinguishable from the serial
   // reference.
   TraceInsight f;

@@ -1,9 +1,5 @@
-// xoshiro256** scalar and block generators (util/rng.hpp): stream
-// derivation, the debiased bounded draw (Lemire multiply-shift with
-// rejection), and the XoshiroBlock contracts the batched sampler's block
-// kernel is built on -- lane j IS scalar stream j, round-robin
-// interleave, fill-granularity independence, deterministic rejection
-// schedule, and bit-identical scalar/AVX2 dispatch paths.
+// xoshiro256** generator (util/rng.hpp): stream derivation and the
+// debiased bounded draw (Lemire multiply-shift with rejection).
 
 #include "util/rng.hpp"
 
@@ -11,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "stat_util.hpp"
@@ -21,18 +16,6 @@ namespace {
 
 using cdse::testing::chi_square_gof_counts;
 using cdse::testing::kStatAlpha;
-
-/// RAII reset so a test forcing an ISA cannot leak it into later tests.
-struct IsaGuard {
-  ~IsaGuard() { set_block_isa(BlockIsa::kAuto); }
-};
-
-bool avx2_available() {
-  const IsaGuard guard;
-  set_block_isa(BlockIsa::kAvx2);
-  // resolve_isa degrades a forced kAvx2 to kScalar off-AVX2 hardware.
-  return resolved_block_isa() == BlockIsa::kAvx2;
-}
 
 TEST(Xoshiro, StreamsAreDeterministicAndDistinct) {
   Xoshiro256 a = Xoshiro256::for_stream(42, 0);
@@ -109,159 +92,6 @@ TEST(XoshiroBelow, MatchesReferenceRejectionSchedule) {
     } while (lo < thresh);
     EXPECT_EQ(rng.below(kBound), static_cast<std::uint64_t>(m >> 64));
   }
-}
-
-TEST(XoshiroBlock, LaneJIsScalarStreamJ) {
-  // The pinned derivation contract: the interleaved block sequence is
-  // the round-robin merge of the kLanes scalar streams of the same seed.
-  constexpr std::uint64_t kSeed = 0x5eedULL;
-  XoshiroBlock blk(kSeed);
-  std::vector<Xoshiro256> lanes;
-  for (std::uint64_t j = 0; j < XoshiroBlock::kLanes; ++j) {
-    lanes.push_back(Xoshiro256::for_stream(kSeed, j));
-  }
-  for (std::size_t i = 0; i < 256; ++i) {
-    EXPECT_EQ(blk.next_raw(), lanes[i % XoshiroBlock::kLanes]())
-        << "position " << i;
-  }
-}
-
-TEST(XoshiroBlock, OutputIndependentOfFillGranularity) {
-  XoshiroBlock a(123);
-  XoshiroBlock b(123);
-  std::vector<std::uint64_t> one(1000);
-  a.fill_raw(one.data(), one.size());
-  // Ragged fills: sizes 1, 2, 3, ... never aligned to kLanes.
-  std::vector<std::uint64_t> ragged;
-  std::size_t step = 1;
-  while (ragged.size() < one.size()) {
-    const std::size_t m = std::min(step, one.size() - ragged.size());
-    std::vector<std::uint64_t> piece(m);
-    b.fill_raw(piece.data(), m);
-    ragged.insert(ragged.end(), piece.begin(), piece.end());
-    ++step;
-  }
-  EXPECT_EQ(one, ragged);
-}
-
-TEST(XoshiroBlock, FillUniformMatchesScalarMapping) {
-  XoshiroBlock a(9);
-  XoshiroBlock b(9);
-  std::vector<std::uint64_t> raw(300);
-  std::vector<double> u(300);
-  a.fill_raw(raw.data(), raw.size());
-  b.fill_uniform(u.data(), u.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    EXPECT_EQ(u[i], static_cast<double>(raw[i] >> 11) * 0x1.0p-53);
-    EXPECT_GE(u[i], 0.0);
-    EXPECT_LT(u[i], 1.0);
-  }
-}
-
-TEST(XoshiroBlock, FillBelowStaysInRangeAndReportsRejections) {
-  XoshiroBlock blk(17);
-  // bound = 3 * 2^30 + 1: 2^32 mod bound ~ 2^30, so ~25% of candidates
-  // reject -- the counter must see plenty of re-draws.
-  constexpr std::uint32_t kBound = 3u * (1u << 30) + 1u;
-  std::vector<std::uint32_t> out(4096);
-  const std::size_t rejects = blk.fill_below(out.data(), out.size(), kBound);
-  for (std::uint32_t v : out) EXPECT_LT(v, kBound);
-  EXPECT_GT(rejects, 0u);
-  EXPECT_THROW(blk.fill_below(out.data(), 1, 0), std::invalid_argument);
-}
-
-TEST(XoshiroBlock, FillBelowMatchesReferenceSchedule) {
-  // Reference for one chunk (n <= 512): candidates are the high halves
-  // of the first n raw words multiply-shifted; rejected positions are
-  // then fixed up in ascending order from the words after the chunk.
-  constexpr std::uint32_t kBound = 3u * (1u << 30) + 1u;
-  constexpr std::size_t kN = 300;
-  XoshiroBlock blk(31);
-  XoshiroBlock ref(31);
-  std::vector<std::uint32_t> out(kN);
-  blk.fill_below(out.data(), kN, kBound);
-
-  std::vector<std::uint64_t> raw(kN);
-  ref.fill_raw(raw.data(), kN);
-  const auto thresh =
-      static_cast<std::uint32_t>((std::uint64_t{1} << 32) % kBound);
-  std::vector<std::uint32_t> want(kN);
-  std::vector<bool> rejected(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    const std::uint64_t p = (raw[i] >> 32) * std::uint64_t{kBound};
-    want[i] = static_cast<std::uint32_t>(p >> 32);
-    rejected[i] = static_cast<std::uint32_t>(p) < thresh;
-  }
-  for (std::size_t i = 0; i < kN; ++i) {
-    if (!rejected[i]) continue;
-    std::uint64_t p;
-    do {
-      p = (ref.next_raw() >> 32) * std::uint64_t{kBound};
-    } while (static_cast<std::uint32_t>(p) < thresh);
-    want[i] = static_cast<std::uint32_t>(p >> 32);
-  }
-  EXPECT_EQ(out, want);
-}
-
-TEST(XoshiroBlock, FillBelowIsUniformChiSquare) {
-  constexpr std::uint32_t kBound = 48;
-  constexpr std::size_t kTrials = 20000;
-  XoshiroBlock blk(0xb10cULL);
-  std::vector<std::uint32_t> out(kTrials);
-  blk.fill_below(out.data(), kTrials, kBound);
-  std::vector<double> counts(kBound, 0.0);
-  for (std::uint32_t v : out) ++counts[v];
-  std::vector<std::pair<double, double>> cells;
-  for (double c : counts) cells.emplace_back(1.0 / kBound, c);
-  const auto r = chi_square_gof_counts(cells, kTrials, 0.0);
-  EXPECT_GT(r.pvalue, kStatAlpha) << "stat=" << r.stat;
-}
-
-TEST(XoshiroBlock, ScalarAndAvx2PathsAreBitIdentical) {
-  if (!avx2_available()) {
-    GTEST_SKIP() << "CPU lacks AVX2; single-path build";
-  }
-  const IsaGuard guard;
-  constexpr std::size_t kN = 1337;  // ragged on purpose
-  constexpr std::uint32_t kBound = 3u * (1u << 30) + 1u;
-
-  set_block_isa(BlockIsa::kScalar);
-  ASSERT_EQ(resolved_block_isa(), BlockIsa::kScalar);
-  XoshiroBlock s1(5), s2(5), s3(5);
-  std::vector<std::uint64_t> raw_s(kN);
-  std::vector<double> uni_s(kN);
-  std::vector<std::uint32_t> idx_s(kN);
-  s1.fill_raw(raw_s.data(), kN);
-  s2.fill_uniform(uni_s.data(), kN);
-  const std::size_t rej_s = s3.fill_below(idx_s.data(), kN, kBound);
-
-  set_block_isa(BlockIsa::kAvx2);
-  ASSERT_EQ(resolved_block_isa(), BlockIsa::kAvx2);
-  XoshiroBlock v1(5), v2(5), v3(5);
-  std::vector<std::uint64_t> raw_v(kN);
-  std::vector<double> uni_v(kN);
-  std::vector<std::uint32_t> idx_v(kN);
-  v1.fill_raw(raw_v.data(), kN);
-  v2.fill_uniform(uni_v.data(), kN);
-  const std::size_t rej_v = v3.fill_below(idx_v.data(), kN, kBound);
-
-  EXPECT_EQ(raw_s, raw_v);
-  EXPECT_EQ(uni_s, uni_v);
-  EXPECT_EQ(idx_s, idx_v);
-  EXPECT_EQ(rej_s, rej_v);
-}
-
-TEST(XoshiroBlock, ForStreamSplitsLikeTheScalarGenerator) {
-  XoshiroBlock a = XoshiroBlock::for_stream(42, 3);
-  XoshiroBlock a2 = XoshiroBlock::for_stream(42, 3);
-  XoshiroBlock b = XoshiroBlock::for_stream(42, 4);
-  bool any_diff = false;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint64_t va = a.next_raw();
-    EXPECT_EQ(va, a2.next_raw());
-    any_diff = any_diff || (va != b.next_raw());
-  }
-  EXPECT_TRUE(any_diff);
 }
 
 }  // namespace

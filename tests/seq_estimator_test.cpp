@@ -694,6 +694,44 @@ TEST(SeqEstSplit, SplitEpsilonAgreesWithPlainAndExact) {
   EXPECT_EQ(fixed.verdict, SeqVerdict::kAboveThreshold);
 }
 
+TEST(SeqEstSplit, SplitRunNeverCommitsMoreThanTheBudget) {
+  // Two random composed stacks at split depth 2 have hundreds of live
+  // strata; the per-stratum floor must come out of each stage, so a
+  // fixed budget is spent exactly and a sequential one never exceeded.
+  TraceInsight f;
+  ThreadPool pool(4);
+  SequentialPolicy fixed = SequentialPolicy::fixed(4096);
+  fixed.split_depth = 2;
+  const SequentialEpsilon se = sequential_balance_epsilon(
+      composed_factory(3, "se_c"), uniform_factory(kDepth),
+      composed_factory(4, "se_c4"), uniform_factory(kDepth), f, fixed, 19,
+      kDepth, pool);
+  EXPECT_GT(se.strata, 64u);
+  EXPECT_LE(se.trials, 4096u);
+  EXPECT_EQ(se.trials, 4096u);  // fixed-trial mode runs the whole budget
+  SequentialPolicy seq = SequentialPolicy::deciding(0.5, 3000, 1e-3);
+  seq.split_depth = 2;
+  seq.initial_trials = 16;  // below the stratum count: grown to it
+  const SequentialEpsilon sq = sequential_balance_epsilon(
+      composed_factory(3, "se_c"), uniform_factory(kDepth),
+      composed_factory(4, "se_c4"), uniform_factory(kDepth), f, seq, 19,
+      kDepth, pool);
+  EXPECT_GT(sq.stages, 0u);
+  EXPECT_LE(sq.trials, 3000u);
+}
+
+TEST(SeqEstSplit, BudgetBelowStratumCountIsRejected) {
+  TraceInsight f;
+  ThreadPool pool(2);
+  SequentialPolicy policy = SequentialPolicy::fixed(8);
+  policy.split_depth = 2;
+  EXPECT_THROW(sequential_balance_epsilon(
+                   composed_factory(3, "se_c"), uniform_factory(kDepth),
+                   composed_factory(4, "se_c4"), uniform_factory(kDepth), f,
+                   policy, 19, kDepth, pool),
+               std::invalid_argument);
+}
+
 // ------------------------------------------------------------------ impl
 
 TEST(SeqEstImpl, SampledImplementationGridAgreesWithFixedAtLowerCost) {
