@@ -70,8 +70,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # quotient reduction (shared minimized snapshots behind per-worker
   # QuotientPsioa views in all of the above), the batched sampler
   # (frozen split rows read lock-free by lockstep workers),
-  # the sequential estimator (incremental waves + stratified
-  # per-stratum cursors fanned out over the pool), the sampled
+  # the sequential estimator (whose concurrency is the importance-
+  # splitting path's per-stratum runs, one pool task each), the sampled
   # epsilon's error contract (Balance: factories and insight functions
   # that throw inside pool-run waves), and the deadline / retry guard of
   # ParallelSampler's serial walk (GuardedSampler: retries build fresh

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -13,19 +15,9 @@
 
 namespace cdse {
 
-Rational exact_balance_epsilon(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
-                               Scheduler& sigma_rhs, const InsightFunction& f,
-                               std::size_t max_depth) {
-  const ExactDisc<Perception> left =
-      exact_fdist(lhs, sigma_lhs, f, max_depth);
-  const ExactDisc<Perception> right =
-      exact_fdist(rhs, sigma_rhs, f, max_depth);
-  return balance_distance(left, right);
-}
-
 namespace {
 
-/// One side of the policy overload: enumerate the quotient when the
+/// One side of exact_balance_epsilon: enumerate the quotient when the
 /// reduction succeeded, the original otherwise.
 ExactDisc<Perception> reduced_fdist(Psioa& system, Scheduler& sigma,
                                     const InsightFunction& f,
@@ -47,9 +39,6 @@ Rational exact_balance_epsilon(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
                                std::size_t max_depth,
                                const ReductionPolicy& policy,
                                ConeStats* stats) {
-  if (!policy.enabled()) {
-    return exact_balance_epsilon(lhs, sigma_lhs, rhs, sigma_rhs, f, max_depth);
-  }
   ConeStats scratch;
   ConeStats& cs = stats != nullptr ? *stats : scratch;
   const ExactDisc<Perception> left =
@@ -71,7 +60,7 @@ bool balanced(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
 namespace {
 
 /// Distinct RNG universe per (stage, side): the golden-gamma rotation
-/// keeps every stage's chunk streams disjoint from every other stage's.
+/// keeps every stage's streams disjoint from every other stage's.
 std::uint64_t seq_stage_seed(std::uint64_t seed, std::size_t stage,
                              std::size_t side) {
   return seed + (2 * static_cast<std::uint64_t>(stage) + side + 1) *
@@ -86,8 +75,8 @@ std::uint64_t logical_draws(const BatchStats& bs) {
 /// left/right incremental runs, an estimator look after every wave.
 SequentialEpsilon plain_sequential_epsilon(
     ParallelSampler& left, ParallelSampler& right, const InsightFunction& f,
-    const SequentialPolicy& policy, std::uint64_t seed, std::size_t max_depth,
-    ThreadPool& pool) {
+    const SequentialPolicy& policy, std::uint64_t seed,
+    std::size_t max_depth) {
   SeqEstimator est(policy);
   // One running integer tally per side over every stage, grown by each
   // wave's merged delta and handed to the looks by reference.
@@ -106,12 +95,12 @@ SequentialEpsilon plain_sequential_epsilon(
     const std::size_t stage_trials =
         std::min(next_stage, policy.max_trials - committed);
     const std::size_t n_committed = committed + stage_trials;
-    IncrementalFdistRun run_l(left, f, stage_trials,
-                              seq_stage_seed(seed, stage, 0), max_depth, pool,
-                              policy.rounds_per_wave);
-    IncrementalFdistRun run_r(right, f, stage_trials,
-                              seq_stage_seed(seed, stage, 1), max_depth, pool,
-                              policy.rounds_per_wave);
+    IncrementalFdistRun run_l(
+        left, f, stage_trials,
+        Xoshiro256::for_stream(seq_stage_seed(seed, stage, 0), 0), max_depth);
+    IncrementalFdistRun run_r(
+        right, f, stage_trials,
+        Xoshiro256::for_stream(seq_stage_seed(seed, stage, 1), 0), max_depth);
     while (!run_l.done() || !run_r.done()) {
       if (!run_l.done()) {
         run_l.step_wave();
@@ -124,7 +113,7 @@ SequentialEpsilon plain_sequential_epsilon(
       if (!policy.sequential()) continue;
       // Paired look on the running tallies (prior stages + this one so
       // far). Integer count sums are exact in doubles, so the tallies are
-      // independent of wave boundaries and worker counts.
+      // independent of wave boundaries.
       const std::uint64_t t_l = term_l + run_l.trials_terminal();
       const std::uint64_t t_r = term_r + run_r.trials_terminal();
       const std::uint64_t draws = draws_done +
@@ -336,11 +325,7 @@ SequentialEpsilon split_sequential_epsilon(
     return out;
   }
 
-  // The bounded-increment Hoeffding form is the bound that survives
-  // stratified reweighting; pin it regardless of the policy default.
-  SequentialPolicy est_policy = policy;
-  est_policy.bound = SeqBound::kHoeffding;
-  SeqEstimator est(est_policy);
+  SeqEstimator est(policy);
 
   std::uint64_t draws_done = 0;
   std::size_t committed = 0;
@@ -368,10 +353,10 @@ SequentialEpsilon split_sequential_epsilon(
     estimate = balance_distance(stratified_fdist(l.strata, l.counts, l.n),
                                 stratified_fdist(r.strata, r.counts, r.n));
     if (policy.sequential()) {
-      // Stage boundaries only: every stratum cursor ran to completion,
+      // Stage boundaries only: every stratum run ran to completion,
       // so there is no censoring slack.
-      dec = est.look_scaled(estimate, 0.0, 0.5, split_scale(l), 0.5,
-                            split_scale(r), committed, draws_done);
+      dec = est.look_scaled(estimate, 0.0, split_scale(l), split_scale(r),
+                            committed, draws_done);
       decided = dec.verdict != SeqVerdict::kUndecided;
     }
     next_stage = policy.next_stage(stage_trials);
@@ -408,38 +393,27 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
   }
   const std::size_t k = strata.live.size();
 
-  // One worker view + scheduler + cursor per stratum, built on the
-  // driving thread; the cursors fan out over the pool but each owns its
-  // instances (one-thread-per-instance) and draws from stream i of
-  // `seed` -- so the tallies are a pure function of (seed, alloc),
-  // independent of worker count and scheduling order.
-  struct Cursor {
-    std::shared_ptr<SnapshotPsioa> view;
-    SchedulerPtr sched;
-    std::optional<BatchSampler> bs;
-    Disc<Perception, double> counts;
-  };
-  std::vector<Cursor> cursors(k);
+  // One prefix-conditioned run per stratum, built on the driving thread
+  // and stepped to completion as one pool task (one thread per run).
+  // Run i draws from stream i of `seed`, so the tallies are a pure
+  // function of (seed, alloc), independent of worker count and
+  // scheduling order.
+  std::deque<IncrementalFdistRun> runs;
   for (std::size_t i = 0; i < k; ++i) {
-    cursors[i].view = sampler.worker_view();
-    cursors[i].sched = sampler.worker_scheduler();
-    cursors[i].bs.emplace(*cursors[i].view, *cursors[i].sched, alloc[i],
-                          Xoshiro256::for_stream(seed, i), max_depth,
-                          strata.live[i].frag);
+    runs.emplace_back(sampler, f, alloc[i], Xoshiro256::for_stream(seed, i),
+                      max_depth, std::numeric_limits<std::size_t>::max(),
+                      &strata.live[i].frag);
   }
-  const InsightFunction& fn = f;
-  for (Cursor& c : cursors) {
-    pool.submit([&c, &fn] {
-      c.bs->run_to_completion();
-      c.counts = c.bs->take_counts(fn);
-    });
+  for (IncrementalFdistRun& run : runs) {
+    pool.submit([&run] { run.step_wave(); });
   }
   pool.wait_idle();
 
-  std::vector<Disc<Perception, double>> out(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = std::move(cursors[i].counts);
-    if (stats != nullptr) *stats += cursors[i].bs->stats();
+  std::vector<Disc<Perception, double>> out;
+  out.reserve(k);
+  for (const IncrementalFdistRun& run : runs) {
+    out.push_back(run.wave_delta());
+    if (stats != nullptr) *stats += run.batch_stats();
   }
   return out;
 }
@@ -489,8 +463,7 @@ SequentialEpsilon sequential_balance_epsilon(
     return split_sequential_epsilon(left, right, f, policy, seed, max_depth,
                                     pool);
   }
-  return plain_sequential_epsilon(left, right, f, policy, seed, max_depth,
-                                  pool);
+  return plain_sequential_epsilon(left, right, f, policy, seed, max_depth);
 }
 
 }  // namespace cdse

@@ -6,7 +6,11 @@
 // is the balance distance of measure/disc.hpp (= total variation for
 // probability measures). These helpers evaluate the *exact* epsilon
 // between two scheduled systems -- the left/right automata are expected
-// to already include the environment (E||A and E||B).
+// to already include the environment (E||A and E||B) -- and decide a
+// sampled epsilon against a threshold (sequential_balance_epsilon). A
+// sampled verdict is a function of the systems, the policy and the seed:
+// the plain path runs each side on one stream, and only the
+// importance-splitting path spreads work (its strata) over the pool.
 
 #include "sched/cone_measure.hpp"
 #include "sched/exact_engine.hpp"
@@ -15,24 +19,20 @@
 
 namespace cdse {
 
-/// Exact epsilon: balance distance between the two exact f-dists.
-Rational exact_balance_epsilon(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
-                               Scheduler& sigma_rhs, const InsightFunction& f,
-                               std::size_t max_depth);
-
-/// Exact epsilon through an enabled ReductionPolicy: each side is
-/// frozen, minimized to its bisimulation quotient, and enumerated over
-/// blocks -- the result is Rational-equal to the unreduced overload
-/// (quotienting preserves every signature-driven scheduler and
-/// trace-functional insight exactly; tests/quotient_test.cpp pins the
-/// equality across the whole stack zoo). Sides whose covering warm-up
-/// truncates fall back to the raw enumeration, so the overloads always
-/// agree. `stats` (optional) receives the enumeration counters summed
-/// over both sides, including quotient_states/quotient_blocks.
+/// Exact epsilon: balance distance between the two exact f-dists. With
+/// an enabled `policy` each side is frozen, minimized to its
+/// bisimulation quotient, and enumerated over blocks -- the result is
+/// Rational-equal to the unreduced enumeration (quotienting preserves
+/// every signature-driven scheduler and trace-functional insight
+/// exactly; tests/quotient_test.cpp pins the equality across the whole
+/// stack zoo). Sides whose covering warm-up truncates fall back to the
+/// raw enumeration, so the policy never changes the answer. `stats`
+/// (optional) receives the enumeration counters summed over both sides,
+/// including quotient_states/quotient_blocks when reduced.
 Rational exact_balance_epsilon(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
                                Scheduler& sigma_rhs, const InsightFunction& f,
                                std::size_t max_depth,
-                               const ReductionPolicy& policy,
+                               const ReductionPolicy& policy = {},
                                ConeStats* stats = nullptr);
 
 /// True iff sigma_lhs S^{<=eps}_{E,f} sigma_rhs, exactly.
@@ -67,10 +67,13 @@ struct SequentialEpsilon {
 /// policy.max_trials), driving both sides' IncrementalFdistRun wave by
 /// wave and handing the paired partial tallies to a SeqEstimator after
 /// every wave -- stopping the moment the confidence sequence clears
-/// policy.threshold. policy.split_depth > 0 switches to the
+/// policy.threshold. Each side of a stage is one run on one stream, so
+/// this plain path leaves `pool` unused and its result is the same at
+/// every pool size. policy.split_depth > 0 switches to the
 /// importance-splitting estimator: the exact cone of each side is
 /// expanded to split_depth (expand_prefix_strata), per-prefix
-/// BatchSampler cursors sample the conditional continuations, and the
+/// conditioned runs, fanned out over `pool` one stratum per task,
+/// sample the conditional continuations, and the
 /// stratified tally reweights by exact cone mass, with sample budget
 /// steered toward strata whose action words show the largest cross-side
 /// cone-mass gap (policy.split_boost). A splitting stage allocates
@@ -84,7 +87,7 @@ struct SequentialEpsilon {
 /// (split_depth == 0) as the differential reference. kSerial mode is
 /// rejected (std::invalid_argument); policy.active() is required. An
 /// exception from a factory, a scheduler or the insight function
-/// propagates: no epsilon is estimated from the surviving chunks.
+/// propagates: no epsilon is estimated from the surviving runs.
 SequentialEpsilon sequential_balance_epsilon(
     const PsioaFactory& make_lhs, const SchedulerFactory& make_sigma_lhs,
     const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,
@@ -95,11 +98,11 @@ SequentialEpsilon sequential_balance_epsilon(
 /// Per-stratum conditional tallies (importance splitting), exposed for
 /// the chi-square unbiasedness gates: for each live stratum i of
 /// `strata`, samples alloc[i] continuations conditioned on the stratum
-/// prefix (one prefix-conditioned BatchSampler on its own worker view,
-/// stream i of `seed`) and returns the unnormalized per-perception
-/// tallies, in stratum order. Strata fan out over the pool but each
-/// carries its own RNG stream keyed by its (deterministic, enumeration-
-/// order) index, so the tallies are identical at every worker count.
+/// prefix (one prefix-conditioned IncrementalFdistRun on stream i of
+/// `seed`, stepped to completion as one pool task) and returns the
+/// unnormalized per-perception tallies, in stratum order. Each stratum's
+/// stream is keyed by its (deterministic, enumeration-order) index, so
+/// the tallies are identical at every worker count.
 std::vector<Disc<Perception, double>> stratified_sample_counts(
     const ParallelSampler& sampler, const InsightFunction& f,
     const PrefixStrata& strata, const std::vector<std::size_t>& alloc,

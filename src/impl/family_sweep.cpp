@@ -51,9 +51,10 @@ FamilySweepReport family_epsilon_sweep(
         }
       });
 
-  // Phase 2: sampled cells run serially here because each one already
-  // spreads its trials over the same pool (nesting parallel_for_chunks
-  // inside a worker would deadlock on wait_idle). Under a deciding
+  // Phase 2: sampled cells run serially here because a split-mode cell
+  // fans its strata over the same pool and waits on it, which would
+  // deadlock inside a worker (a plain-mode cell runs each side on one
+  // stream and leaves the pool unused). Under a deciding
   // policy the cells early-stop; delta splits evenly over the sampled
   // cells so the sweep's verdicts share one union-bound budget.
   std::size_t sampled_cells = 0;

@@ -101,10 +101,11 @@ ImplementationReport check_implementation_parallel(
 /// instead of computing the exact rational. The per-cell confidence
 /// budget is policy.delta split evenly over the grid (delta / cells per
 /// cell, union bound), so the WHOLE report is wrong with probability at
-/// most policy.delta. Cells run serially on the calling thread -- the
-/// sequential estimator already fans its sampling waves over `pool`,
-/// and nesting parallel_for_chunks inside pool tasks would deadlock on
-/// wait_idle.
+/// most policy.delta. Cells run serially on the calling thread: under
+/// importance splitting (policy.split_depth > 0) a cell fans its strata
+/// over `pool` and waits on it, which would deadlock inside a pool
+/// task. A plain-mode cell leaves `pool` unused; its verdict is the
+/// same at every pool size.
 struct SampledImplementationReport {
   struct Row {
     std::string env;

@@ -52,7 +52,9 @@
 // log and exp; see util/multinomial.hpp). The incremental API below
 // preserves this: pausing and resuming at any round boundary replays the
 // identical schedule (run_rounds(a); run_rounds(b) == run_rounds(a + b),
-// bit-identically).
+// bit-identically). A batched run is one sampler on one stream at every
+// pool size (IncrementalFdistRun), so no batched tally depends on the
+// worker count.
 
 #include <cstddef>
 #include <cstdint>
@@ -97,12 +99,12 @@ struct BatchStats {
   }
 };
 
-/// Stateful lockstep engine: one chunk's worth of executions advanced
-/// round by round. IncrementalFdistRun (sched/sampler.hpp) drives one
-/// per chunk, wave by wave: run_rounds, then take_counts. The
-/// importance-splitting estimator runs one per stratum to completion
-/// (impl/balance.hpp). The single-instance helpers below wrap it for the
-/// differential tests.
+/// Stateful lockstep engine: one run's executions advanced round by
+/// round. In production it is owned by an IncrementalFdistRun
+/// (sched/sampler.hpp), which drives it wave by wave: run_rounds, then
+/// take_counts -- one per plain run, and one per importance-splitting
+/// stratum (impl/balance.hpp), conditioned on the stratum's prefix. The
+/// single-instance helpers below wrap it for the differential tests.
 ///
 /// Lifetime: holds references to the automaton and scheduler; both must
 /// outlive the sampler. One sampler per thread (no internal locking).

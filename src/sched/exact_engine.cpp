@@ -168,17 +168,6 @@ PrefixStrata expand_prefix_strata(Psioa& automaton, Scheduler& sched,
   return out;
 }
 
-PrefixStrata strata_from_frontier(const ConeFrontier& frontier) {
-  PrefixStrata out;
-  out.settled = frontier.settled;
-  out.live.reserve(frontier.live.size());
-  for (const auto& e : frontier.live) {
-    out.live.push_back({e.frag, e.prob});
-    out.live_mass = out.live_mass + e.prob;
-  }
-  return out;
-}
-
 // -- prefix-sharing frontiers ----------------------------------------------
 
 ConeFrontierCache::ConeFrontierCache(Psioa& automaton,

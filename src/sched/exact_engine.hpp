@@ -214,13 +214,6 @@ PrefixStrata expand_prefix_strata(Psioa& automaton, Scheduler& sched,
                                   std::size_t split_depth,
                                   ConeStats* stats = nullptr);
 
-/// The same decomposition read off a cached word frontier (offline word
-/// schedulers): settled contributions carry over verbatim and every
-/// live frontier fragment becomes a stratum. Lets the splitting
-/// estimator reuse ConeFrontierCache partial cone masses instead of
-/// re-enumerating the prefix cone per word.
-PrefixStrata strata_from_frontier(const ConeFrontier& frontier);
-
 /// Deterministic parallel exact f-dists over one frozen snapshot.
 /// prepare() warms one instance (WarmupPlan, as ParallelSampler does) and
 /// freezes its compiled tables; exact_fdist() expands the cone

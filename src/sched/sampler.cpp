@@ -4,7 +4,6 @@
 #include <deque>
 #include <exception>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -169,11 +168,11 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
   if (mode == SamplingMode::kBatched) {
     if (guard.deadline.count() > 0 || guard.max_retries > 0) {
       throw std::invalid_argument(
-          "ParallelSampler: a batched chunk has no trial boundary to stop "
+          "ParallelSampler: a batched run has no trial boundary to stop "
           "or retry at; guard kSerial runs only");
     }
-    IncrementalFdistRun run(*this, f, trials, seed, max_depth, pool,
-                            std::numeric_limits<std::size_t>::max());
+    IncrementalFdistRun run(*this, f, trials, Xoshiro256::for_stream(seed, 0),
+                            max_depth, std::numeric_limits<std::size_t>::max());
     run.step_wave();
     last_stats_ = run.snapshot_stats();
     last_batch_stats_ = run.batch_stats();
@@ -282,108 +281,52 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
 
 // -- incremental runs -------------------------------------------------------
 
-struct IncrementalFdistRun::Chunk {
-  std::shared_ptr<SnapshotPsioa> view;
-  SchedulerPtr sched;
-  std::optional<BatchSampler> bs;
-  Disc<Perception, double> delta;  // counts taken this wave
-};
+namespace {
+
+BatchSampler make_batch_sampler(Psioa& view, Scheduler& sched,
+                                std::size_t trials, const Xoshiro256& rng,
+                                std::size_t max_depth,
+                                const ExecFragment* prefix) {
+  if (prefix == nullptr) {
+    return BatchSampler(view, sched, trials, rng, max_depth);
+  }
+  return BatchSampler(view, sched, trials, rng, max_depth, *prefix);
+}
+
+}  // namespace
 
 IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
                                          const InsightFunction& f,
                                          std::size_t trials,
-                                         std::uint64_t seed,
+                                         const Xoshiro256& rng,
                                          std::size_t max_depth,
-                                         ThreadPool& pool,
-                                         std::size_t rounds_per_wave)
-    : f_(f), trials_(trials), pool_(pool) {
-  if (!sampler.prepared()) {
-    throw std::logic_error(
-        "IncrementalFdistRun: prepare() the sampler before running");
-  }
-
-  // The seeded verdicts and the verdict benchmark's record lines are
-  // functions of this partition and these streams, so they are fixed:
-  // min(pool, trials) chunks (at least one), chunk c sized trials/chunks
-  // plus one of the trials%chunks remainders, stream c of `seed`.
-  std::size_t chunks = std::min(pool.size(), trials);
-  if (chunks == 0) chunks = 1;
-  const std::size_t per = trials / chunks;
-  const std::size_t rem = trials % chunks;
-
+                                         std::size_t rounds_per_wave,
+                                         const ExecFragment* prefix)
+    : f_(f),
+      view_(sampler.worker_view()),
+      sched_(sampler.worker_scheduler()),
+      bs_(make_batch_sampler(*view_, *sched_, trials, rng, max_depth,
+                             prefix)) {
   if (rounds_per_wave == 0) {
     // Auto-tune (see the header contract). It does not target a draw
     // cost -- class splits cost per class, not per trial -- but waves are
     // the look points, so the rule fixes the look schedule and with it
     // the stopping time of every seeded sequential verdict.
-    const std::size_t per_chunk = std::max<std::size_t>(1, per + (rem ? 1 : 0));
-    rounds_per_wave = std::max<std::size_t>(1, 2048 / per_chunk);
+    rounds_per_wave = std::max<std::size_t>(
+        1, 2048 / std::max<std::size_t>(1, trials));
   }
-  rounds_per_wave_ = rounds_per_wave;
-
-  chunks_.resize(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    chunks_[c].view = sampler.worker_view();
-    chunks_[c].sched = sampler.worker_scheduler();
-    const std::size_t len = per + (c < rem ? 1 : 0);
-    chunks_[c].bs.emplace(*chunks_[c].view, *chunks_[c].sched, len,
-                          Xoshiro256::for_stream(seed, c), max_depth);
-  }
-  report_.rounds_per_wave = rounds_per_wave_;
-  report_.trials_requested = trials_;
+  report_.rounds_per_wave = rounds_per_wave;
+  report_.trials_requested = trials;
 }
-
-IncrementalFdistRun::~IncrementalFdistRun() = default;
 
 const IncrementalFdistRun::WaveReport& IncrementalFdistRun::step_wave() {
-  if (done_) return report_;
-  ++wave_;
-  // At most one chunk per worker, so each chunk is its own task; a lone
-  // chunk runs on the calling thread.
-  parallel_for_chunks(
-      pool_, chunks_.size(),
-      [this](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          Chunk& c = chunks_[k];
-          if (c.bs->done()) continue;
-          c.bs->run_rounds(rounds_per_wave_);
-          c.delta = c.bs->take_counts(f_);
-        }
-      });
-  std::size_t entries = 0;
-  std::uint64_t terminal = 0;
-  bool all_done = true;
-  wave_delta_ = Disc<Perception, double>{};
-  for (Chunk& c : chunks_) {
-    entries += c.delta.support_size();
-    wave_delta_.merge(std::move(c.delta));  // leaves c.delta empty
-    terminal += c.bs->trials_terminal();
-    all_done = all_done && c.bs->done();
-  }
-  done_ = all_done;
-  report_.wave = wave_;
-  report_.trials_done = static_cast<std::size_t>(terminal);
-  report_.done = all_done;
-  report_.merge_entries = entries;
+  if (done()) return report_;
+  bs_.run_rounds(report_.rounds_per_wave);
+  wave_delta_ = bs_.take_counts(f_);
+  ++report_.wave;
+  report_.trials_done = static_cast<std::size_t>(bs_.trials_terminal());
+  report_.done = bs_.done();
   return report_;
-}
-
-std::uint64_t IncrementalFdistRun::trials_terminal() const {
-  std::uint64_t terminal = 0;
-  for (const Chunk& c : chunks_) terminal += c.bs->trials_terminal();
-  return terminal;
-}
-
-BatchStats IncrementalFdistRun::batch_stats() const {
-  BatchStats out;
-  for (const Chunk& c : chunks_) out += c.bs->stats();
-  return out;
-}
-
-SnapshotStats IncrementalFdistRun::snapshot_stats() const {
-  SnapshotStats out;
-  for (const Chunk& c : chunks_) out += c.view->snapshot_stats();
-  return out;
 }
 
 }  // namespace cdse

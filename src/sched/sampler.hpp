@@ -11,16 +11,16 @@
 // historical partial-sum walk, so sampled results are draw-for-draw
 // identical at fixed seed.
 //
-// ParallelSampler warms one instance, freezes its compiled tables and
-// fans trials over thin read-only views of the shared snapshot, each
-// chunk on its own RNG stream: serially (kSerial), or as the chunks of
-// an IncrementalFdistRun, the one batched fan-out (a one-shot batched
-// f-dist is a single wave that runs every chunk to completion). A
-// serial run can carry a SampleGuard -- per-chunk wall-clock deadlines
-// checked between trials, retry-with-seed-rotation when a chunk throws
-// -- and degrade to a partial, still-normalized estimate plus a
-// SampleReport instead of tearing the experiment down (fault sweeps,
-// foreign automata).
+// ParallelSampler warms one instance and freezes its compiled tables.
+// The serial walk (kSerial) fans trials over thin read-only views of the
+// shared snapshot, each chunk on its own RNG stream. The batched engine
+// runs as an IncrementalFdistRun: one view on one stream at every pool
+// size (a one-shot batched f-dist is a single wave that runs it to
+// completion). A serial run can carry a SampleGuard -- per-chunk
+// wall-clock deadlines checked between trials, retry-with-seed-rotation
+// when a chunk throws -- and degrade to a partial, still-normalized
+// estimate plus a SampleReport instead of tearing the experiment down
+// (fault sweeps, foreign automata).
 
 #include <chrono>
 #include <cstdint>
@@ -36,7 +36,7 @@
 
 namespace cdse {
 
-/// Which stepping engine ParallelSampler::sample_fdist drives per chunk.
+/// Which stepping engine ParallelSampler::sample_fdist drives.
 ///   kSerial  -- one execution at a time, the draw-for-draw reproducible
 ///               walk.
 ///   kBatched -- lockstep trajectory-class batches, each class divided
@@ -140,8 +140,9 @@ class ParallelSampler {
   bool prepared() const { return snapshot_ != nullptr; }
 
   /// Normalized f-dist estimate from `trials` executions. kBatched runs
-  /// one IncrementalFdistRun wave that takes every chunk to completion
-  /// and divides its counts by `trials`.
+  /// one IncrementalFdistRun on stream 0 of `seed` to completion in a
+  /// single wave and divides its counts by `trials`; it leaves `pool`
+  /// unused, so its estimate is the same at every pool size.
   ///
   /// kSerial honours `guard`: each attempt of a chunk builds a fresh
   /// view and scheduler and draws from stream c of
@@ -154,7 +155,7 @@ class ParallelSampler {
   /// `report` and returns the partial estimate; without a report it
   /// throws instead -- the exception of the first chunk that exhausted
   /// its retries, else std::runtime_error for a deadline cut. A batched
-  /// chunk has no trial boundary to stop or retry at, so kBatched
+  /// run has no trial boundary to stop or retry at, so kBatched
   /// rejects an armed guard with std::invalid_argument (a report comes
   /// back complete).
   Disc<Perception, double> sample_fdist(const InsightFunction& f,
@@ -167,7 +168,8 @@ class ParallelSampler {
                                         const SampleGuard& guard = {},
                                         SampleReport* report = nullptr);
 
-  /// A fresh thin worker view / scheduler, as handed to each chunk.
+  /// A fresh thin worker view / scheduler, as handed to each serial
+  /// chunk and to each IncrementalFdistRun.
   /// Exposed for the differential tests and for callers integrating the
   /// snapshot into their own fan-out. Requires prepared().
   std::shared_ptr<SnapshotPsioa> worker_view() const;
@@ -177,11 +179,12 @@ class ParallelSampler {
     return snapshot_;
   }
 
-  /// Counters summed over the workers of the most recent sample_fdist.
+  /// Snapshot counters of the most recent sample_fdist (summed over the
+  /// serial chunks, or the batched run's view).
   const SnapshotStats& last_stats() const { return last_stats_; }
 
-  /// Batch counters summed over the workers of the most recent
-  /// sample_fdist in kBatched mode (zeroed by kSerial runs).
+  /// Batch counters of the most recent sample_fdist in kBatched mode
+  /// (zeroed by kSerial runs).
   const BatchStats& last_batch_stats() const { return last_batch_stats_; }
 
   /// Interning counters of the warm instance (the handle authority all
@@ -200,87 +203,82 @@ class ParallelSampler {
   BatchStats last_batch_stats_;
 };
 
-/// The batched fan-out: `trials` executions over a prepared sampler's
-/// snapshot, split into one persistent BatchSampler chunk per worker
-/// (at most one per trial) and advanced in waves. A wave steps every
-/// unfinished chunk `rounds_per_wave` lockstep rounds, each chunk on
-/// its own pool task (inline when there is one chunk), then takes the
-/// per-perception counts of the classes that went terminal during the
-/// wave (BatchSampler::take_counts) and merges the chunks' counts into
+/// The batched run: `trials` executions over a prepared sampler's
+/// snapshot, stepped by one persistent BatchSampler on one worker view
+/// and one scheduler, drawing from the stream it is given, and advanced
+/// in waves. A wave steps the sampler `rounds_per_wave` lockstep rounds,
+/// then takes the per-perception counts of the classes that went
+/// terminal during the wave (BatchSampler::take_counts) as
 /// wave_delta(). The run keeps no running tally: a caller that wants one
 /// merges each wave's delta itself. Integer class counts sum exactly in
-/// doubles, so such a tally is independent of wave boundaries and of
-/// merge order. Several runs can be interleaved wave by wave -- the
+/// doubles, so such a tally is independent of wave boundaries. The run
+/// uses no pool: its tallies are a pure function of (stream, trials,
+/// depth, prefix). Several runs can be interleaved wave by wave -- the
 /// paired-consumption shape the sequential epsilon estimator needs (one
-/// look compares the LEFT and RIGHT tallies at matching trial counts).
+/// look compares the LEFT and RIGHT tallies at matching trial counts) --
+/// or stepped on separate threads, one thread per run.
 class IncrementalFdistRun {
  public:
   /// Progress of one wave.
   struct WaveReport {
     std::size_t wave = 0;            ///< 1-based wave index
-    std::size_t rounds_per_wave = 0; ///< lockstep rounds each chunk stepped
+    std::size_t rounds_per_wave = 0; ///< lockstep rounds per wave
     std::size_t trials_done = 0;     ///< executions terminal so far
     std::size_t trials_requested = 0;
-    bool done = false;               ///< every chunk finished
-    /// Entries of the chunks' counts merged into wave_delta() THIS wave.
-    /// Each chunk folds only the classes that went terminal this wave,
-    /// so sum(merge_entries) over a whole run is bounded by the run's
-    /// distinct_executions (BatchStats).
-    std::size_t merge_entries = 0;
+    bool done = false;               ///< the run finished
   };
 
-  /// Requires sampler.prepared(); holds references to `f` and `pool`
-  /// for its lifetime.
+  /// Requires sampler.prepared(); holds a reference to `f` for its
+  /// lifetime. The RNG is copied in, as BatchSampler does. A non-null
+  /// `prefix` conditions every execution on it (BatchSampler's
+  /// prefix-conditioned constructor; the importance-splitting strata)
+  /// and is copied.
   ///
   /// rounds_per_wave contract: 0 auto-tunes the wave size to
-  /// max(1, 2048 / per_chunk_trials): chunks carrying >= 2048 trials
-  /// report after every round, small chunks batch several rounds per
-  /// wave. Waves are where the sequential driver looks, so this rule
-  /// fixes the look schedule -- and with it the stopping time of every
-  /// seeded sequential verdict. The auto-tuned value is surfaced in
+  /// max(1, 2048 / trials): runs of >= 2048 trials report after every
+  /// round, small runs batch several rounds per wave. Waves are where
+  /// the sequential driver looks, so this rule fixes the look schedule
+  /// -- and with it the stopping time of every seeded sequential
+  /// verdict. The auto-tuned value is surfaced in
   /// WaveReport::rounds_per_wave. Any nonzero value is used as given;
   /// SIZE_MAX finishes the run in one wave.
   IncrementalFdistRun(const ParallelSampler& sampler,
                       const InsightFunction& f, std::size_t trials,
-                      std::uint64_t seed, std::size_t max_depth,
-                      ThreadPool& pool, std::size_t rounds_per_wave = 0);
-  ~IncrementalFdistRun();
+                      const Xoshiro256& rng, std::size_t max_depth,
+                      std::size_t rounds_per_wave = 0,
+                      const ExecFragment* prefix = nullptr);
   IncrementalFdistRun(const IncrementalFdistRun&) = delete;
   IncrementalFdistRun& operator=(const IncrementalFdistRun&) = delete;
 
-  bool done() const { return done_; }
-  /// Advances every unfinished chunk by one wave of rounds, merges the
-  /// chunks' fresh counts into wave_delta(), and returns the report.
-  /// No-op once done(). An exception from a chunk (the insight function
-  /// included) propagates after every chunk task has finished; the run
+  bool done() const { return bs_.done(); }
+  /// Advances the run by one wave of rounds, takes its fresh counts as
+  /// wave_delta(), and returns the report. No-op once done(). An
+  /// exception (the insight function's included) propagates; the run
   /// must not be stepped again.
   const WaveReport& step_wave();
   const WaveReport& report() const { return report_; }
   /// The wave size in effect (auto-tuned when 0 was requested).
-  std::size_t rounds_per_wave() const { return rounds_per_wave_; }
+  std::size_t rounds_per_wave() const { return report_.rounds_per_wave; }
 
-  std::size_t trials_requested() const { return trials_; }
-  std::uint64_t trials_terminal() const;
+  std::size_t trials_requested() const { return bs_.trials_requested(); }
+  std::uint64_t trials_terminal() const { return bs_.trials_terminal(); }
   /// The unnormalized per-perception counts (integer-valued) of the
   /// executions that went terminal during the most recent wave.
   const Disc<Perception, double>& wave_delta() const { return wave_delta_; }
 
-  /// Counters summed over the chunks (valid between waves).
-  BatchStats batch_stats() const;
-  SnapshotStats snapshot_stats() const;
+  /// The run's counters (valid between waves).
+  const BatchStats& batch_stats() const { return bs_.stats(); }
+  const SnapshotStats& snapshot_stats() const {
+    return view_->snapshot_stats();
+  }
 
  private:
-  struct Chunk;
-
   const InsightFunction& f_;
-  std::size_t trials_;
-  ThreadPool& pool_;
-  std::size_t rounds_per_wave_ = 1;
-  std::vector<Chunk> chunks_;
+  std::shared_ptr<SnapshotPsioa> view_;
+  SchedulerPtr sched_;
+  BatchSampler bs_;
   Disc<Perception, double> wave_delta_;
   WaveReport report_;
-  std::size_t wave_ = 0;
-  bool done_ = false;
 };
 
 }  // namespace cdse

@@ -151,13 +151,8 @@ SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
   double gap_sum = 0.0;    // (1/2) sum max(0, |d| - rl - rr)
   double rad_sum = 0.0;    // (1/2) sum (rl + rr)
   double singles_l = 0.0, singles_r = 0.0;
-  // Both radii at this look's (scale, dc), hoisted out of the cell loop.
-  const bool use_bernstein = policy_.bound == SeqBound::kEmpiricalBernstein;
-  const BernsteinRadius bernstein(scale, dc);
-  const double hoeffding = seq_hoeffding_radius(scale, dc);
-  auto cell_radius = [&](double mean) {
-    return use_bernstein ? bernstein(mean) : hoeffding;
-  };
+  // The radius at this look's (scale, dc), hoisted out of the cell loop.
+  const BernsteinRadius cell_radius(scale, dc);
   auto account = [&](double cl, double cr) {
     if (cl == 1.0) singles_l += 1.0;
     if (cr == 1.0) singles_r += 1.0;
@@ -241,21 +236,14 @@ SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
 }
 
 SeqDecision SeqEstimator::look_scaled(double estimate, double slack,
-                                      double mean_l, double scale_l,
-                                      double mean_r, double scale_r,
+                                      double scale_l, double scale_r,
                                       std::size_t n, std::uint64_t draws) {
   if (last_.verdict != SeqVerdict::kUndecided) return last_;
   ++looks_;
   const double dw = seq_spend(policy_.delta, looks_);
   const double d_side = dw / 2.0;  // one union-bound slice per side
-  double radius;
-  if (policy_.bound == SeqBound::kEmpiricalBernstein) {
-    radius = seq_bernstein_radius(mean_l, scale_l, d_side) +
-             seq_bernstein_radius(mean_r, scale_r, d_side);
-  } else {
-    radius = seq_hoeffding_radius(scale_l, d_side) +
-             seq_hoeffding_radius(scale_r, d_side);
-  }
+  const double radius = seq_hoeffding_radius(scale_l, d_side) +
+                        seq_hoeffding_radius(scale_r, d_side);
 
   SeqDecision dec;
   dec.estimate = estimate;

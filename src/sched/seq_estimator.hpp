@@ -8,8 +8,9 @@
 // early that decision is statistically settled; this module supplies the
 // statistics that let it stop: a confidence-sequence engine that
 // consumes running tallies built from the per-wave deltas of
-// IncrementalFdistRun (sched/sampler.hpp) and returns
-// kAboveThreshold / kBelowThreshold as soon as the whole
+// IncrementalFdistRun (sched/sampler.hpp; one stream per side and stage,
+// so the looks and the stopping time do not depend on the pool size)
+// and returns kAboveThreshold / kBelowThreshold as soon as the whole
 // confidence interval clears the threshold, at an overall error
 // probability <= delta over the entire (data-dependent, unboundedly
 // long) sequence of looks.
@@ -20,10 +21,10 @@
 // penalty, stop whenever the envelope separates. The paired look()
 // builds *support-adaptive* one-sided envelopes for the terminal TV
 // distance. With k observed cells, each side of each cell gets a
-// confidence slice delta_w / (2 (k+1)) and a per-cell radius (Hoeffding,
-// or Maurer-Pontil empirical Bernstein with plug-in variance p(1-p) --
-// the default, which is what makes sparse near-deterministic gaps
-// decide orders of magnitude earlier):
+// confidence slice delta_w / (2 (k+2)) and a Maurer-Pontil empirical
+// Bernstein radius with plug-in variance p(1-p), capped by the
+// Hoeffding radius -- the variance term is what makes sparse
+// near-deterministic gaps decide orders of magnitude earlier:
 //
 //   lower = (1/2) sum_i max(0, |d_i| - rl_i - rr_i)
 //     Sound for kAboveThreshold: every unobserved cell contributes
@@ -51,8 +52,9 @@
 // under delta across seeded replicates.
 //
 // look_scaled() -- the stratified/importance-splitting path -- keeps
-// the plug-in witness-mean rule with one side-radius per reweighted
-// f-dist (Hoeffding scale sum_s w_s^2 / n_s), which is sharp for the
+// the plug-in witness-mean rule with one Hoeffding side-radius per
+// reweighted f-dist (scale sum_s w_s^2 / n_s; the bounded-increment
+// argument survives reweighting), which is sharp for the
 // small-perception-support insights the split estimator targets; see
 // DESIGN.md for the small-support caveat.
 //
@@ -77,9 +79,6 @@ enum class SeqVerdict {
   kBelowThreshold,  ///< eps < threshold at confidence 1 - delta
 };
 
-/// Which concentration inequality backs the per-side radius.
-enum class SeqBound { kEmpiricalBernstein, kHoeffding };
-
 /// Budget and decision parameters for one sampled epsilon check.
 /// max_trials == 0 deactivates the policy entirely (a family sweep whose
 /// cells are all exact takes a default-constructed one); max_trials > 0
@@ -93,9 +92,6 @@ struct SequentialPolicy {
   double delta = 0.0;
   /// The eps threshold the verdict is measured against.
   double threshold = 0.0;
-  /// Lockstep rounds per incremental wave; 0 = auto-tune (see
-  /// IncrementalFdistRun).
-  std::size_t rounds_per_wave = 0;
 
   /// First stage size; later stages grow geometrically by `growth` until
   /// the budget is exhausted (trial-level early stopping needs staged
@@ -103,14 +99,10 @@ struct SequentialPolicy {
   /// so waves alone only save depth rounds, not trials).
   std::size_t initial_trials = 1024;
   double growth = 2.0;
-  /// Per-side radius choice (the stratified estimator always uses the
-  /// Hoeffding form, whose bounded-increment argument survives
-  /// reweighting; see seq_hoeffding_radius).
-  SeqBound bound = SeqBound::kEmpiricalBernstein;
 
   /// Importance splitting: > 0 enables the stratified estimator, which
-  /// expands the exact cone to this depth, conditions per-prefix
-  /// BatchSampler cursors on the live strata, and reweights by exact
+  /// expands the exact cone to this depth, conditions one run per
+  /// live stratum on its prefix, and reweights by exact
   /// cone mass (impl/balance.hpp). 0 = plain paired sampling.
   std::size_t split_depth = 0;
   /// Allocation steering: stratum score = cone_mass * (1 + split_boost *
@@ -201,12 +193,10 @@ class SeqEstimator {
                    std::uint64_t live_r, std::size_t n, std::uint64_t draws);
 
   /// Generic look from a precomputed estimate: used by the stratified
-  /// estimator, whose per-side uncertainty is summarized by a witness
-  /// mean (for the Bernstein form) and a Hoeffding scale
-  /// sum_s w_s^2 / n_s. `slack` is the censoring bracket width.
-  SeqDecision look_scaled(double estimate, double slack, double mean_l,
-                          double scale_l, double mean_r, double scale_r,
-                          std::size_t n, std::uint64_t draws);
+  /// estimator, whose per-side uncertainty is summarized by a Hoeffding
+  /// scale sum_s w_s^2 / n_s. `slack` is the censoring bracket width.
+  SeqDecision look_scaled(double estimate, double slack, double scale_l,
+                          double scale_r, std::size_t n, std::uint64_t draws);
 
   const SeqDecision& last() const { return last_; }
   std::size_t looks() const { return looks_; }

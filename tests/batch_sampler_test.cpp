@@ -187,21 +187,34 @@ TEST(BatchSamplerUnit, BatchedFdistIsSeedDeterministic) {
   }
 }
 
+/// Exact (bitwise) equality of two estimates -- the bar for "same
+/// schedule", much stronger than the chi-square harness.
+void expect_bit_identical(const Disc<Perception, double>& a,
+                          const Disc<Perception, double>& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.entries().size(), b.entries().size()) << what;
+  for (std::size_t i = 0; i < a.entries().size(); ++i) {
+    EXPECT_EQ(a.entries()[i].first, b.entries()[i].first) << what;
+    EXPECT_EQ(a.entries()[i].second, b.entries()[i].second) << what;
+  }
+}
+
 TEST(BatchSampler, ParallelBatchedIsDeterministicAtFixedPoolSize) {
-  ThreadPool pool(4);
+  // A one-shot batched f-dist is one run on stream 0 of the seed, so it
+  // repeats bit for bit and is the same at every pool size.
   TraceInsight f;
   ParallelSampler sampler(mac_factory("bs_pdet"), uniform_factory(kDepth));
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  const auto d1 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool,
+  ThreadPool pool1(1);
+  const auto d1 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool1,
                                        SamplingMode::kBatched);
-  const auto d2 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool,
-                                       SamplingMode::kBatched);
-  ASSERT_EQ(d1.entries().size(), d2.entries().size());
-  for (std::size_t i = 0; i < d1.entries().size(); ++i) {
-    EXPECT_EQ(d1.entries()[i].first, d2.entries()[i].first);
-    EXPECT_DOUBLE_EQ(d1.entries()[i].second, d2.entries()[i].second);
+  for (std::size_t workers : kWorkerCounts) {
+    ThreadPool pool(workers);
+    const auto d2 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool,
+                                         SamplingMode::kBatched);
+    expect_bit_identical(d1, d2, std::to_string(workers) + " workers");
   }
 }
 
@@ -245,18 +258,6 @@ TEST(BatchSampler, SnapshotBatchedMatchesSerialOverFrozenTables) {
 }
 
 // ----------------------------------------------------------- split kernel
-
-/// Exact (bitwise) equality of two estimates -- the bar for "same
-/// schedule", much stronger than the chi-square harness.
-void expect_bit_identical(const Disc<Perception, double>& a,
-                          const Disc<Perception, double>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.entries().size(), b.entries().size()) << what;
-  for (std::size_t i = 0; i < a.entries().size(); ++i) {
-    EXPECT_EQ(a.entries()[i].first, b.entries()[i].first) << what;
-    EXPECT_EQ(a.entries()[i].second, b.entries()[i].second) << what;
-  }
-}
 
 TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
   TraceInsight f;
@@ -368,9 +369,10 @@ TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
 }
 
 TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
-  // The one-shot call is a single wave of the same run. Waves of one
-  // round hand out the same integer class counts, which sum exactly, so
-  // a run driven to completion matches it bit for bit, per worker count.
+  // The one-shot call is a single wave of the same run, on stream 0 of
+  // the seed. Waves of one round hand out the same integer class counts,
+  // which sum exactly, so a run driven to completion matches it bit for
+  // bit, at every worker count.
   TraceInsight f;
   ParallelSampler sampler(mac_factory("bs_iosh"), uniform_factory(kDepth));
   WarmupPlan plan;
@@ -380,7 +382,8 @@ TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
     ThreadPool pool(workers);
     const auto oneshot = sampler.sample_fdist(f, kTrials, 909, kDepth, pool,
                                               SamplingMode::kBatched);
-    IncrementalFdistRun run(sampler, f, kTrials, 909, kDepth, pool,
+    IncrementalFdistRun run(sampler, f, kTrials,
+                            Xoshiro256::for_stream(909, 0), kDepth,
                             /*rounds_per_wave=*/1);
     const auto waved = testing::drive_waves(run);
     expect_bit_identical(oneshot, waved,
@@ -394,9 +397,8 @@ TEST(BatchSampler, IncrementalWavesReportProgressAndPartialTallies) {
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  ThreadPool pool(4);
-  IncrementalFdistRun run(sampler, f, kTrials, 1001, kDepth, pool,
-                          /*rounds_per_wave=*/1);
+  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(1001, 0),
+                          kDepth, /*rounds_per_wave=*/1);
   std::vector<IncrementalFdistRun::WaveReport> reports;
   const auto dist = testing::drive_waves(
       run, [&](const IncrementalFdistRun::WaveReport& rep,
@@ -431,9 +433,8 @@ TEST(BatchSampler, IncrementalEarlyStopReturnsNormalizedPartial) {
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  ThreadPool pool(2);
-  IncrementalFdistRun run(sampler, f, kTrials, 2002, kDepth, pool,
-                          /*rounds_per_wave=*/1);
+  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(2002, 0),
+                          kDepth, /*rounds_per_wave=*/1);
   std::size_t waves_seen = 0;
   const auto dist = testing::drive_waves(
       run, [&](const IncrementalFdistRun::WaveReport&,
@@ -462,8 +463,8 @@ TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
   ThreadPool pool(4);
   const auto serial = sampler.sample_fdist(f, kTrials, 3003, kDepth, pool,
                                            SamplingMode::kSerial);
-  IncrementalFdistRun run(sampler, f, kTrials, 4004, kDepth, pool,
-                          /*rounds_per_wave=*/2);
+  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(4004, 0),
+                          kDepth, /*rounds_per_wave=*/2);
   const auto waved = testing::drive_waves(run);
   EXPECT_TRUE(testing::fdists_match(serial, kTrials, waved, kTrials));
 }

@@ -432,7 +432,7 @@ TEST(GuardedSampler, ExhaustedRetriesReportCleanFailure) {
 }
 
 TEST(GuardedSampler, BatchedModeRejectsArmedGuard) {
-  // A batched chunk has no trial boundary to stop or retry at.
+  // A batched run has no trial boundary to stop or retry at.
   ThreadPool pool(2);
   ParallelSampler sampler = prepared_sampler(lossy_factory("gb"), uniform6);
   TraceInsight f;

@@ -5,7 +5,7 @@
 //
 //   unit      -- spending schedule, radius formulas, verdict latching.
 //   waves     -- IncrementalFdistRun: auto-tune contract, delta-merge
-//                cost accounting (merge_entries), completed-run
+//                cost accounting (wave_delta support sizes), completed-run
 //                bit-identity with the one-shot (single-wave) path.
 //   coverage  -- simulation: the realized false-decision rate of the
 //                confidence sequence stays under delta across seeded
@@ -262,21 +262,21 @@ TEST(SeqEstUnit, FixedPolicyNeverDecides) {
 // ----------------------------------------------------------------- waves
 
 TEST(SeqEstWaves, AutoTuneTargetsDrawsPerWavePerChunk) {
-  ThreadPool pool(1);
   TraceInsight f;
   ParallelSampler sampler(mac_side_factory("se_w1", true),
                           uniform_factory(kDepth));
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  // One chunk of 100 trials: auto-tune picks max(1, 2048/100) = 20.
-  IncrementalFdistRun small(sampler, f, 100, 7, kDepth, pool);
+  const Xoshiro256 rng = Xoshiro256::for_stream(7, 0);
+  // 100 trials: auto-tune picks max(1, 2048/100) = 20.
+  IncrementalFdistRun small(sampler, f, 100, rng, kDepth);
   EXPECT_EQ(small.rounds_per_wave(), 20u);
-  // One chunk of >= 2048 trials: one round per wave.
-  IncrementalFdistRun big(sampler, f, 4096, 7, kDepth, pool);
+  // >= 2048 trials: one round per wave.
+  IncrementalFdistRun big(sampler, f, 4096, rng, kDepth);
   EXPECT_EQ(big.rounds_per_wave(), 1u);
   // Explicit values pass through untouched.
-  IncrementalFdistRun fixed(sampler, f, 100, 7, kDepth, pool, 3);
+  IncrementalFdistRun fixed(sampler, f, 100, rng, kDepth, 3);
   EXPECT_EQ(fixed.rounds_per_wave(), 3u);
   // The surfaced report carries the effective value.
   while (!small.done()) {
@@ -285,19 +285,20 @@ TEST(SeqEstWaves, AutoTuneTargetsDrawsPerWavePerChunk) {
 }
 
 TEST(SeqEstWaves, DeltaMergeWorkIsBoundedByDistinctExecutions) {
-  ThreadPool pool(4);
   TraceInsight f;
   ParallelSampler sampler(composed_factory(3, "se_c"),
                           uniform_factory(kDepth));
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  IncrementalFdistRun run(sampler, f, kTrials, 11, kDepth, pool, 1);
+  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(11, 0),
+                          kDepth, 1);
   std::size_t merged_total = 0;
   std::size_t waves = 0;
   Disc<Perception, double> tally;
   while (!run.done()) {
-    merged_total += run.step_wave().merge_entries;
+    run.step_wave();
+    merged_total += run.wave_delta().support_size();
     tally.merge(run.wave_delta());
     ++waves;
   }
@@ -321,7 +322,8 @@ TEST(SeqEstWaves, CompletedRunIsBitIdenticalToOneShot) {
   sampler.prepare(plan, kDepth);
   const auto one_shot =
       sampler.sample_fdist(f, kTrials, 9, kDepth, pool, SamplingMode::kBatched);
-  IncrementalFdistRun run(sampler, f, kTrials, 9, kDepth, pool, 1);
+  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(9, 0),
+                          kDepth, 1);
   const auto inc = testing::drive_waves(run);
   ASSERT_EQ(inc.entries().size(), one_shot.entries().size());
   for (std::size_t i = 0; i < inc.entries().size(); ++i) {
@@ -331,13 +333,13 @@ TEST(SeqEstWaves, CompletedRunIsBitIdenticalToOneShot) {
 }
 
 TEST(SeqEstWaves, EarlyStopReturnsNormalizedPartial) {
-  ThreadPool pool(2);
   TraceInsight f;
   ParallelSampler sampler(ledger_factory("se_l"), uniform_factory(kDepth));
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  IncrementalFdistRun run(sampler, f, kTrials, 13, kDepth, pool, 1);
+  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(13, 0),
+                          kDepth, 1);
   std::size_t waves_seen = 0;
   const auto partial = testing::drive_waves(
       run, [&](const IncrementalFdistRun::WaveReport& rep,
@@ -502,23 +504,30 @@ TEST(SeqEstZoo, MacVerdictsAgreeWithExactEpsilonBothSides) {
 }
 
 TEST(SeqEstZoo, SequentialRunsAreDeterministicAtFixedPoolSize) {
+  // Repeat-deterministic, and the same verdict, estimate and cost at
+  // every pool size: each side of a stage is one run on one stream.
   TraceInsight f;
-  ThreadPool pool(4);
   const SequentialPolicy policy =
       SequentialPolicy::deciding(0.1, kTrials, 1e-3);
-  auto run = [&] {
+  auto run = [&](ThreadPool& pool) {
     return sequential_balance_epsilon(
         composed_factory(3, "se_c"), uniform_factory(kDepth),
         hidden_renamed_factory(5, "se_h"), uniform_factory(kDepth), f,
         policy, 31, kDepth, pool);
   };
-  const SequentialEpsilon a = run();
-  const SequentialEpsilon b = run();
-  EXPECT_EQ(a.verdict, b.verdict);
-  EXPECT_DOUBLE_EQ(a.estimate, b.estimate);
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.draws, b.draws);
-  EXPECT_EQ(a.looks, b.looks);
+  ThreadPool pool1(1);
+  const SequentialEpsilon a = run(pool1);
+  for (std::size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    const SequentialEpsilon b = run(pool);
+    EXPECT_EQ(a.verdict, b.verdict);
+    EXPECT_EQ(a.estimate, b.estimate);  // bit-equal, not just close
+    EXPECT_EQ(a.trials, b.trials);
+    EXPECT_EQ(a.draws, b.draws);
+    EXPECT_EQ(a.looks, b.looks);
+    EXPECT_EQ(a.stages, b.stages);
+  }
 }
 
 TEST(SeqEstZoo, FixedPolicyRunsWholeBudget) {
