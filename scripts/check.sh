@@ -25,10 +25,11 @@
 #   scripts/check.sh --portable # portable-baseline build with
 #                               # -DCDSE_NATIVE_ARCH=OFF; runs the RNG /
 #                               # binomial / split-row / batch-sampler
+#                               # suites and the trace-keyed perception
 #                               # suites, proving the baseline-ISA build
-#                               # passes the chi-square and determinism
-#                               # gates (the CI portable-baseline job
-#                               # runs exactly this)
+#                               # passes the chi-square, determinism and
+#                               # bit-identity gates (the CI
+#                               # portable-baseline job runs exactly this)
 #   scripts/check.sh --verdict  # the verdict benchmark's own test
 #                               # (verdictbench/selftest.py): builds
 #                               # verdict_bench in Release and checks, on
@@ -71,7 +72,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # QuotientPsioa views in all of the above), the batched sampler
   # (frozen split rows read lock-free by lockstep workers),
   # the sequential estimator (whose concurrency is the importance-
-  # splitting path's per-stratum runs, one pool task each), the sampled
+  # splitting path's per-stratum runs, one pool task each, each on its
+  # own perception table: TraceKeyed.StratifiedRuns*), the sampled
   # epsilon's error contract (Balance: factories and insight functions
   # that throw inside pool-run waves), and the deadline / retry guard of
   # ParallelSampler's serial walk (GuardedSampler: retries build fresh
@@ -82,24 +84,27 @@ if [[ "${1:-}" == "--tsan" ]]; then
     --target snapshot_test thread_pool_test intern_test intern_gc_test \
              service_soak_test exact_engine_test quotient_test \
              multinomial_test batch_sampler_test seq_estimator_test \
-             insight_fdist_test fault_test
+             insight_fdist_test fault_test perception_table_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst|Balance\.|GuardedSampler'
+    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst|Balance\.|GuardedSampler|TraceKeyed\.StratifiedRuns'
   echo "== tsan pass clean =="
   exit 0
 fi
 
 if [[ "${1:-}" == "--portable" ]]; then
   # Portable baseline: no -march=native. The RNG, binomial, split-row and
-  # batch-sampler suites carry the chi-square and determinism gates, so
-  # a pass here certifies the baseline-ISA build samples the same laws --
-  # the lowest common denominator any deployment target gets.
+  # batch-sampler suites carry the chi-square and determinism gates, and
+  # the trace-keyed perception suites the bit-identity of id-keyed
+  # tallies and dense looks with the string-keyed ones, so a pass here
+  # certifies the baseline-ISA build samples the same laws -- the lowest
+  # common denominator any deployment target gets.
   echo "== portable: CDSE_NATIVE_ARCH=OFF build + sampling suites =="
   cmake -B build-portable -S . -DCDSE_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-portable -j "$JOBS" \
-    --target rng_test multinomial_test batch_sampler_test
+    --target rng_test multinomial_test batch_sampler_test \
+             perception_table_test
   ctest --test-dir build-portable --output-on-failure -j "$JOBS" \
-    -R 'Xoshiro|Binomial|SplitRow|AliasBuild|AliasDraws|AliasFrozen|BatchSampler'
+    -R 'Xoshiro|Binomial|SplitRow|AliasBuild|AliasDraws|AliasFrozen|BatchSampler|PerceptionTable|TraceKeyed|DenseLook'
   echo "== portable pass clean =="
   exit 0
 fi

@@ -71,6 +71,44 @@ std::uint64_t logical_draws(const BatchStats& bs) {
   return bs.action_draws + bs.target_draws;
 }
 
+/// balance_distance of the terminal-normalized dense tallies (count /
+/// terminal per side), visiting cells in perception order with
+/// balance_distance's arithmetic, so the result equals that of the two
+/// normalized Discs bit for bit. A side with no terminal trial is the
+/// empty measure.
+double dense_balance_distance(PerceptionTable& table,
+                              const std::vector<double>& counts_l,
+                              std::uint64_t terminal_l,
+                              const std::vector<double>& counts_r,
+                              std::uint64_t terminal_r) {
+  const double nl = static_cast<double>(terminal_l);
+  const double nr = static_cast<double>(terminal_r);
+  double pos = 0.0;
+  double neg = 0.0;
+  for (const PerceptionTable::Id id : table.order()) {
+    const bool in_l = terminal_l > 0 && id < counts_l.size() &&
+                      counts_l[id] != 0.0;
+    const bool in_r = terminal_r > 0 && id < counts_r.size() &&
+                      counts_r[id] != 0.0;
+    double d;
+    if (in_l && in_r) {
+      d = counts_l[id] / nl - counts_r[id] / nr;
+    } else if (in_l) {
+      d = counts_l[id] / nl;
+    } else if (in_r) {
+      d = -(counts_r[id] / nr);
+    } else {
+      continue;
+    }
+    if (d < 0.0) {
+      neg -= d;
+    } else {
+      pos += d;
+    }
+  }
+  return pos < neg ? neg : pos;
+}
+
 /// Plain paired-sampling path: geometric trial stages, wave-interleaved
 /// left/right incremental runs, an estimator look after every wave.
 SequentialEpsilon plain_sequential_epsilon(
@@ -78,9 +116,11 @@ SequentialEpsilon plain_sequential_epsilon(
     const SequentialPolicy& policy, std::uint64_t seed,
     std::size_t max_depth) {
   SeqEstimator est(policy);
-  // One running integer tally per side over every stage, grown by each
-  // wave's merged delta and handed to the looks by reference.
-  Disc<Perception, double> tally_l, tally_r;
+  // One table for both sides, so equal perceptions share an id, and one
+  // dense running integer tally per side over every stage, grown by
+  // each wave's delta and handed to the looks by reference.
+  PerceptionTable table;
+  std::vector<double> tally_l, tally_r;
   std::uint64_t term_l = 0, term_r = 0;
   std::uint64_t draws_done = 0;
   std::size_t committed = 0;
@@ -96,19 +136,19 @@ SequentialEpsilon plain_sequential_epsilon(
         std::min(next_stage, policy.max_trials - committed);
     const std::size_t n_committed = committed + stage_trials;
     IncrementalFdistRun run_l(
-        left, f, stage_trials,
+        left, f, table, stage_trials,
         Xoshiro256::for_stream(seq_stage_seed(seed, stage, 0), 0), max_depth);
     IncrementalFdistRun run_r(
-        right, f, stage_trials,
+        right, f, table, stage_trials,
         Xoshiro256::for_stream(seq_stage_seed(seed, stage, 1), 0), max_depth);
     while (!run_l.done() || !run_r.done()) {
       if (!run_l.done()) {
         run_l.step_wave();
-        tally_l.merge(run_l.wave_delta());
+        add_counts(tally_l, run_l.wave_delta());
       }
       if (!run_r.done()) {
         run_r.step_wave();
-        tally_r.merge(run_r.wave_delta());
+        add_counts(tally_r, run_r.wave_delta());
       }
       if (!policy.sequential()) continue;
       // Paired look on the running tallies (prior stages + this one so
@@ -119,8 +159,8 @@ SequentialEpsilon plain_sequential_epsilon(
       const std::uint64_t draws = draws_done +
                                   logical_draws(run_l.batch_stats()) +
                                   logical_draws(run_r.batch_stats());
-      dec = est.look(tally_l, n_committed - t_l, tally_r, n_committed - t_r,
-                     n_committed, draws);
+      dec = est.look(table, tally_l, n_committed - t_l, tally_r,
+                     n_committed - t_r, n_committed, draws);
       if (dec.verdict != SeqVerdict::kUndecided) {
         decided = true;
         break;
@@ -138,16 +178,8 @@ SequentialEpsilon plain_sequential_epsilon(
   SequentialEpsilon out;
   // Report the terminal-normalized estimate (a well-defined pair of
   // probability distributions even when the stop fired mid-wave).
-  Disc<Perception, double> pl, pr;
-  if (term_l > 0) {
-    const double n = static_cast<double>(term_l);
-    pl.merge(tally_l, [n](double c) { return c / n; });
-  }
-  if (term_r > 0) {
-    const double n = static_cast<double>(term_r);
-    pr.merge(tally_r, [n](double c) { return c / n; });
-  }
-  out.estimate = balance_distance(pl, pr);
+  out.estimate =
+      dense_balance_distance(table, tally_l, term_l, tally_r, term_r);
   out.trials = committed;
   out.draws = draws_done;
   out.looks = est.looks();
@@ -394,14 +426,17 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
   const std::size_t k = strata.live.size();
 
   // One prefix-conditioned run per stratum, built on the driving thread
-  // and stepped to completion as one pool task (one thread per run).
+  // and stepped to completion as one pool task (one thread per run, and
+  // one perception table per run, since tables are not thread-safe).
   // Run i draws from stream i of `seed`, so the tallies are a pure
   // function of (seed, alloc), independent of worker count and
   // scheduling order.
+  std::deque<PerceptionTable> tables(k);
   std::deque<IncrementalFdistRun> runs;
   for (std::size_t i = 0; i < k; ++i) {
-    runs.emplace_back(sampler, f, alloc[i], Xoshiro256::for_stream(seed, i),
-                      max_depth, std::numeric_limits<std::size_t>::max(),
+    runs.emplace_back(sampler, f, tables[i], alloc[i],
+                      Xoshiro256::for_stream(seed, i), max_depth,
+                      std::numeric_limits<std::size_t>::max(),
                       &strata.live[i].frag);
   }
   for (IncrementalFdistRun& run : runs) {
@@ -411,9 +446,12 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
 
   std::vector<Disc<Perception, double>> out;
   out.reserve(k);
-  for (const IncrementalFdistRun& run : runs) {
-    out.push_back(run.wave_delta());
-    if (stats != nullptr) *stats += run.batch_stats();
+  std::vector<double> counts;
+  for (std::size_t i = 0; i < k; ++i) {
+    counts.clear();
+    add_counts(counts, runs[i].wave_delta());
+    out.push_back(tables[i].to_disc(counts, [](double c) { return c; }));
+    if (stats != nullptr) *stats += runs[i].batch_stats();
   }
   return out;
 }

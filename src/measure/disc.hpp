@@ -131,36 +131,6 @@ class Disc {
     return d;
   }
 
-  /// Builds the measure of unsorted (t, w) entries: one stable sort by t,
-  /// then equal keys coalesce by summing in input order and zero sums
-  /// drop -- bit-identical to calling add(t, w) on each entry in order,
-  /// at O(k log k) instead of O(k x support).
-  static Disc from_unsorted(std::vector<Entry> entries) {
-    std::stable_sort(
-        entries.begin(), entries.end(),
-        [](const Entry& a, const Entry& b) { return a.first < b.first; });
-    std::size_t out = 0;
-    for (std::size_t k = 0; k < entries.size();) {
-      W sum = std::move(entries[k].second);
-      std::size_t e = k + 1;
-      for (; e < entries.size() && entries[e].first == entries[k].first; ++e) {
-        sum += entries[e].second;
-      }
-      if (!detail::weight_is_zero(sum)) {
-        // A self-move would empty a long key (see detail::merge_sorted).
-        if (out != k) entries[out].first = std::move(entries[k].first);
-        entries[out].second = std::move(sum);
-        ++out;
-      }
-      k = e;
-    }
-    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(out),
-                  entries.end());
-    Disc d;
-    d.entries_ = std::move(entries);
-    return d;
-  }
-
   /// Accumulates weight w on t (merging with any existing mass on t).
   void add(const T& t, const W& w) { detail::accumulate_sorted(entries_, t, w); }
 

@@ -1,7 +1,6 @@
 #include "sched/batch_sampler.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -9,10 +8,11 @@
 namespace cdse {
 
 BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
-                           std::size_t trials, const Xoshiro256& rng,
-                           std::size_t max_depth)
+                           PerceptionTable& table, std::size_t trials,
+                           const Xoshiro256& rng, std::size_t max_depth)
     : automaton_(automaton),
       sched_(sched),
+      table_(table),
       // Compiled-row fast path mirrors sample_execution's hoisted
       // detection.
       memo_(dynamic_cast<MemoPsioa*>(&automaton)),
@@ -20,7 +20,8 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
       max_depth_(max_depth),
       rng_(rng) {
   const State q0 = automaton_.start_state();
-  nodes_.push_back(PathNode{-1, kInvalidAction, q0});
+  nodes_.push_back(
+      PathNode{-1, kInvalidAction, q0, PerceptionTable::kEmptyTrace});
   if (trials_ > 0) {
     cls_state_.push_back(q0);
     cls_node_.push_back(0);
@@ -29,10 +30,12 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
 }
 
 BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
-                           std::size_t trials, const Xoshiro256& rng,
-                           std::size_t max_depth, const ExecFragment& prefix)
+                           PerceptionTable& table, std::size_t trials,
+                           const Xoshiro256& rng, std::size_t max_depth,
+                           const ExecFragment& prefix)
     : automaton_(automaton),
       sched_(sched),
+      table_(table),
       memo_(dynamic_cast<MemoPsioa*>(&automaton)),
       trials_(trials),
       max_depth_(max_depth),
@@ -44,12 +47,22 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
   // happened to walk this prefix.
   depth_ = prefix.length();
   const State q0 = prefix.lstate();
-  nodes_.push_back(PathNode{-1, kInvalidAction, q0});
+  std::int32_t trace = PerceptionTable::kEmptyTrace;
+  for (std::size_t i = 0; i < prefix.length(); ++i) {
+    const ActionId a = prefix.actions()[i];
+    if (external_at(prefix.states()[i], a)) trace = table_.extend(trace, a);
+  }
+  nodes_.push_back(PathNode{-1, kInvalidAction, q0, trace});
   if (trials_ > 0) {
     cls_state_.push_back(q0);
     cls_node_.push_back(0);
     cls_count_.push_back(static_cast<std::uint64_t>(trials_));
   }
+}
+
+bool BatchSampler::external_at(State q, ActionId a) {
+  return memo_ != nullptr ? memo_->signature_ref(q).is_external(a)
+                          : automaton_.signature(q).is_external(a);
 }
 
 void BatchSampler::push_terminal(std::int32_t node, std::uint64_t count) {
@@ -122,11 +135,14 @@ void BatchSampler::one_round() {
 
     const std::size_t n_actions = choice->actions.size();
     const std::size_t n_slots = choice->split.size();
-    // Transition rows of this run, resolved on first use. Memo rows live
-    // in node-stable maps; fallback rows (no compiled engine) are
+    // Transition rows of this run, resolved on first use together with
+    // whether the action is external at q (signatures are
+    // state-dependent, so this is once per run and action). Memo rows
+    // live in node-stable maps; fallback rows (no compiled engine) are
     // compiled once per run into a deque for address stability.
-    std::vector<const CompiledRow*> rows(n_actions, nullptr);
-    std::deque<CompiledRow> row_store;
+    rows_.assign(n_actions, nullptr);
+    external_.assign(n_actions, 0);
+    row_store_.clear();
 
     for (; j < order_.size() && cls_state_[order_[j]] == q; ++j) {
       const std::size_t c = order_[j];
@@ -140,16 +156,21 @@ void BatchSampler::one_round() {
       for (std::size_t s = 0; s < n_actions; ++s) {
         if (act_tally_[s] == 0) continue;
         const ActionId a = choice->actions[s];
-        if (rows[s] == nullptr) {
+        if (rows_[s] == nullptr) {
           ++stats_.row_lookups;
           if (memo_ != nullptr) {
-            rows[s] = &memo_->compiled_row(q, a);
+            rows_[s] = &memo_->compiled_row(q, a);
           } else {
-            rows[s] = &row_store.emplace_back(
+            rows_[s] = &row_store_.emplace_back(
                 CompiledRow::compile(automaton_.transition(q, a)));
           }
+          external_[s] = external_at(q, a) ? 1 : 0;
         }
-        const CompiledRow& row = *rows[s];
+        const CompiledRow& row = *rows_[s];
+        const std::int32_t parent = cls_node_[c];
+        const std::int32_t trace =
+            external_[s] != 0 ? table_.extend(nodes_[parent].trace, a)
+                              : nodes_[parent].trace;
         const std::size_t n_targets = row.targets.size();
         tgt_tally_.assign(n_targets, 0);
         stats_.target_draws += act_tally_[s];
@@ -157,7 +178,7 @@ void BatchSampler::one_round() {
         for (std::size_t t = 0; t < n_targets; ++t) {
           if (tgt_tally_[t] == 0) continue;
           const auto child = static_cast<std::int32_t>(nodes_.size());
-          nodes_.push_back(PathNode{cls_node_[c], a, row.targets[t]});
+          nodes_.push_back(PathNode{parent, a, row.targets[t], trace});
           nxt_state_.push_back(row.targets[t]);
           nxt_node_.push_back(child);
           nxt_count_.push_back(tgt_tally_[t]);
@@ -193,17 +214,20 @@ void BatchSampler::run_to_completion() {
   }
 }
 
-Disc<Perception, double> BatchSampler::take_counts(const InsightFunction& f) {
-  std::vector<std::pair<Perception, double>> batch;
-  batch.reserve(terminal_.size() - counted_);
+void BatchSampler::take_counts(const InsightFunction& f,
+                               PerceptionCounts& out) {
+  out.clear();
+  out.reserve(terminal_.size() - counted_);
+  const auto* trace_fn = dynamic_cast<const TraceFunction*>(&f);
   for (std::size_t k = counted_; k < terminal_.size(); ++k) {
-    batch.emplace_back(f.apply(automaton_, fragment_of(terminal_[k].node)),
-                       static_cast<double>(terminal_[k].count));
+    const TerminalClass& tc = terminal_[k];
+    const PerceptionTable::Id id =
+        trace_fn != nullptr
+            ? table_.of_node(nodes_[tc.node].trace, *trace_fn)
+            : table_.intern(f.apply(automaton_, fragment_of(tc.node)));
+    out.emplace_back(id, tc.count);
   }
   counted_ = terminal_.size();
-  // Integer counts sum exactly in any order, so folding the batch first
-  // equals adding class by class.
-  return Disc<Perception, double>::from_unsorted(std::move(batch));
 }
 
 std::vector<ExecFragment> BatchSampler::fragments() const {
@@ -239,7 +263,8 @@ std::vector<ExecFragment> sample_executions(Psioa& automaton,
                                             std::size_t n,
                                             std::size_t max_depth,
                                             BatchStats* stats) {
-  BatchSampler bs(automaton, sched, n, rng, max_depth);
+  PerceptionTable table;
+  BatchSampler bs(automaton, sched, table, n, rng, max_depth);
   bs.run_to_completion();
   rng = bs.rng();
   if (stats != nullptr) *stats += bs.stats();
@@ -250,13 +275,17 @@ Disc<Perception, double> sample_fdist_batched(
     Psioa& automaton, Scheduler& sched, const InsightFunction& f,
     std::size_t trials, std::uint64_t seed, std::size_t max_depth,
     BatchStats* stats) {
-  BatchSampler bs(automaton, sched, trials, Xoshiro256(seed), max_depth);
+  PerceptionTable table;
+  BatchSampler bs(automaton, sched, table, trials, Xoshiro256(seed),
+                  max_depth);
   bs.run_to_completion();
   if (stats != nullptr) *stats += bs.stats();
+  PerceptionCounts delta;
+  bs.take_counts(f, delta);
+  std::vector<double> counts;
+  add_counts(counts, delta);
   const double n = static_cast<double>(trials);
-  Disc<Perception, double> dist;
-  dist.merge(bs.take_counts(f), [n](double count) { return count / n; });
-  return dist;
+  return table.to_disc(counts, [n](double count) { return count / n; });
 }
 
 }  // namespace cdse

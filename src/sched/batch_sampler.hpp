@@ -22,6 +22,12 @@
 //     until a terminal class is expanded for the insight function, and
 //     the insight function itself runs once per *distinct* execution,
 //     weighted by its class count.
+//   - Each path node also carries its node in a PerceptionTable's trace
+//     trie (sched/insight.hpp): a step extends it only when its action
+//     is external at the step's source state. A TraceFunction is
+//     therefore evaluated once per distinct *trace* per table, and no
+//     fragment is built for it; any other insight function is applied
+//     to the fragment of every terminal class and its result interned.
 //   - A class's executions pick independently from the same row, so the
 //     counts landing in the row's slots are Multinomial(count, p). The
 //     rows' split rows (util/multinomial.hpp) draw that split exactly,
@@ -58,6 +64,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -79,7 +86,7 @@ struct BatchStats {
   std::size_t row_lookups = 0;     ///< transition rows fetched
   std::size_t action_draws = 0;    ///< logical action draws (incl. elided)
   std::size_t target_draws = 0;    ///< logical target draws (incl. elided)
-  std::size_t distinct_executions = 0;  ///< terminal classes (f.apply calls)
+  std::size_t distinct_executions = 0;  ///< terminal classes
   std::size_t split_draws = 0;     ///< binomials drawn by class splits
   std::size_t singleton_skips = 0; ///< logical draws elided (1-slot rows)
 
@@ -106,14 +113,18 @@ struct BatchStats {
 /// stratum (impl/balance.hpp), conditioned on the stratum's prefix. The
 /// single-instance helpers below wrap it for the differential tests.
 ///
-/// Lifetime: holds references to the automaton and scheduler; both must
-/// outlive the sampler. One sampler per thread (no internal locking).
+/// Lifetime: holds references to the automaton, the scheduler and the
+/// perception table; all three must outlive the sampler. One sampler per
+/// thread (no internal locking), and a table shared by several samplers
+/// is only stepped on by one thread at a time.
 class BatchSampler {
  public:
   /// Prepares `trials` executions of `automaton` under `sched`. The RNG
-  /// is copied in; every class split draws from it.
-  BatchSampler(Psioa& automaton, Scheduler& sched, std::size_t trials,
-               const Xoshiro256& rng, std::size_t max_depth);
+  /// is copied in; every class split draws from it. Trace-trie nodes and
+  /// perception ids come from `table`.
+  BatchSampler(Psioa& automaton, Scheduler& sched, PerceptionTable& table,
+               std::size_t trials, const Xoshiro256& rng,
+               std::size_t max_depth);
 
   /// Prefix-conditioned variant for the importance-splitting estimator:
   /// all `trials` executions start from `prefix` (depth counts from
@@ -125,9 +136,10 @@ class BatchSampler {
   /// Correct conditioning relies on the batched scheduler contract
   /// (choice a function of (lstate, |alpha|)): under it the conditional
   /// law given a depth-d prefix depends only on (prefix.lstate(), d).
-  BatchSampler(Psioa& automaton, Scheduler& sched, std::size_t trials,
-               const Xoshiro256& rng, std::size_t max_depth,
-               const ExecFragment& prefix);
+  /// The run's trie root is the prefix's trace node.
+  BatchSampler(Psioa& automaton, Scheduler& sched, PerceptionTable& table,
+               std::size_t trials, const Xoshiro256& rng,
+               std::size_t max_depth, const ExecFragment& prefix);
 
   /// Executes up to `n` more lockstep rounds; returns how many actually
   /// ran (0 once done()). When the run completes -- every class halted
@@ -143,12 +155,15 @@ class BatchSampler {
   std::uint64_t trials_terminal() const { return terminal_trials_; }
   std::size_t trials_requested() const { return trials_; }
 
-  /// The per-perception counts (unnormalized) of the classes that went
-  /// terminal since the previous call: f runs once per class, the batch
-  /// is sorted once. Empty when nothing new went terminal. Summing every
+  /// Replaces `out` with one (perception id, count) pair per class that
+  /// went terminal since the previous call, in terminal order; empty
+  /// when nothing new went terminal. A TraceFunction's id comes from the
+  /// table's trie memo (of_trace runs once per distinct trace per
+  /// table); any other f is applied to the class's fragment and its
+  /// result interned, and what it throws propagates. Summing every
   /// call's counts gives the tally of the whole run, independent of
   /// where the calls fall: integer counts sum exactly in doubles.
-  Disc<Perception, double> take_counts(const InsightFunction& f);
+  void take_counts(const InsightFunction& f, PerceptionCounts& out);
 
   /// Expands every terminal class back to one fragment per execution,
   /// in deterministic class order. Requires done().
@@ -165,6 +180,7 @@ class BatchSampler {
     std::int32_t parent;
     ActionId a;
     State q;
+    std::int32_t trace;  ///< trie node of the path's trace
   };
   struct TerminalClass {
     std::int32_t node;
@@ -180,8 +196,12 @@ class BatchSampler {
                    std::vector<std::uint64_t>& tally);
   ExecFragment fragment_of(std::int32_t leaf) const;
 
+  /// Whether `a` is external at `q` (trace_of's test).
+  bool external_at(State q, ActionId a);
+
   Psioa& automaton_;
   Scheduler& sched_;
+  PerceptionTable& table_;
   MemoPsioa* memo_ = nullptr;
   std::size_t trials_ = 0;
   std::size_t max_depth_ = 0;
@@ -208,6 +228,10 @@ class BatchSampler {
   std::vector<std::size_t> order_;
   std::vector<std::uint64_t> act_tally_;
   std::vector<std::uint64_t> tgt_tally_;
+  // One state run's transition rows and external flags, by action slot.
+  std::vector<const CompiledRow*> rows_;
+  std::vector<char> external_;
+  std::deque<CompiledRow> row_store_;
 
   // terminal_[0, counted_) has been handed out by take_counts.
   std::size_t counted_ = 0;

@@ -340,7 +340,10 @@ ExactDisc<Perception> ParallelConeEngine::exact_fdist(
 
   // Phase 1 (calling thread): breadth-first expansion until the frontier
   // holds enough independent subtrees to keep every worker busy. Halt
-  // and leaf mass discovered on the way accumulates into `base`.
+  // and leaf mass discovered on the way accumulates into `base`. Every
+  // child pushed here is an edge enumerate_cone would have pushed, so it
+  // counts in frames_pushed and the total is the serial walk's at every
+  // frontier size.
   auto main_view = make_view();
   SchedulerPtr main_sched = make_worker_sched();
   struct Node {
@@ -374,6 +377,7 @@ ExactDisc<Perception> ParallelConeEngine::exact_fdist(
         ExecFragment child = n.frag;
         child.append(a, q2);
         frontier.push_back({std::move(child), n.prob * w * tw});
+        ++stats.frames_pushed;
       }
     }
   }

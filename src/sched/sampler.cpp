@@ -164,15 +164,16 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
   if (!prepared()) {
     throw std::logic_error("ParallelSampler: prepare() before sample_fdist()");
   }
-  Disc<Perception, double> merged;
   if (mode == SamplingMode::kBatched) {
     if (guard.deadline.count() > 0 || guard.max_retries > 0) {
       throw std::invalid_argument(
           "ParallelSampler: a batched run has no trial boundary to stop "
           "or retry at; guard kSerial runs only");
     }
-    IncrementalFdistRun run(*this, f, trials, Xoshiro256::for_stream(seed, 0),
-                            max_depth, std::numeric_limits<std::size_t>::max());
+    PerceptionTable table;
+    IncrementalFdistRun run(*this, f, table, trials,
+                            Xoshiro256::for_stream(seed, 0), max_depth,
+                            std::numeric_limits<std::size_t>::max());
     run.step_wave();
     last_stats_ = run.snapshot_stats();
     last_batch_stats_ = run.batch_stats();
@@ -181,9 +182,10 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
       report->trials_requested = trials;
       report->trials_done = trials;
     }
+    std::vector<double> counts;
+    add_counts(counts, run.wave_delta());
     const double n = static_cast<double>(trials);
-    merged.merge(run.wave_delta(), [n](double count) { return count / n; });
-    return merged;
+    return table.to_disc(counts, [n](double count) { return count / n; });
   }
   // One chunk per worker over the pool's static partition. An attempt
   // that throws leaves nothing behind: its counts are reset on retry and
@@ -270,6 +272,7 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
         std::to_string(rep.trials_done) + "/" + std::to_string(trials) +
         " trials (pass a SampleReport to accept a partial estimate)");
   }
+  Disc<Perception, double> merged;
   if (rep.trials_done > 0) {
     const double n = static_cast<double>(rep.trials_done);
     for (const ChunkOutcome& c : outcome) {
@@ -284,19 +287,20 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
 namespace {
 
 BatchSampler make_batch_sampler(Psioa& view, Scheduler& sched,
-                                std::size_t trials, const Xoshiro256& rng,
-                                std::size_t max_depth,
+                                PerceptionTable& table, std::size_t trials,
+                                const Xoshiro256& rng, std::size_t max_depth,
                                 const ExecFragment* prefix) {
   if (prefix == nullptr) {
-    return BatchSampler(view, sched, trials, rng, max_depth);
+    return BatchSampler(view, sched, table, trials, rng, max_depth);
   }
-  return BatchSampler(view, sched, trials, rng, max_depth, *prefix);
+  return BatchSampler(view, sched, table, trials, rng, max_depth, *prefix);
 }
 
 }  // namespace
 
 IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
                                          const InsightFunction& f,
+                                         PerceptionTable& table,
                                          std::size_t trials,
                                          const Xoshiro256& rng,
                                          std::size_t max_depth,
@@ -305,7 +309,7 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
     : f_(f),
       view_(sampler.worker_view()),
       sched_(sampler.worker_scheduler()),
-      bs_(make_batch_sampler(*view_, *sched_, trials, rng, max_depth,
+      bs_(make_batch_sampler(*view_, *sched_, table, trials, rng, max_depth,
                              prefix)) {
   if (rounds_per_wave == 0) {
     // Auto-tune (see the header contract). It does not target a draw
@@ -322,7 +326,7 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
 const IncrementalFdistRun::WaveReport& IncrementalFdistRun::step_wave() {
   if (done()) return report_;
   bs_.run_rounds(report_.rounds_per_wave);
-  wave_delta_ = bs_.take_counts(f_);
+  bs_.take_counts(f_, wave_delta_);
   ++report_.wave;
   report_.trials_done = static_cast<std::size_t>(bs_.trials_terminal());
   report_.done = bs_.done();

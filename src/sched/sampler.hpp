@@ -207,16 +207,18 @@ class ParallelSampler {
 /// snapshot, stepped by one persistent BatchSampler on one worker view
 /// and one scheduler, drawing from the stream it is given, and advanced
 /// in waves. A wave steps the sampler `rounds_per_wave` lockstep rounds,
-/// then takes the per-perception counts of the classes that went
+/// then takes the (perception id, count) pairs of the classes that went
 /// terminal during the wave (BatchSampler::take_counts) as
-/// wave_delta(). The run keeps no running tally: a caller that wants one
-/// merges each wave's delta itself. Integer class counts sum exactly in
-/// doubles, so such a tally is independent of wave boundaries. The run
-/// uses no pool: its tallies are a pure function of (stream, trials,
-/// depth, prefix). Several runs can be interleaved wave by wave -- the
-/// paired-consumption shape the sequential epsilon estimator needs (one
-/// look compares the LEFT and RIGHT tallies at matching trial counts) --
-/// or stepped on separate threads, one thread per run.
+/// wave_delta(); the ids are the run's PerceptionTable's. The run keeps
+/// no running tally: a caller that wants one adds each wave's delta to
+/// it (add_counts). Integer class counts sum exactly in doubles, so such
+/// a tally is independent of wave boundaries. The run uses no pool: its
+/// tallies are a pure function of (stream, trials, depth, prefix).
+/// Several runs can be interleaved wave by wave -- the paired-
+/// consumption shape the sequential epsilon estimator needs (one look
+/// compares the LEFT and RIGHT tallies at matching trial counts), with
+/// one table shared by both sides so equal perceptions get equal ids --
+/// or stepped on separate threads, one thread per run and table.
 class IncrementalFdistRun {
  public:
   /// Progress of one wave.
@@ -228,8 +230,9 @@ class IncrementalFdistRun {
     bool done = false;               ///< the run finished
   };
 
-  /// Requires sampler.prepared(); holds a reference to `f` for its
-  /// lifetime. The RNG is copied in, as BatchSampler does. A non-null
+  /// Requires sampler.prepared(); holds references to `f` and `table`
+  /// for its lifetime. The RNG is copied in, as BatchSampler does. A
+  /// non-null
   /// `prefix` conditions every execution on it (BatchSampler's
   /// prefix-conditioned constructor; the importance-splitting strata)
   /// and is copied.
@@ -243,8 +246,9 @@ class IncrementalFdistRun {
   /// WaveReport::rounds_per_wave. Any nonzero value is used as given;
   /// SIZE_MAX finishes the run in one wave.
   IncrementalFdistRun(const ParallelSampler& sampler,
-                      const InsightFunction& f, std::size_t trials,
-                      const Xoshiro256& rng, std::size_t max_depth,
+                      const InsightFunction& f, PerceptionTable& table,
+                      std::size_t trials, const Xoshiro256& rng,
+                      std::size_t max_depth,
                       std::size_t rounds_per_wave = 0,
                       const ExecFragment* prefix = nullptr);
   IncrementalFdistRun(const IncrementalFdistRun&) = delete;
@@ -262,9 +266,9 @@ class IncrementalFdistRun {
 
   std::size_t trials_requested() const { return bs_.trials_requested(); }
   std::uint64_t trials_terminal() const { return bs_.trials_terminal(); }
-  /// The unnormalized per-perception counts (integer-valued) of the
-  /// executions that went terminal during the most recent wave.
-  const Disc<Perception, double>& wave_delta() const { return wave_delta_; }
+  /// One (perception id, count) pair per class that went terminal
+  /// during the most recent wave (ids may repeat).
+  const PerceptionCounts& wave_delta() const { return wave_delta_; }
 
   /// The run's counters (valid between waves).
   const BatchStats& batch_stats() const { return bs_.stats(); }
@@ -277,7 +281,7 @@ class IncrementalFdistRun {
   std::shared_ptr<SnapshotPsioa> view_;
   SchedulerPtr sched_;
   BatchSampler bs_;
-  Disc<Perception, double> wave_delta_;
+  PerceptionCounts wave_delta_;
   WaveReport report_;
 };
 

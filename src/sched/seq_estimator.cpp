@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <stdexcept>
 
 namespace cdse {
@@ -93,11 +92,10 @@ double seq_bernstein_radius(double mean, double scale, double delta) {
   return BernsteinRadius(scale, delta)(mean);
 }
 
-SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
-                               std::uint64_t live_l,
-                               const Disc<Perception, double>& counts_r,
-                               std::uint64_t live_r, std::size_t n,
-                               std::uint64_t draws) {
+template <typename Cells>
+SeqDecision SeqEstimator::look_cells(const Cells& cells, std::uint64_t live_l,
+                                     std::uint64_t live_r, std::size_t n,
+                                     std::uint64_t draws) {
   if (last_.verdict != SeqVerdict::kUndecided) return last_;
   if (n == 0) return last_;
   const double dn = static_cast<double>(n);
@@ -109,25 +107,7 @@ SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
   // sqrt(support / n), and a support-blind bound would turn that bias
   // into false kAboveThreshold verdicts on identical pairs.
   std::size_t observed = 0;
-  {
-    auto il = counts_l.entries().begin();
-    auto ir = counts_r.entries().begin();
-    while (il != counts_l.entries().end() && ir != counts_r.entries().end()) {
-      if (il->first < ir->first) {
-        ++il;
-      } else if (ir->first < il->first) {
-        ++ir;
-      } else {
-        ++il;
-        ++ir;
-      }
-      ++observed;
-    }
-    observed += static_cast<std::size_t>(
-        std::distance(il, counts_l.entries().end()));
-    observed += static_cast<std::size_t>(
-        std::distance(ir, counts_r.entries().end()));
-  }
+  cells([&observed](double, double) { ++observed; });
 
   ++looks_;
   const double dw = seq_spend(policy_.delta, looks_);
@@ -165,25 +145,7 @@ SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
     gap_sum += 0.5 * std::max(0.0, d - rl - rr);
     rad_sum += 0.5 * (rl + rr);
   };
-  {
-    auto il = counts_l.entries().begin();
-    auto ir = counts_r.entries().begin();
-    while (il != counts_l.entries().end() && ir != counts_r.entries().end()) {
-      if (il->first < ir->first) {
-        account(il->second, 0.0);
-        ++il;
-      } else if (ir->first < il->first) {
-        account(0.0, ir->second);
-        ++ir;
-      } else {
-        account(il->second, ir->second);
-        ++il;
-        ++ir;
-      }
-    }
-    for (; il != counts_l.entries().end(); ++il) account(il->second, 0.0);
-    for (; ir != counts_r.entries().end(); ++ir) account(0.0, ir->second);
-  }
+  cells(account);
 
   const double slack =
       static_cast<double>(live_l + live_r) / dn;
@@ -233,6 +195,51 @@ SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
   }
   last_ = dec;
   return dec;
+}
+
+SeqDecision SeqEstimator::look(const Disc<Perception, double>& counts_l,
+                               std::uint64_t live_l,
+                               const Disc<Perception, double>& counts_r,
+                               std::uint64_t live_r, std::size_t n,
+                               std::uint64_t draws) {
+  // The union of two sorted supports, walked in step.
+  const auto cells = [&counts_l, &counts_r](auto&& fn) {
+    auto il = counts_l.entries().begin();
+    auto ir = counts_r.entries().begin();
+    while (il != counts_l.entries().end() && ir != counts_r.entries().end()) {
+      if (il->first < ir->first) {
+        fn(il->second, 0.0);
+        ++il;
+      } else if (ir->first < il->first) {
+        fn(0.0, ir->second);
+        ++ir;
+      } else {
+        fn(il->second, ir->second);
+        ++il;
+        ++ir;
+      }
+    }
+    for (; il != counts_l.entries().end(); ++il) fn(il->second, 0.0);
+    for (; ir != counts_r.entries().end(); ++ir) fn(0.0, ir->second);
+  };
+  return look_cells(cells, live_l, live_r, n, draws);
+}
+
+SeqDecision SeqEstimator::look(PerceptionTable& table,
+                               const std::vector<double>& counts_l,
+                               std::uint64_t live_l,
+                               const std::vector<double>& counts_r,
+                               std::uint64_t live_r, std::size_t n,
+                               std::uint64_t draws) {
+  const std::vector<PerceptionTable::Id>& order = table.order();
+  const auto cells = [&order, &counts_l, &counts_r](auto&& fn) {
+    for (const PerceptionTable::Id id : order) {
+      const double cl = id < counts_l.size() ? counts_l[id] : 0.0;
+      const double cr = id < counts_r.size() ? counts_r[id] : 0.0;
+      if (cl != 0.0 || cr != 0.0) fn(cl, cr);
+    }
+  };
+  return look_cells(cells, live_l, live_r, n, draws);
 }
 
 SeqDecision SeqEstimator::look_scaled(double estimate, double slack,

@@ -66,6 +66,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "measure/disc.hpp"
 #include "sched/insight.hpp"
@@ -192,6 +193,15 @@ class SeqEstimator {
                    const Disc<Perception, double>& counts_r,
                    std::uint64_t live_r, std::size_t n, std::uint64_t draws);
 
+  /// The same look over dense tallies indexed by `table`'s perception
+  /// ids (ids past a tally's end count 0). Both overloads visit the
+  /// observed cells in perception order with the same arithmetic, so
+  /// equal tallies give bit-identical decisions. Sorts ids the table
+  /// interned since its previous order() call.
+  SeqDecision look(PerceptionTable& table, const std::vector<double>& counts_l,
+                   std::uint64_t live_l, const std::vector<double>& counts_r,
+                   std::uint64_t live_r, std::size_t n, std::uint64_t draws);
+
   /// Generic look from a precomputed estimate: used by the stratified
   /// estimator, whose per-side uncertainty is summarized by a Hoeffding
   /// scale sum_s w_s^2 / n_s. `slack` is the censoring bracket width.
@@ -203,6 +213,14 @@ class SeqEstimator {
   const SequentialPolicy& policy() const { return policy_; }
 
  private:
+  /// The look both overloads run: `cells(fn)` calls fn(count_l, count_r)
+  /// once per observed cell (a nonzero count on either side), in
+  /// perception order.
+  template <typename Cells>
+  SeqDecision look_cells(const Cells& cells, std::uint64_t live_l,
+                         std::uint64_t live_r, std::size_t n,
+                         std::uint64_t draws);
+
   SequentialPolicy policy_;
   std::size_t looks_ = 0;
   SeqDecision last_;

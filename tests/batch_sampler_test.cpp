@@ -325,8 +325,9 @@ TEST(BatchSamplerUnit, RunRoundsResumeIsBitIdentical) {
   UniformScheduler s1(kDepth);
   UniformScheduler s2(kDepth);
   const Xoshiro256 rng(55);
-  BatchSampler split(*coin, s1, 5000, rng, kDepth);
-  BatchSampler whole(*coin, s2, 5000, rng, kDepth);
+  PerceptionTable table;
+  BatchSampler split(*coin, s1, table, 5000, rng, kDepth);
+  BatchSampler whole(*coin, s2, table, 5000, rng, kDepth);
   std::size_t ran = 0;
   while (!split.done()) ran += split.run_rounds(2);
   whole.run_to_completion();
@@ -347,25 +348,37 @@ TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
   auto coin = make_coin("bs_mono", Rational(1, 3));
   UniformScheduler sched(kDepth);
   TraceInsight f;
-  BatchSampler bs(*coin, sched, 5000, Xoshiro256(66), kDepth);
-  Disc<Perception, double> tally;
+  PerceptionTable table;
+  BatchSampler bs(*coin, sched, table, 5000, Xoshiro256(66), kDepth);
+  std::vector<double> tally;
+  PerceptionCounts delta;
   while (!bs.done()) {
     bs.run_rounds(1);
-    const Disc<Perception, double> prev = tally;
-    tally.merge(bs.take_counts(f));
+    const std::vector<double> prev = tally;
+    bs.take_counts(f, delta);
+    add_counts(tally, delta);
     // Every previously seen perception keeps at least its old mass.
-    for (const auto& [perc, count] : prev.entries()) {
-      EXPECT_GE(tally.mass(perc), count);
+    for (std::size_t id = 0; id < prev.size(); ++id) {
+      EXPECT_GE(tally[id], prev[id]);
     }
   }
-  EXPECT_TRUE(bs.take_counts(f).empty());
+  bs.take_counts(f, delta);
+  EXPECT_TRUE(delta.empty());
   double total = 0.0;
-  for (const auto& [perc, count] : tally.entries()) total += count;
+  for (double count : tally) total += count;
   EXPECT_DOUBLE_EQ(total, 5000.0);
   UniformScheduler sched2(kDepth);
-  BatchSampler whole(*coin, sched2, 5000, Xoshiro256(66), kDepth);
+  PerceptionTable whole_table;
+  BatchSampler whole(*coin, sched2, whole_table, 5000, Xoshiro256(66),
+                     kDepth);
   whole.run_to_completion();
-  expect_bit_identical(tally, whole.take_counts(f), "one fold");
+  whole.take_counts(f, delta);
+  std::vector<double> whole_tally;
+  add_counts(whole_tally, delta);
+  const auto identity = [](double c) { return c; };
+  expect_bit_identical(table.to_disc(tally, identity),
+                       whole_table.to_disc(whole_tally, identity),
+                       "one fold");
 }
 
 TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
@@ -382,10 +395,11 @@ TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
     ThreadPool pool(workers);
     const auto oneshot = sampler.sample_fdist(f, kTrials, 909, kDepth, pool,
                                               SamplingMode::kBatched);
-    IncrementalFdistRun run(sampler, f, kTrials,
+    PerceptionTable table;
+    IncrementalFdistRun run(sampler, f, table, kTrials,
                             Xoshiro256::for_stream(909, 0), kDepth,
                             /*rounds_per_wave=*/1);
-    const auto waved = testing::drive_waves(run);
+    const auto waved = testing::drive_waves(run, table);
     expect_bit_identical(oneshot, waved,
                          std::to_string(workers) + " workers");
   }
@@ -397,11 +411,13 @@ TEST(BatchSampler, IncrementalWavesReportProgressAndPartialTallies) {
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(1001, 0),
-                          kDepth, /*rounds_per_wave=*/1);
+  PerceptionTable table;
+  IncrementalFdistRun run(sampler, f, table, kTrials,
+                          Xoshiro256::for_stream(1001, 0), kDepth,
+                          /*rounds_per_wave=*/1);
   std::vector<IncrementalFdistRun::WaveReport> reports;
   const auto dist = testing::drive_waves(
-      run, [&](const IncrementalFdistRun::WaveReport& rep,
+      run, table, [&](const IncrementalFdistRun::WaveReport& rep,
                const Disc<Perception, double>& partial) {
         reports.push_back(rep);
         if (rep.trials_done > 0) {
@@ -433,11 +449,13 @@ TEST(BatchSampler, IncrementalEarlyStopReturnsNormalizedPartial) {
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(2002, 0),
-                          kDepth, /*rounds_per_wave=*/1);
+  PerceptionTable table;
+  IncrementalFdistRun run(sampler, f, table, kTrials,
+                          Xoshiro256::for_stream(2002, 0), kDepth,
+                          /*rounds_per_wave=*/1);
   std::size_t waves_seen = 0;
   const auto dist = testing::drive_waves(
-      run, [&](const IncrementalFdistRun::WaveReport&,
+      run, table, [&](const IncrementalFdistRun::WaveReport&,
                const Disc<Perception, double>&) {
         ++waves_seen;
         return false;  // stop after the first wave
@@ -463,9 +481,11 @@ TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
   ThreadPool pool(4);
   const auto serial = sampler.sample_fdist(f, kTrials, 3003, kDepth, pool,
                                            SamplingMode::kSerial);
-  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(4004, 0),
-                          kDepth, /*rounds_per_wave=*/2);
-  const auto waved = testing::drive_waves(run);
+  PerceptionTable table;
+  IncrementalFdistRun run(sampler, f, table, kTrials,
+                          Xoshiro256::for_stream(4004, 0), kDepth,
+                          /*rounds_per_wave=*/2);
+  const auto waved = testing::drive_waves(run, table);
   EXPECT_TRUE(testing::fdists_match(serial, kTrials, waved, kTrials));
 }
 

@@ -183,7 +183,7 @@ TEST_P(BalanceLaws, MetricAxiomsAndDataProcessing) {
 
 INSTANTIATE_TEST_SUITE_P(Random, BalanceLaws, ::testing::Range(0, 30));
 
-// -- bulk folds: Disc::merge and Disc::from_unsorted against Disc::add ------
+// -- bulk folds: Disc::merge against Disc::add ------------------------------
 //
 // Keys are longer than libstdc++'s 15-character short-string buffer, so a
 // merge that moved an entry onto itself would empty its key.
@@ -231,11 +231,6 @@ void expect_merge_matches_add(const Disc<std::string, W>& dst,
   Disc<std::string, W> src_copy = src;
   by_move.merge(std::move(src_copy));
   EXPECT_EQ(by_move, want) << label << " (rvalue merge)";
-  std::vector<std::pair<std::string, W>> all(dst.entries().begin(),
-                                             dst.entries().end());
-  all.insert(all.end(), src.entries().begin(), src.entries().end());
-  using D = Disc<std::string, W>;
-  EXPECT_EQ(D::from_unsorted(all), want) << label << " (from_unsorted)";
 }
 
 template <typename W>
@@ -308,30 +303,6 @@ TEST(DiscMerge, TransformMatchesAddOfTransformedWeights) {
     Disc<std::string, double> got = dst;
     got.merge(src, [](const Rational& w) { return w.to_double() / 3.0; });
     EXPECT_EQ(got, want) << "round " << round;
-  }
-}
-
-TEST(DiscMerge, FromUnsortedMatchesAddInInputOrder) {
-  // Duplicates in scrambled order, including zero weights (add skips
-  // them) and Rational runs that cancel to zero midway.
-  Xoshiro256 rng(74);
-  for (int round = 0; round < 100; ++round) {
-    std::vector<std::pair<std::string, double>> dbl;
-    std::vector<std::pair<std::string, Rational>> ex;
-    const std::size_t k = rng.below(40);
-    for (std::size_t e = 0; e < k; ++e) {
-      const std::string key = long_key(rng.below(8));
-      dbl.emplace_back(key, rng.below(5) == 0 ? 0.0 : rng.uniform());
-      ex.emplace_back(key, draw_weight(rng, Rational{}));
-    }
-    Disc<std::string, double> want_d;
-    for (const auto& [t, w] : dbl) want_d.add(t, w);
-    ExactDisc<std::string> want_e;
-    for (const auto& [t, w] : ex) want_e.add(t, w);
-    using D = Disc<std::string, double>;
-    EXPECT_EQ(D::from_unsorted(dbl), want_d) << "round " << round;
-    EXPECT_EQ(ExactDisc<std::string>::from_unsorted(ex), want_e)
-        << "round " << round;
   }
 }
 

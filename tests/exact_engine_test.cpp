@@ -23,7 +23,9 @@
 //                   faulty-channel workload (whose recorded answer is
 //                   pinned too).
 //   frames       -- regression guard: the live pending-edge stack scales
-//                   with depth x branching, not with cone size.
+//                   with depth x branching, not with cone size; and
+//                   ParallelConeEngine pushes exactly the serial frame
+//                   count at every pool size, raw and reduced.
 //   validation   -- Def 3.1 side-condition throws propagate through the
 //                   new engines exactly as through the recursive one.
 //   grid/sweep   -- check_implementation_parallel and the parallel
@@ -54,6 +56,7 @@
 #include "protocols/environment.hpp"
 #include "protocols/ledger.hpp"
 #include "psioa/compose.hpp"
+#include "psioa/explicit_psioa.hpp"
 #include "psioa/hide.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
@@ -491,6 +494,77 @@ TEST(ExactEngineFrames, LiveStackScalesWithDepthNotConeSize) {
   // per-level branching), far below the number of edges traversed.
   EXPECT_LE(deep.frames_peak, 4 * shallow.frames_peak);
   EXPECT_LT(8 * deep.frames_peak, deep.frames_pushed);
+}
+
+/// Two forks in parallel: each idle state branches uniformly (internal
+/// action) into three bisimilar mid states that tick back to idle, so
+/// the bisimulation quotient enumerates a strictly smaller cone.
+PsioaFactory fork_product_factory(const std::string& tag) {
+  const auto fork = [](const std::string& t) {
+    auto p = std::make_shared<ExplicitPsioa>("fork_" + t);
+    const State idle = p->add_state("idle");
+    Signature sig_idle;
+    sig_idle.internal = {act("branch_" + t)};
+    p->set_signature(idle, sig_idle);
+    p->set_start(idle);
+    Signature sig_mid;
+    sig_mid.out = {act("tick_" + t)};
+    StateDist spread;
+    for (int i = 0; i < 3; ++i) {
+      const State mid = p->add_state("mid" + std::to_string(i));
+      p->set_signature(mid, sig_mid);
+      p->add_step(mid, act("tick_" + t), idle);
+      spread.add(mid, Rational(1, 3));
+    }
+    p->add_transition(idle, act("branch_" + t), spread);
+    p->validate();
+    return p;
+  };
+  return [fork, tag]() -> PsioaPtr {
+    return compose(fork(tag + "a"), fork(tag + "b"));
+  };
+}
+
+TEST(ExactEngineFrames, ParallelFramesPushedEqualSerialAtEveryPoolSize) {
+  // frames_pushed counts the edges of the cone, so ParallelConeEngine
+  // reports the serial walk's count whatever its frontier target: the
+  // edges its breadth-first phase expands count as well as the ones its
+  // subtrees push. Raw and bisimulation-reduced alike.
+  const PsioaFactory fa = fork_product_factory("xe_fpc");
+  const std::size_t depth = kDepth + 1;
+  TraceInsight f;
+  ConeStats raw;
+  ConeStats reduced;
+  {
+    PsioaPtr sys = fa();
+    UniformScheduler sched(kDepth);
+    (void)exact_fdist(*sys, sched, f, depth, &raw);
+    PsioaPtr sys2 = fa();
+    const auto red = reduce_for_enumeration(*sys2, depth,
+                                            ReductionPolicy::bisimulation());
+    ASSERT_TRUE(red.has_value());
+    UniformScheduler sched2(kDepth);
+    (void)exact_fdist(*red->view, sched2, f, depth, &reduced);
+  }
+  ASSERT_GT(raw.frames_pushed, reduced.frames_pushed);
+  WarmupPlan plan;
+  plan.episodes = 0;
+  plan.horizon = depth;
+  for (const ReductionPolicy& policy :
+       {ReductionPolicy::none(), ReductionPolicy::bisimulation()}) {
+    ParallelConeEngine engine(fa, uniform_factory(kDepth), policy);
+    engine.prepare(plan, depth);
+    ASSERT_EQ(engine.reduced(), policy.enabled());
+    const ConeStats& want = policy.enabled() ? reduced : raw;
+    for (std::size_t workers : kWorkerCounts) {
+      ThreadPool pool(workers);
+      (void)engine.exact_fdist(f, depth, pool);
+      EXPECT_EQ(engine.last_stats().frames_pushed, want.frames_pushed)
+          << "workers=" << workers << " reduced=" << policy.enabled();
+      EXPECT_EQ(engine.last_stats().leaves, want.leaves);
+      EXPECT_EQ(engine.last_stats().halts, want.halts);
+    }
+  }
 }
 
 // ------------------------------------------------------------- validation

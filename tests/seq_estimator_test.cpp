@@ -269,14 +269,15 @@ TEST(SeqEstWaves, AutoTuneTargetsDrawsPerWavePerChunk) {
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
   const Xoshiro256 rng = Xoshiro256::for_stream(7, 0);
+  PerceptionTable table;
   // 100 trials: auto-tune picks max(1, 2048/100) = 20.
-  IncrementalFdistRun small(sampler, f, 100, rng, kDepth);
+  IncrementalFdistRun small(sampler, f, table, 100, rng, kDepth);
   EXPECT_EQ(small.rounds_per_wave(), 20u);
   // >= 2048 trials: one round per wave.
-  IncrementalFdistRun big(sampler, f, 4096, rng, kDepth);
+  IncrementalFdistRun big(sampler, f, table, 4096, rng, kDepth);
   EXPECT_EQ(big.rounds_per_wave(), 1u);
   // Explicit values pass through untouched.
-  IncrementalFdistRun fixed(sampler, f, 100, rng, kDepth, 3);
+  IncrementalFdistRun fixed(sampler, f, table, 100, rng, kDepth, 3);
   EXPECT_EQ(fixed.rounds_per_wave(), 3u);
   // The surfaced report carries the effective value.
   while (!small.done()) {
@@ -291,25 +292,28 @@ TEST(SeqEstWaves, DeltaMergeWorkIsBoundedByDistinctExecutions) {
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(11, 0),
-                          kDepth, 1);
+  PerceptionTable table;
+  IncrementalFdistRun run(sampler, f, table, kTrials,
+                          Xoshiro256::for_stream(11, 0), kDepth, 1);
   std::size_t merged_total = 0;
   std::size_t waves = 0;
-  Disc<Perception, double> tally;
+  std::vector<double> tally;
   while (!run.done()) {
     run.step_wave();
-    merged_total += run.wave_delta().support_size();
-    tally.merge(run.wave_delta());
+    merged_total += run.wave_delta().size();
+    add_counts(tally, run.wave_delta());
     ++waves;
   }
   EXPECT_GT(waves, 1u);
   EXPECT_GT(merged_total, 0u);
-  // Every merged entry is a terminal class discovered exactly once.
-  EXPECT_LE(merged_total, run.batch_stats().distinct_executions);
-  // The caller's running tally accounts for every trial.
-  double total = 0.0;
-  for (const auto& [perc, c] : tally.entries()) total += c;
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(kTrials));
+  // Every delta entry is a terminal class discovered exactly once.
+  EXPECT_EQ(merged_total, run.batch_stats().distinct_executions);
+  // The caller's running tally accounts for every trial, over no more
+  // cells than the table interned.
+  EXPECT_LE(tally.size(), table.size());
+  const Disc<Perception, double> counts =
+      table.to_disc(tally, [](double c) { return c; });
+  EXPECT_DOUBLE_EQ(counts.total(), static_cast<double>(kTrials));
 }
 
 TEST(SeqEstWaves, CompletedRunIsBitIdenticalToOneShot) {
@@ -322,9 +326,10 @@ TEST(SeqEstWaves, CompletedRunIsBitIdenticalToOneShot) {
   sampler.prepare(plan, kDepth);
   const auto one_shot =
       sampler.sample_fdist(f, kTrials, 9, kDepth, pool, SamplingMode::kBatched);
-  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(9, 0),
-                          kDepth, 1);
-  const auto inc = testing::drive_waves(run);
+  PerceptionTable table;
+  IncrementalFdistRun run(sampler, f, table, kTrials,
+                          Xoshiro256::for_stream(9, 0), kDepth, 1);
+  const auto inc = testing::drive_waves(run, table);
   ASSERT_EQ(inc.entries().size(), one_shot.entries().size());
   for (std::size_t i = 0; i < inc.entries().size(); ++i) {
     EXPECT_EQ(inc.entries()[i].first, one_shot.entries()[i].first);
@@ -338,11 +343,12 @@ TEST(SeqEstWaves, EarlyStopReturnsNormalizedPartial) {
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  IncrementalFdistRun run(sampler, f, kTrials, Xoshiro256::for_stream(13, 0),
-                          kDepth, 1);
+  PerceptionTable table;
+  IncrementalFdistRun run(sampler, f, table, kTrials,
+                          Xoshiro256::for_stream(13, 0), kDepth, 1);
   std::size_t waves_seen = 0;
   const auto partial = testing::drive_waves(
-      run, [&](const IncrementalFdistRun::WaveReport& rep,
+      run, table, [&](const IncrementalFdistRun::WaveReport& rep,
                const Disc<Perception, double>& fdist) {
         ++waves_seen;
         if (rep.trials_done == 0) return true;
