@@ -21,15 +21,19 @@
 //      non-monotonicity the closed form pins down.
 //
 // A final degradation drill exercises the hardened engine, the
-// SampleGuard of ParallelSampler's serial walk: a guarded sampled run
-// against a 1 ms deadline must come back partial-but-usable, and a
-// workload whose every chunk attempt throws must burn its seed-rotation
-// retries and report failure instead of tearing the harness down. Main
-// table rows run through bench::guarded_row, so a genuinely failing row
-// degrades to a partial row + non-zero exit, never an abort mid-table.
+// round-boundary SampleGuard of ParallelSampler's batched run: a run cut
+// by its deadline must come back partial with its censored mass
+// reported (the finished executions keep their weight, the rest is
+// missing, not redistributed), and a workload whose every attempt throws
+// must burn its seed-rotation retries and report failure instead of
+// tearing the harness down. Main table rows run through
+// bench::guarded_row, so a genuinely failing row degrades to a partial
+// row + non-zero exit, never an abort mid-table.
 
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "fault/byzantine.hpp"
@@ -120,7 +124,7 @@ bool drop_sweep_cointoss() {
       const Rational eps = balance_distance(rd, id);
       const Rational expected = b + d * (Rational(1, 2) - b);
 
-      // Sampled cross-check through the guarded serial walk (generous
+      // Sampled cross-check through the guarded batched run (generous
       // budget: it must come back complete here).
       SampleGuard guard;
       guard.deadline = std::chrono::milliseconds(10000);
@@ -132,9 +136,9 @@ bool drop_sweep_cointoss() {
       ideal_sampler.prepare(WarmupPlan{}, 24);
       SampleReport rep_r, rep_i;
       const auto srd = real_sampler.sample_fdist(
-          f, 20000, 42, 24, pool, SamplingMode::kSerial, guard, &rep_r);
+          f, 20000, 42, 24, pool, SamplingMode::kBatched, guard, &rep_r);
       const auto sid = ideal_sampler.sample_fdist(
-          f, 20000, 43, 24, pool, SamplingMode::kSerial, guard, &rep_i);
+          f, 20000, 43, 24, pool, SamplingMode::kBatched, guard, &rep_i);
       const double seps = balance_distance(srd, sid);
       const bool sampled_ok = rep_r.complete && rep_i.complete &&
                               std::abs(seps - eps.to_double()) < 0.02;
@@ -286,52 +290,97 @@ class ThrowingInsight : public InsightFunction {
   std::string name() const override { return "throwing"; }
 };
 
+/// A schedule that pauses once: the first time it is asked at length
+/// kStallAt it sleeps kStall, then answers as `inner`. Under the E17.5
+/// priority schedule the coin toss halts at lengths 7, 8 and 9 (mass
+/// 1/2, 1/8, 3/8), so after round 8 of a batched run 5/8 of the
+/// executions have finished and 3/8 are live, and a deadline shorter
+/// than the pause cuts the run right there on any host: the cut, and
+/// with it trials_done, is deterministic.
+class StallingSchedule : public Scheduler {
+ public:
+  static constexpr std::size_t kStallAt = 8;
+  static constexpr std::chrono::milliseconds kStall{250};
+
+  explicit StallingSchedule(SchedulerPtr inner) : inner_(std::move(inner)) {}
+  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) override {
+    return inner_->choose(automaton, alpha);
+  }
+  const ChoiceRow* choice_row(Psioa& automaton,
+                              const ExecFragment& alpha) override {
+    if (alpha.length() == kStallAt && !stalled_) {
+      stalled_ = true;
+      std::this_thread::sleep_for(kStall);
+    }
+    return inner_->choice_row(automaton, alpha);
+  }
+  std::string name() const override {
+    return "stalling(" + inner_->name() + ")";
+  }
+
+ private:
+  SchedulerPtr inner_;
+  bool stalled_ = false;
+};
+
 bool degradation_drill() {
   bench::print_header(
       "E17.5: degradation drill (hardened engine)",
-      "deadline -> partial-but-normalized estimate; persistent throw -> "
-      "retries burned, clean failure report, no teardown");
+      "deadline -> partial estimate, censored mass reported; persistent "
+      "throw -> retries burned, clean failure report, no teardown");
   ThreadPool pool;
   bool ok = true;
   const std::string tag = "e17e";
-  ParallelSampler sampler(
-      [&]() -> PsioaPtr {
-        const CoinTossPair p = make_cointoss_pair(kK, tag);
-        return compose(arm0_env(tag),
-                       compose(p.real.ptr(), make_biaser_adversary(tag)));
-      },
-      [&] { return driver(tag); });
-  sampler.prepare(WarmupPlan{}, 24);
+  const PsioaFactory coin_toss = [&]() -> PsioaPtr {
+    const CoinTossPair p = make_cointoss_pair(kK, tag);
+    return compose(arm0_env(tag),
+                   compose(p.real.ptr(), make_biaser_adversary(tag)));
+  };
 
-  // Deadline: a 1 ms budget against 50M requested trials must come back
-  // incomplete but still usable.
+  // Deadline: the stall outlasts the budget, so the run is cut after
+  // round kStallAt. The estimate keeps the finished executions at
+  // count / trials_requested: its mass is trials_done / trials_requested.
   {
+    ParallelSampler sampler(coin_toss, [&]() -> SchedulerPtr {
+      return std::make_shared<StallingSchedule>(driver(tag));
+    });
+    WarmupPlan no_episodes;  // warm-up walks would stall too
+    no_episodes.episodes = 0;
+    sampler.prepare(no_episodes, 24);
     SampleGuard guard;
-    guard.deadline = std::chrono::milliseconds(1);
+    guard.deadline = StallingSchedule::kStall / 5;
     SampleReport rep;
     AcceptInsight f(act("acc_" + tag));
     const auto dist = sampler.sample_fdist(
-        f, 50'000'000, 7, 24, pool, SamplingMode::kSerial, guard, &rep);
+        f, 50'000'000, 7, 24, pool, SamplingMode::kBatched, guard, &rep);
+    double mass = 0.0;
+    for (const auto& [perc, w] : dist.entries()) mass += w;
+    const double done_share = static_cast<double>(rep.trials_done) /
+                              static_cast<double>(rep.trials_requested);
     const bool partial_ok = rep.deadline_hit && !rep.complete &&
                             rep.trials_done > 0 &&
                             rep.trials_done < rep.trials_requested &&
-                            dist.is_probability(1e-9);
-    bench::print_row({"deadline", std::to_string(rep.trials_done) + "/" +
-                                      std::to_string(rep.trials_requested),
-                      partial_ok ? "partial+usable" : "BROKEN"},
+                            std::abs(mass - done_share) < 1e-9;
+    bench::print_row({"deadline",
+                      std::to_string(rep.trials_done) + "/" +
+                          std::to_string(rep.trials_requested),
+                      "mass " + std::to_string(mass),
+                      partial_ok ? "partial+censored" : "BROKEN"},
                      24);
     ok = ok && partial_ok;
   }
 
-  // Persistent failure: every chunk attempt throws; the guard must rotate
-  // seeds max_retries times per chunk and report a clean failure.
+  // Persistent failure: every attempt throws; the guard must rotate
+  // seeds max_retries times and report a clean failure.
   {
+    ParallelSampler sampler(coin_toss, [&] { return driver(tag); });
+    sampler.prepare(WarmupPlan{}, 24);
     SampleGuard guard;
     guard.max_retries = 2;
     SampleReport rep;
     const ThrowingInsight f;
     const auto dist = sampler.sample_fdist(
-        f, 1000, 7, 24, pool, SamplingMode::kSerial, guard, &rep);
+        f, 1000, 7, 24, pool, SamplingMode::kBatched, guard, &rep);
     const bool fail_ok = !rep.complete && rep.trials_done == 0 &&
                          rep.retries_used > 0 && !rep.error.empty() &&
                          dist.empty();

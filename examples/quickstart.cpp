@@ -11,7 +11,7 @@
 #include "psioa/explicit_psioa.hpp"
 #include "psioa/hide.hpp"
 #include "sched/cone_measure.hpp"
-#include "sched/sampler.hpp"
+#include "sched/batch_sampler.hpp"
 #include "sched/schedulers.hpp"
 
 using namespace cdse;
@@ -107,8 +107,8 @@ int main() {
   // 5. Monte-Carlo agreement: sample the same distribution.
   auto sampler_system = hide_actions(
       compose(make_sender(), make_receiver()), acts({"bit0", "bit1"}));
-  const auto sampled = sample_fdist(*sampler_system, sched, f, 100000,
-                                    /*seed=*/7, 10);
+  const auto sampled = sample_fdist_batched(*sampler_system, sched, f, 100000,
+                                            /*seed=*/7, 10);
   std::printf("\nsampled (n=100000):\n");
   for (const auto& [trace, p] : sampled.entries()) {
     std::printf("  %-8s %.4f\n", trace.empty() ? "<empty>" : trace.c_str(),

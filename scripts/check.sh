@@ -75,9 +75,12 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # splitting path's per-stratum runs, one pool task each, each on its
   # own perception table: TraceKeyed.StratifiedRuns*), the sampled
   # epsilon's error contract (Balance: factories and insight functions
-  # that throw inside pool-run waves), and the deadline / retry guard of
-  # ParallelSampler's serial walk (GuardedSampler: retries build fresh
-  # views over the shared residue while other chunks sample).
+  # that throw inside pool-run waves), and the round-boundary deadline /
+  # retry guard of ParallelSampler's batched run (GuardedSampler: each
+  # retry builds a fresh view over the shared residue). Concurrent
+  # overflow of one shared residue is SnapshotConcurrencyStress: eight
+  # views, fanned out by the tests' serial-walk reference, fault cold
+  # states at once.
   echo "== tsan: ThreadSanitizer build + concurrency suites =="
   cmake -B build-tsan -S . -DCDSE_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$JOBS" \
@@ -135,8 +138,8 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   # The E20/E21 rows: the serial snapshot row and the batched rows on
   # the MAC stack and on the ledger PCA stack must all be present...
   grep -q BM_SnapshotParallelFdist build-bench/BENCH_engine.json
-  grep -q BM_BlockBatchedFdist build-bench/BENCH_engine.json
-  grep -q BM_BlockBatchedLedgerFdist build-bench/BENCH_engine.json
+  grep -q BM_BatchedFdist build-bench/BENCH_engine.json
+  grep -q BM_BatchedLedgerFdist build-bench/BENCH_engine.json
   # ...the batched engine must beat the serial walk over the same frozen
   # MAC snapshot, and its counters must show the class splits at work:
   # elided singleton draws on the MAC stack, binomial splits on the
@@ -149,13 +152,13 @@ import json
 with open("build-bench/BENCH_engine.json") as f:
     rows = {b["name"]: b for b in json.load(f)["benchmarks"]}
 serial = rows["BM_SnapshotParallelFdist/1/real_time"]["items_per_second"]
-mac = rows["BM_BlockBatchedFdist/1/real_time"]
+mac = rows["BM_BatchedFdist/1/real_time"]
 ratio = mac["items_per_second"] / serial
 print(f"E21 speedup floor: batched {mac['items_per_second']:.0f}/s / serial "
       f"{serial:.0f}/s = {ratio:.1f}x (floor 10x)")
 assert ratio >= 10.0, f"batched engine only {ratio:.1f}x over serial (< 10x)"
 assert mac["singleton_skips"] > 0, "MAC batched row elided no singleton draws"
-ledger = rows["BM_BlockBatchedLedgerFdist/1/real_time"]
+ledger = rows["BM_BatchedLedgerFdist/1/real_time"]
 assert ledger["split_draws"] > 0, "ledger batched row drew no split binomials"
 PY
   # E22: the sequential-estimator rows must land in the artifact, every

@@ -476,16 +476,11 @@ SequentialEpsilon sequential_balance_epsilon(
     const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,
     const InsightFunction& f, const SequentialPolicy& policy,
     std::uint64_t seed, std::size_t max_depth, ThreadPool& pool,
-    SamplingMode mode) {
+    SamplingMode /*mode*/) {
   policy.validate();
   if (!policy.active()) {
     throw std::invalid_argument(
         "sequential_balance_epsilon: policy.max_trials == 0 (inactive)");
-  }
-  if (mode == SamplingMode::kSerial) {
-    throw std::invalid_argument(
-        "sequential_balance_epsilon: kSerial has no round structure; use "
-        "kBatched");
   }
   ParallelSampler left(make_lhs, make_sigma_lhs);
   ParallelSampler right(make_rhs, make_sigma_rhs);

@@ -84,10 +84,12 @@ struct SequentialEpsilon {
 /// left of the budget, so it never commits more than policy.max_trials.
 /// A budget below the stratum count is rejected (std::invalid_argument)
 /// before any sampling. The plain path stays available
-/// (split_depth == 0) as the differential reference. kSerial mode is
-/// rejected (std::invalid_argument); policy.active() is required. An
-/// exception from a factory, a scheduler or the insight function
-/// propagates: no epsilon is estimated from the surviving runs.
+/// (split_depth == 0) as the differential reference. Every scheduler
+/// samples its own law: a MarkovScheduler shares rows per (state,
+/// depth), any other is asked with each class's real history
+/// (sched/batch_sampler.hpp). `mode` is unused; policy.active() is
+/// required. An exception from a factory, a scheduler or the insight
+/// function propagates: no epsilon is estimated from the surviving runs.
 SequentialEpsilon sequential_balance_epsilon(
     const PsioaFactory& make_lhs, const SchedulerFactory& make_sigma_lhs,
     const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,

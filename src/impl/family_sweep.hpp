@@ -51,9 +51,9 @@ struct FamilySweepReport {
 /// decides seq.threshold, recording verdict/trials_used/draws. The
 /// per-cell confidence budget is seq.delta split evenly over the
 /// sampled cells (union bound: the sweep's sampled verdicts are jointly
-/// wrong with probability at most seq.delta). Sampled cells need the
-/// batched scheduler contract (choice a function of the last state and
-/// the length; sched/batch_sampler.hpp) and ignore `policy`.
+/// wrong with probability at most seq.delta). Sampled cells take any
+/// scheduler (a history-reading one is asked with real histories;
+/// sched/batch_sampler.hpp) and ignore `policy`.
 FamilySweepReport family_epsilon_sweep(
     const PsioaFamily& lhs, const PsioaFamily& rhs,
     const SchedulerFamily& sched, const InsightFunction& f,

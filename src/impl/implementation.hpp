@@ -105,7 +105,7 @@ ImplementationReport check_implementation_parallel(
 /// importance splitting (policy.split_depth > 0) a cell fans its strata
 /// over `pool` and waits on it, which would deadlock inside a pool
 /// task. A plain-mode cell leaves `pool` unused; its verdict is the
-/// same at every pool size.
+/// same at every pool size. `mode` is unused.
 struct SampledImplementationReport {
   struct Row {
     std::string env;

@@ -12,6 +12,7 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
                            const Xoshiro256& rng, std::size_t max_depth)
     : automaton_(automaton),
       sched_(sched),
+      markov_(dynamic_cast<MarkovScheduler*>(&sched)),
       table_(table),
       // Compiled-row fast path mirrors sample_execution's hoisted
       // detection.
@@ -35,6 +36,7 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
                            const ExecFragment& prefix)
     : automaton_(automaton),
       sched_(sched),
+      markov_(dynamic_cast<MarkovScheduler*>(&sched)),
       table_(table),
       memo_(dynamic_cast<MemoPsioa*>(&automaton)),
       trials_(trials),
@@ -116,20 +118,24 @@ void BatchSampler::one_round() {
   std::size_t i = 0;
   while (i < order_.size()) {
     const State q = cls_state_[order_[i]];
-    // One scheduler row per (state, depth) run. The synthetic fragment
-    // carries the true last state and length; interior steps are dummy
-    // padding (see the scheduler contract in the header).
-    ExecFragment synth = ExecFragment::starting_at(q);
-    for (std::size_t k = 0; k < depth_; ++k) synth.append(kInvalidAction, q);
-    const ChoiceRow* choice = sched_.choice_row(automaton_, synth);
+    // One scheduler row per run [i, end): every class of state q for a
+    // Markov scheduler, the class alone, asked with its real history,
+    // for any other (see the scheduler contract in the header).
+    std::size_t end = i + 1;
+    const ChoiceRow* choice;
+    if (markov_ != nullptr) {
+      while (end < order_.size() && cls_state_[order_[end]] == q) ++end;
+      choice = markov_->choice_row_at(automaton_, q, depth_);
+    } else {
+      choice =
+          sched_.choice_row(automaton_, fragment_of(cls_node_[order_[i]]));
+    }
     ++stats_.choice_lookups;
 
-    std::size_t j = i;
     if (choice->empty()) {
-      for (; j < order_.size() && cls_state_[order_[j]] == q; ++j) {
-        push_terminal(cls_node_[order_[j]], cls_count_[order_[j]]);
+      for (; i < end; ++i) {
+        push_terminal(cls_node_[order_[i]], cls_count_[order_[i]]);
       }
-      i = j;
       continue;
     }
 
@@ -144,8 +150,8 @@ void BatchSampler::one_round() {
     external_.assign(n_actions, 0);
     row_store_.clear();
 
-    for (; j < order_.size() && cls_state_[order_[j]] == q; ++j) {
-      const std::size_t c = order_[j];
+    for (; i < end; ++i) {
+      const std::size_t c = order_[i];
       act_tally_.assign(n_slots, 0);
       stats_.action_draws += cls_count_[c];
       tally_draws(choice->split, cls_count_[c], act_tally_);
@@ -185,7 +191,6 @@ void BatchSampler::one_round() {
         }
       }
     }
-    i = j;
   }
   cls_state_.swap(nxt_state_);
   cls_node_.swap(nxt_node_);

@@ -1,22 +1,23 @@
 #pragma once
 // Batched lockstep execution sampling with exact multinomial class
-// splits, and an incremental-rounds API.
+// splits, and an incremental-rounds API: the one sampling engine behind
+// every sampled f-dist and epsilon.
 //
-// The serial sampler (sched/sampler.hpp) walks one execution at a time:
-// every step pays a scheduler row lookup, a linear CDF scan, a compiled
-// transition row lookup (two hash probes on the snapshot path), a second
-// CDF scan and a fragment append -- per execution. The paper's
+// Walking one execution at a time (sample_execution, sched/sampler.hpp)
+// pays, per execution and step, a scheduler row lookup, a linear CDF
+// scan, a compiled transition row lookup (two hash probes on the
+// snapshot path), a second CDF scan and a fragment append. The paper's
 // epsilon-emulation checks want millions of Monte-Carlo executions per
 // f-dist, and those executions are all walks of the *same* frozen
-// snapshot, so the batched mode steps a whole block of executions in
+// snapshot, so this engine steps a whole block of executions in
 // lockstep instead:
 //
 //   - Live executions are kept as a structure-of-arrays block of
 //     *trajectory classes*: executions sharing their entire history so
 //     far collapse to one (state, path-node, count) entry. Grouping by
 //     (state, pending action) is maximal by construction -- a class IS
-//     such a group -- so each scheduler/transition row is fetched once
-//     per class per round instead of once per execution per step.
+//     such a group -- so each transition row is fetched once per class
+//     per round instead of once per execution per step.
 //   - Histories live in a shared path tree (parent-pointer arena), so
 //     extending a class by one step appends one node; nothing is copied
 //     until a terminal class is expanded for the insight function, and
@@ -36,19 +37,19 @@
 //     row (one slot) hands the whole class to its slot without touching
 //     the RNG.
 //
-// Equivalence contract: batched results equal serial results in
-// *distribution*, not draw-for-draw -- classes consume the RNG in
-// class-sorted order, one binomial per slot where the serial walk spends
-// one uniform per pick. The statistical harness
-// (tests/stat_util.hpp) pins the pairing with chi-square differential
-// tests; the serial path remains the reference (SamplingMode::kSerial).
+// Scheduler contract, detected once at construction: a MarkovScheduler
+// (sched/scheduler.hpp) chooses from (lstate, |alpha|) alone, so all
+// classes of one state at one depth share one choice_row_at query -- a
+// *run*. Any other scheduler (oblivious-fn, bounded, Forward^s) may read
+// the history, so each class is its own run, queried with its real
+// fragment (grafted onto the prefix in a prefix-conditioned run). Every
+// scheduler samples its own law; the Markov type only buys row sharing.
 //
-// Scheduler contract: rounds query choice rows through synthetic
-// fragments that carry the correct last state and length but dummy
-// interior steps, so batched mode supports every scheduler whose choice
-// is a function of (lstate, |alpha|) -- uniform, priority, bounded,
-// sequence, task. History-reading schedulers (oblivious-fn) would see
-// garbage words and are not supported in batched mode.
+// Equivalence contract: batched results equal the one-execution walk in
+// *distribution*, not draw-for-draw -- one binomial per slot where the
+// walk spends one uniform per pick. Chi-square tests (tests/stat_util.hpp)
+// pin it against the exact enumerator and the test-side serial walk
+// (tests/reference_engines.hpp).
 //
 // Determinism: one RNG stream, classes sorted by (state, node id) each
 // round, actions split in row order, targets in row order -- the whole
@@ -132,10 +133,8 @@ class BatchSampler {
   /// and `max_depth` keeps its absolute meaning) and sample the
   /// CONDITIONAL continuation law given the prefix. Terminal fragments
   /// are the full executions (prefix + sampled suffix), so the insight
-  /// function sees exactly what an unconditioned run would feed it.
-  /// Correct conditioning relies on the batched scheduler contract
-  /// (choice a function of (lstate, |alpha|)): under it the conditional
-  /// law given a depth-d prefix depends only on (prefix.lstate(), d).
+  /// function sees exactly what an unconditioned run would feed it, and
+  /// a history-reading scheduler is queried with prefix + suffix too.
   /// The run's trie root is the prefix's trace node.
   BatchSampler(Psioa& automaton, Scheduler& sched, PerceptionTable& table,
                std::size_t trials, const Xoshiro256& rng,
@@ -201,6 +200,9 @@ class BatchSampler {
 
   Psioa& automaton_;
   Scheduler& sched_;
+  /// sched_ as a MarkovScheduler, or nullptr: one row per (state, depth)
+  /// run when set, one real-fragment query per class otherwise.
+  MarkovScheduler* markov_ = nullptr;
   PerceptionTable& table_;
   MemoPsioa* memo_ = nullptr;
   std::size_t trials_ = 0;
@@ -248,9 +250,10 @@ std::vector<ExecFragment> sample_executions(
     Psioa& automaton, Scheduler& sched, Xoshiro256& rng, std::size_t n,
     std::size_t max_depth, BatchStats* stats = nullptr);
 
-/// Normalized batched f-dist estimate: the batched counterpart of
-/// sample_fdist (sched/sampler.hpp), distribution-equivalent to it at
-/// the same trial count but not draw-for-draw aligned.
+/// Normalized batched f-dist estimate from `trials` executions of one
+/// automaton instance, on stream `seed`: the single-instance one-shot
+/// (ParallelSampler::sample_fdist is the same run over a frozen
+/// snapshot).
 Disc<Perception, double> sample_fdist_batched(
     Psioa& automaton, Scheduler& sched, const InsightFunction& f,
     std::size_t trials, std::uint64_t seed, std::size_t max_depth,

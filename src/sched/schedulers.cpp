@@ -10,33 +10,31 @@ ActionSet schedulable_actions(Psioa& automaton, State q, bool local_only) {
   return set::unite(sig.out, sig.internal);
 }
 
-ActionChoice UniformScheduler::choose(Psioa& automaton,
-                                      const ExecFragment& alpha) {
+ActionChoice UniformScheduler::choose_at(Psioa& automaton, State q,
+                                         std::size_t len) {
   ActionChoice c;
-  if (alpha.length() >= bound_) return c;
-  const ActionSet enabled =
-      schedulable_actions(automaton, alpha.lstate(), local_only_);
+  if (len >= bound_) return c;
+  const ActionSet enabled = schedulable_actions(automaton, q, local_only_);
   if (enabled.empty()) return c;
   const Rational w(1, static_cast<std::int64_t>(enabled.size()));
   for (ActionId a : enabled) c.add(a, w);
   return c;
 }
 
-const ChoiceRow* UniformScheduler::choice_row(Psioa& automaton,
-                                              const ExecFragment& alpha) {
+const ChoiceRow* UniformScheduler::choice_row_at(Psioa& automaton, State q,
+                                                 std::size_t len) {
   // The choice is a function of lstate alone once the depth bound is
   // cleared, so the compiled row memoizes per state.
-  if (alpha.length() >= bound_) return &halt_row_;
-  return cache_.get(automaton, alpha.lstate(),
-                    [&] { return choose(automaton, alpha); });
+  if (len >= bound_) return &halt_row_;
+  return cache_.get(automaton, q,
+                    [&] { return choose_at(automaton, q, len); });
 }
 
-ActionChoice PriorityScheduler::choose(Psioa& automaton,
-                                       const ExecFragment& alpha) {
+ActionChoice PriorityScheduler::choose_at(Psioa& automaton, State q,
+                                          std::size_t len) {
   ActionChoice c;
-  if (alpha.length() >= bound_) return c;
-  const ActionSet enabled =
-      schedulable_actions(automaton, alpha.lstate(), local_only_);
+  if (len >= bound_) return c;
+  const ActionSet enabled = schedulable_actions(automaton, q, local_only_);
   for (ActionId a : priority_) {
     if (set::contains(enabled, a)) {
       c.add(a, Rational(1));
@@ -46,33 +44,30 @@ ActionChoice PriorityScheduler::choose(Psioa& automaton,
   return c;
 }
 
-const ChoiceRow* PriorityScheduler::choice_row(Psioa& automaton,
-                                               const ExecFragment& alpha) {
-  if (alpha.length() >= bound_) return &halt_row_;
-  return cache_.get(automaton, alpha.lstate(),
-                    [&] { return choose(automaton, alpha); });
+const ChoiceRow* PriorityScheduler::choice_row_at(Psioa& automaton, State q,
+                                                  std::size_t len) {
+  if (len >= bound_) return &halt_row_;
+  return cache_.get(automaton, q,
+                    [&] { return choose_at(automaton, q, len); });
 }
 
-ActionChoice SequenceScheduler::choose(Psioa& automaton,
-                                       const ExecFragment& alpha) {
+ActionChoice SequenceScheduler::choose_at(Psioa& automaton, State q,
+                                          std::size_t len) {
   ActionChoice c;
-  const std::size_t i = alpha.length();
-  if (i >= word_.size()) return c;
-  const ActionSet enabled =
-      schedulable_actions(automaton, alpha.lstate(), local_only_);
-  if (set::contains(enabled, word_[i])) {
-    c.add(word_[i], Rational(1));
+  if (len >= word_.size()) return c;
+  const ActionSet enabled = schedulable_actions(automaton, q, local_only_);
+  if (set::contains(enabled, word_[len])) {
+    c.add(word_[len], Rational(1));
   }
   return c;
 }
 
-ActionChoice TaskScheduler::choose(Psioa& automaton,
-                                   const ExecFragment& alpha) {
+ActionChoice TaskScheduler::choose_at(Psioa& automaton, State q,
+                                      std::size_t len) {
   ActionChoice c;
-  const std::size_t i = alpha.length();
-  if (i >= tasks_.size()) return c;
+  if (len >= tasks_.size()) return c;
   const ActionSet enabled = set::intersect(
-      tasks_[i], schedulable_actions(automaton, alpha.lstate(), local_only_));
+      tasks_[len], schedulable_actions(automaton, q, local_only_));
   if (enabled.size() == 1) c.add(enabled.front(), Rational(1));
   return c;
 }

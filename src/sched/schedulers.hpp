@@ -5,7 +5,9 @@
 // 4.4): it only requires schemas rich enough to be oblivious and
 // creation-oblivious where the emulation argument needs them, and bounded
 // (Def 4.6) where computational indistinguishability needs run-time caps.
-// We provide:
+// We provide four MarkovSchedulers (sched/scheduler.hpp: the choice is
+// a function of (lstate(alpha), |alpha|), which the batched sampler
+// exploits) --
 //   UniformScheduler    -- uniform over enabled actions, halts at a depth;
 //                          the maximally non-committal baseline.
 //   PriorityScheduler   -- deterministic: highest-priority enabled action.
@@ -14,6 +16,7 @@
 //   TaskScheduler       -- task word in the sense of [3]: each task is an
 //                          action set; fires the unique enabled action of
 //                          the current task, halts when none or ambiguous.
+// -- and two plain Schedulers, which may read the whole history:
 //   BoundedScheduler    -- Def 4.6 wrapper: never schedules once
 //                          |alpha| >= bound.
 //   OblivousFnScheduler -- decisions depend only on the action word of
@@ -84,13 +87,13 @@ class StateChoiceCache {
 /// `local_only` flag selecting between the two readings.
 ActionSet schedulable_actions(Psioa& automaton, State q, bool local_only);
 
-class UniformScheduler : public Scheduler {
+class UniformScheduler : public MarkovScheduler {
  public:
   explicit UniformScheduler(std::size_t depth_bound, bool local_only = false)
       : bound_(depth_bound), local_only_(local_only) {}
-  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) override;
-  const ChoiceRow* choice_row(Psioa& automaton,
-                              const ExecFragment& alpha) override;
+  ActionChoice choose_at(Psioa& automaton, State q, std::size_t len) override;
+  const ChoiceRow* choice_row_at(Psioa& automaton, State q,
+                                 std::size_t len) override;
   std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows()
       const override {
     return cache_.freeze();
@@ -108,16 +111,16 @@ class UniformScheduler : public Scheduler {
   ChoiceRow halt_row_;
 };
 
-class PriorityScheduler : public Scheduler {
+class PriorityScheduler : public MarkovScheduler {
  public:
   PriorityScheduler(std::vector<ActionId> priority, std::size_t depth_bound,
                     bool local_only = false)
       : priority_(std::move(priority)),
         bound_(depth_bound),
         local_only_(local_only) {}
-  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) override;
-  const ChoiceRow* choice_row(Psioa& automaton,
-                              const ExecFragment& alpha) override;
+  ActionChoice choose_at(Psioa& automaton, State q, std::size_t len) override;
+  const ChoiceRow* choice_row_at(Psioa& automaton, State q,
+                                 std::size_t len) override;
   std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows()
       const override {
     return cache_.freeze();
@@ -136,12 +139,12 @@ class PriorityScheduler : public Scheduler {
   ChoiceRow halt_row_;
 };
 
-class SequenceScheduler : public Scheduler {
+class SequenceScheduler : public MarkovScheduler {
  public:
   explicit SequenceScheduler(std::vector<ActionId> word,
                              bool local_only = false)
       : word_(std::move(word)), local_only_(local_only) {}
-  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) override;
+  ActionChoice choose_at(Psioa& automaton, State q, std::size_t len) override;
   std::string name() const override { return "sequence"; }
 
  private:
@@ -149,12 +152,12 @@ class SequenceScheduler : public Scheduler {
   bool local_only_;
 };
 
-class TaskScheduler : public Scheduler {
+class TaskScheduler : public MarkovScheduler {
  public:
   explicit TaskScheduler(std::vector<ActionSet> tasks,
                          bool local_only = false)
       : tasks_(std::move(tasks)), local_only_(local_only) {}
-  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) override;
+  ActionChoice choose_at(Psioa& automaton, State q, std::size_t len) override;
   std::string name() const override { return "task"; }
 
  private:

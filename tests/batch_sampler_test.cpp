@@ -1,5 +1,5 @@
 // Batched lockstep sampler (sched/batch_sampler.hpp) differential
-// suite: the acceptance gate for SamplingMode::kBatched.
+// suite: the acceptance gate for the one sampling engine.
 //
 //   validity      -- sample_executions returns genuine depth-bounded
 //                    executions of the automaton.
@@ -8,9 +8,10 @@
 //                    amortization actually happened.
 //   vs exact      -- batched f-dists pass the chi-square GOF harness
 //                    against the exact enumerator.
-//   vs serial     -- the headline differential: serial and batched
-//                    f-dists over one frozen snapshot of each stack in
-//                    the exact-engine suite's zoo (composed,
+//   vs serial     -- the headline differential: the serial walk's
+//                    chunked fan-out (reference_engines.hpp) and the
+//                    batched engine over one frozen snapshot of each
+//                    stack in the exact-engine suite's zoo (composed,
 //                    hidden+renamed, MAC, ledger, faulty channel) agree
 //                    under the two-sample chi-square at every worker
 //                    count in {1, 2, 4, 8}.
@@ -31,7 +32,6 @@
 
 #include "crypto/pairs.hpp"
 #include "fault/faulty.hpp"
-#include "impl/implementation.hpp"
 #include "protocols/channel.hpp"
 #include "protocols/coinflip.hpp"
 #include "protocols/environment.hpp"
@@ -40,6 +40,7 @@
 #include "psioa/hide.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
+#include "reference_engines.hpp"
 #include "sched/cone_measure.hpp"
 #include "sched/sampler.hpp"
 #include "sched/schedulers.hpp"
@@ -235,7 +236,7 @@ TEST(BatchSamplerUnit, BatchedFdistMatchesExactEnumerator) {
 
 TEST(BatchSampler, SnapshotBatchedMatchesSerialOverFrozenTables) {
   // The frozen-snapshot path (the one the E20 bench measures): one
-  // prepared sampler serving both modes over the same shared tables.
+  // prepared sampler serving both engines over the same shared tables.
   TraceInsight f;
   for (const Stack& stack : stack_zoo()) {
     ParallelSampler sampler(stack.make, uniform_factory(kDepth));
@@ -244,8 +245,8 @@ TEST(BatchSampler, SnapshotBatchedMatchesSerialOverFrozenTables) {
     sampler.prepare(plan, kDepth);
     for (std::size_t workers : kWorkerCounts) {
       ThreadPool pool(workers);
-      const auto serial = sampler.sample_fdist(f, kTrials, 303, kDepth, pool,
-                                               SamplingMode::kSerial);
+      const auto serial = testing::sample_fdist_chunked(sampler, f, kTrials,
+                                                        303, kDepth, pool);
       const auto batched = sampler.sample_fdist(f, kTrials, 404, kDepth,
                                                 pool, SamplingMode::kBatched);
       EXPECT_TRUE(testing::fdists_match(serial, kTrials, batched, kTrials))
@@ -479,32 +480,14 @@ TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
   ThreadPool pool(4);
-  const auto serial = sampler.sample_fdist(f, kTrials, 3003, kDepth, pool,
-                                           SamplingMode::kSerial);
+  const auto serial =
+      testing::sample_fdist_chunked(sampler, f, kTrials, 3003, kDepth, pool);
   PerceptionTable table;
   IncrementalFdistRun run(sampler, f, table, kTrials,
                           Xoshiro256::for_stream(4004, 0), kDepth,
                           /*rounds_per_wave=*/2);
   const auto waved = testing::drive_waves(run, table);
   EXPECT_TRUE(testing::fdists_match(serial, kTrials, waved, kTrials));
-}
-
-TEST(BatchSampler, IncrementalRejectsSerialMode) {
-  // Sampled implementation checks drive incremental batched waves, which
-  // kSerial has no round structure for: the request is rejected up front.
-  TraceInsight f;
-  ThreadPool pool(1);
-  const PsioaFactory a = [] { return make_coin("bs_irej", Rational(1, 3)); };
-  const PsioaFactory b = [] { return make_coin("bs_irej", Rational(1, 2)); };
-  const std::vector<LabeledPsioaFactory> envs = {
-      {"ctx", [] { return make_coin("bs_irej_ctx", Rational(1, 2)); }}};
-  const std::vector<LabeledSchedulerFactory> schedulers = {
-      {"uniform", uniform_factory(kDepth)}};
-  EXPECT_THROW(check_implementation_sampled(
-                   a, b, envs, schedulers, same_scheduler(), f, kDepth,
-                   pool, SequentialPolicy::fixed(100), 1,
-                   SamplingMode::kSerial),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/coinflip.hpp"
+#include "reference_engines.hpp"
 #include "sched/cone_measure.hpp"
 #include "sched/sampler.hpp"
 #include "sched/schedulers.hpp"
@@ -14,6 +15,7 @@ namespace cdse {
 namespace {
 
 using testing::make_bernoulli;
+using testing::sample_fdist;
 
 TEST(ConeMeasure, TotalMassIsOne) {
   auto coin = make_coin("cm_a", Rational(1, 3));

@@ -9,7 +9,9 @@
 #include "secure/adversary.hpp"
 #include "secure/forward.hpp"
 #include "protocols/environment.hpp"
+#include "sched/batch_sampler.hpp"
 #include "sched/schedulers.hpp"
+#include "stat_util.hpp"
 
 namespace cdse {
 namespace {
@@ -210,6 +212,21 @@ TEST(DummyInsertion, ForwardSchedulerConservesMass) {
                               total += p;
                             });
   EXPECT_EQ(total, Rational(1));
+}
+
+TEST(DummyInsertion, ForwardSchedulerBatchedMatchesExact) {
+  // Forward^s rebuilds the left fragment from the whole right history,
+  // so the batched sampler must hand it each class's real fragment: the
+  // one-shot batched f-dist fits the exact one.
+  OtpScenario sc("df_o");
+  auto sigma = std::make_shared<UniformScheduler>(8, true);
+  const SchedulerPtr sigma2 = sc.ins->forward_scheduler(sigma);
+  TraceInsight f;
+  const auto exact = exact_fdist(sc.ins->right(), *sigma2, f, 20);
+  constexpr std::size_t kTrials = 20000;
+  const auto sampled =
+      sample_fdist_batched(sc.ins->right(), *sigma2, f, kTrials, 53, 20);
+  EXPECT_TRUE(cdse::testing::fdist_matches_exact(exact, sampled, kTrials));
 }
 
 TEST(DummyInsertion, ForwardMirrorsWordSchedulersToo) {

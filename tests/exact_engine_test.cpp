@@ -49,10 +49,12 @@
 #include "fault/byzantine.hpp"
 #include "fault/crash.hpp"
 #include "fault/faulty.hpp"
+#include "impl/balance.hpp"
 #include "impl/family_sweep.hpp"
 #include "impl/implementation.hpp"
 #include "impl/optimal.hpp"
 #include "protocols/channel.hpp"
+#include "protocols/cointoss.hpp"
 #include "protocols/environment.hpp"
 #include "protocols/ledger.hpp"
 #include "psioa/compose.hpp"
@@ -725,6 +727,66 @@ TEST(ExactEngineGrid, FamilySweepIsWorkerCountIndependent) {
     EXPECT_EQ(*one.rows[i].exact,
               Rational(1, static_cast<std::int64_t>(1) << ks[i]));
   }
+}
+
+// ------------------------------------------------------ overflow contract
+// E15's real coin toss at k = 4 under uniform scheduling is enumerable to
+// depth 11; at depth 12 a cone weight leaves 64-bit Rationals after
+// 566,976 frames. Every exact path, serial or fanned over a pool, and a
+// verdict API whose split cone overflows must end in the typed
+// std::overflow_error, never an abort or a wrong answer.
+
+constexpr std::size_t kOverflowDepth = 12;
+
+PsioaFactory cointoss_side(bool real) {
+  return [real]() -> PsioaPtr {
+    const CoinTossPair ct = make_cointoss_pair(4, "xe_ov");
+    return real ? ct.real.ptr() : ct.ideal.ptr();
+  };
+}
+
+TEST(ExactEngineOverflow, ExactBalanceEpsilonThrowsTypedError) {
+  PsioaPtr real = cointoss_side(true)();
+  PsioaPtr ideal = cointoss_side(false)();
+  UniformScheduler s_real(kOverflowDepth);
+  UniformScheduler s_ideal(kOverflowDepth);
+  EXPECT_THROW(exact_balance_epsilon(*real, s_real, *ideal, s_ideal,
+                                     TraceInsight(), kOverflowDepth),
+               std::overflow_error);
+}
+
+void expect_parallel_overflow(std::size_t workers) {
+  ParallelConeEngine engine(cointoss_side(true),
+                            uniform_factory(kOverflowDepth));
+  WarmupPlan plan;
+  plan.episodes = 0;
+  plan.horizon = kOverflowDepth;
+  engine.prepare(plan, kOverflowDepth);
+  ThreadPool pool(workers);
+  EXPECT_THROW(engine.exact_fdist(TraceInsight(), kOverflowDepth, pool),
+               std::overflow_error)
+      << workers << " workers";
+}
+
+TEST(ExactEngineOverflow, ParallelEngineThrowsTypedErrorAtOneWorker) {
+  expect_parallel_overflow(1);
+}
+
+TEST(ExactEngineOverflow, ParallelEngineThrowsTypedErrorAtFourWorkers) {
+  expect_parallel_overflow(4);
+}
+
+TEST(ExactEngineOverflow, SplitSequentialEpsilonThrowsTypedError) {
+  // The split path enumerates each side's exact prefix cone first, so a
+  // split depth at the overflow depth fails before any sampling.
+  SequentialPolicy policy = SequentialPolicy::fixed(std::size_t{1} << 20);
+  policy.split_depth = kOverflowDepth;
+  ThreadPool pool(2);
+  EXPECT_THROW(sequential_balance_epsilon(
+                   cointoss_side(true), uniform_factory(kOverflowDepth),
+                   cointoss_side(false), uniform_factory(kOverflowDepth),
+                   TraceInsight(), policy, 1, kOverflowDepth, pool),
+               std::overflow_error);
 }
 
 }  // namespace

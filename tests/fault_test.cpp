@@ -1,14 +1,16 @@
 // Fault-injection adapters (src/fault): FaultPlan validation, the
 // loss/duplication/delay wrapper, crash-stop as PCA destruction, the
 // Byzantine corruption wrapper, scheduler perturbation, and the
-// deadline / retry guard of ParallelSampler's serial walk, which the
-// fault sweeps sample through.
+// round-boundary deadline / retry guard of ParallelSampler's batched
+// run, which the fault sweeps sample through.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "fault/byzantine.hpp"
 #include "fault/crash.hpp"
@@ -324,9 +326,10 @@ ParallelSampler prepared_sampler(const PsioaFactory& fa,
 SchedulerPtr uniform6() { return std::make_shared<UniformScheduler>(6); }
 
 TEST(GuardedSampler, CompleteRunMatchesUnguarded) {
-  // An armed guard that never fires (a deadline no chunk reaches, retries
-  // no chunk needs) must not perturb the run: same seed, same chunking,
-  // same estimate as the default guard, with or without a report.
+  // An armed guard that never fires (a deadline no round reaches, retries
+  // no attempt needs) must not perturb the run: same stream, same
+  // estimate as the default guard, with or without a report, although
+  // the timed run steps one round per wave.
   ThreadPool pool(2);
   ParallelSampler sampler = prepared_sampler(lossy_factory("gs"), uniform6);
   TraceInsight f;
@@ -335,10 +338,11 @@ TEST(GuardedSampler, CompleteRunMatchesUnguarded) {
   armed.max_retries = 3;
   SampleReport rep;
   const auto guarded = sampler.sample_fdist(f, 4000, 11, 10, pool,
-                                            SamplingMode::kSerial, armed, &rep);
+                                            SamplingMode::kBatched, armed,
+                                            &rep);
   SampleReport plain_rep;
   const auto plain =
-      sampler.sample_fdist(f, 4000, 11, 10, pool, SamplingMode::kSerial,
+      sampler.sample_fdist(f, 4000, 11, 10, pool, SamplingMode::kBatched,
                            SampleGuard{}, &plain_rep);
   EXPECT_TRUE(rep.complete);
   EXPECT_TRUE(bool(rep));
@@ -350,31 +354,71 @@ TEST(GuardedSampler, CompleteRunMatchesUnguarded) {
   EXPECT_EQ(sampler.sample_fdist(f, 4000, 11, 10, pool), plain);
 }
 
+/// uniform6 at half strength (every step halts with probability 1/2),
+/// pausing kStall on its first row at length kStallAt: a deadline
+/// shorter than the pause cuts a batched run after that round, once some
+/// executions have finished and while others are still live.
+class StallingScheduler : public MarkovScheduler {
+ public:
+  static constexpr std::size_t kStallAt = 2;
+  static constexpr std::chrono::milliseconds kStall{100};
+
+  ActionChoice choose_at(Psioa& automaton, State q,
+                         std::size_t len) override {
+    if (len == kStallAt && !stalled_) {
+      stalled_ = true;
+      std::this_thread::sleep_for(kStall);
+    }
+    const ActionChoice full = inner_.choose_at(automaton, q, len);
+    ActionChoice half;
+    for (const auto& [a, w] : full.entries()) half.add(a, w * Rational(1, 2));
+    return half;
+  }
+  std::string name() const override { return "stalling"; }
+
+ private:
+  UniformScheduler inner_{6};
+  bool stalled_ = false;
+};
+
 TEST(GuardedSampler, DeadlineYieldsPartialNormalizedEstimate) {
+  // A deadline cut keeps the executions that finished at their own
+  // weight, count / trials_requested: the estimate's mass is exactly
+  // trials_done / trials_requested, and the censored rest is not
+  // redistributed over the short executions a lockstep cut keeps.
   ThreadPool pool(2);
-  ParallelSampler sampler = prepared_sampler(lossy_factory("gd"), uniform6);
+  ParallelSampler sampler(lossy_factory("gd"), []() -> SchedulerPtr {
+    return std::make_shared<StallingScheduler>();
+  });
+  WarmupPlan no_episodes;  // warm-up walks would stall too
+  no_episodes.episodes = 0;
+  sampler.prepare(no_episodes, 10);
   TraceInsight f;
   SampleGuard guard;
-  guard.deadline = std::chrono::milliseconds(1);
+  guard.deadline = StallingScheduler::kStall / 2;
   SampleReport rep;
-  const auto dist = sampler.sample_fdist(f, 100'000'000, 11, 10, pool,
-                                         SamplingMode::kSerial, guard, &rep);
+  const auto dist = sampler.sample_fdist(f, 100'000, 11, 10, pool,
+                                         SamplingMode::kBatched, guard, &rep);
   EXPECT_TRUE(rep.deadline_hit);
   EXPECT_FALSE(rep.complete);
   EXPECT_GT(rep.trials_done, 0u);
   EXPECT_LT(rep.trials_done, rep.trials_requested);
-  // Partial but still a probability distribution over perceptions.
-  EXPECT_TRUE(dist.is_probability(1e-9));
+  double mass = 0.0;
+  for (const auto& [perc, w] : dist.entries()) mass += w;
+  EXPECT_NEAR(mass,
+              static_cast<double>(rep.trials_done) /
+                  static_cast<double>(rep.trials_requested),
+              1e-12);
   // Without a report there is nowhere to say the estimate is partial.
-  EXPECT_THROW(sampler.sample_fdist(f, 100'000'000, 11, 10, pool,
-                                    SamplingMode::kSerial, guard),
+  EXPECT_THROW(sampler.sample_fdist(f, 100'000, 11, 10, pool,
+                                    SamplingMode::kBatched, guard),
                std::runtime_error);
 }
 
 TEST(GuardedSampler, RetryWithSeedRotationRecovers) {
-  // Single-worker pool => one chunk. Scheduler-factory call 0 belongs to
-  // prepare(); call 1 (the chunk's first attempt) throws, the retry on a
-  // rotated seed stream succeeds, and the run completes.
+  // Scheduler-factory call 0 belongs to prepare(); call 1 (the run's
+  // first attempt) throws, the retry on a rotated stream succeeds, and
+  // the run completes with the estimate of that stream.
   ThreadPool pool(1);
   std::atomic<int> calls{0};
   ParallelSampler sampler = prepared_sampler(
@@ -389,17 +433,19 @@ TEST(GuardedSampler, RetryWithSeedRotationRecovers) {
   guard.max_retries = 2;
   SampleReport rep;
   const auto dist = sampler.sample_fdist(f, 500, 11, 10, pool,
-                                         SamplingMode::kSerial, guard, &rep);
+                                         SamplingMode::kBatched, guard, &rep);
   EXPECT_TRUE(rep.complete);
   EXPECT_EQ(rep.trials_done, 500u);
   EXPECT_EQ(rep.retries_used, 1u);
   EXPECT_GE(calls.load(), 3);
   EXPECT_TRUE(dist.is_probability(1e-9));
+  EXPECT_EQ(dist, sampler.sample_fdist(f, 500, 11 + 0x9e3779b97f4a7c15ULL,
+                                       10, pool));
 }
 
 TEST(GuardedSampler, ExhaustedRetriesReportCleanFailure) {
   // Every scheduler-factory call after prepare()'s throws, so every
-  // attempt of the lone chunk fails.
+  // attempt of the run fails.
   ThreadPool pool(1);
   std::atomic<int> calls{0};
   ParallelSampler sampler = prepared_sampler(
@@ -414,45 +460,21 @@ TEST(GuardedSampler, ExhaustedRetriesReportCleanFailure) {
   guard.max_retries = 3;
   SampleReport rep;
   const auto dist = sampler.sample_fdist(f, 500, 11, 10, pool,
-                                         SamplingMode::kSerial, guard, &rep);
+                                         SamplingMode::kBatched, guard, &rep);
   EXPECT_FALSE(rep.complete);
   EXPECT_EQ(rep.trials_done, 0u);
   EXPECT_EQ(rep.retries_used, 3u);
   EXPECT_NE(rep.error.find("persistent failure"), std::string::npos);
   EXPECT_TRUE(dist.empty());
-  // Without a report the chunk's own exception propagates.
+  // Without a report the run's own exception propagates.
   try {
-    (void)sampler.sample_fdist(f, 500, 11, 10, pool, SamplingMode::kSerial,
+    (void)sampler.sample_fdist(f, 500, 11, 10, pool, SamplingMode::kBatched,
                                guard);
     ADD_FAILURE() << "exhausted run without a report returned";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("persistent failure"),
               std::string::npos);
   }
-}
-
-TEST(GuardedSampler, BatchedModeRejectsArmedGuard) {
-  // A batched run has no trial boundary to stop or retry at.
-  ThreadPool pool(2);
-  ParallelSampler sampler = prepared_sampler(lossy_factory("gb"), uniform6);
-  TraceInsight f;
-  SampleGuard deadline;
-  deadline.deadline = std::chrono::milliseconds(5);
-  SampleGuard retries;
-  retries.max_retries = 1;
-  EXPECT_THROW(sampler.sample_fdist(f, 100, 11, 10, pool,
-                                    SamplingMode::kBatched, deadline),
-               std::invalid_argument);
-  EXPECT_THROW(sampler.sample_fdist(f, 100, 11, 10, pool,
-                                    SamplingMode::kBatched, retries),
-               std::invalid_argument);
-  SampleReport rep;
-  rep.complete = false;
-  const auto dist = sampler.sample_fdist(f, 100, 11, 10, pool,
-                                         SamplingMode::kBatched, {}, &rep);
-  EXPECT_TRUE(rep.complete);
-  EXPECT_EQ(rep.trials_done, 100u);
-  EXPECT_TRUE(dist.is_probability(1e-9));
 }
 
 }  // namespace

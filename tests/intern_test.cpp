@@ -34,6 +34,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,7 @@
 #include "psioa/memo.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
+#include "reference_engines.hpp"
 #include "sched/cone_measure.hpp"
 #include "sched/sampler.hpp"
 #include "sched/schedulers.hpp"
@@ -59,6 +61,8 @@
 
 namespace cdse {
 namespace {
+
+using testing::sample_fdist;
 
 // ------------------------------------------------------------ arena units
 
@@ -378,8 +382,9 @@ void expect_capacity_blind(const PsioaFactory& fa, std::uint64_t seed) {
 }
 
 /// Same comparison through the frozen-snapshot engine: prepare() (BFS
-/// warm-up + freeze) and parallel sample_fdist must not depend on the
-/// warm-up's interning pre-size.
+/// warm-up + freeze), the batched sample_fdist and the serial walk fanned
+/// over 4 concurrent views must not depend on the warm-up's interning
+/// pre-size.
 void expect_capacity_blind_frozen(const PsioaFactory& fa,
                                   std::uint64_t seed) {
   auto run = [&fa, seed](std::size_t reserve) {
@@ -395,12 +400,15 @@ void expect_capacity_blind_frozen(const PsioaFactory& fa,
     ThreadPool pool(4);
     TraceInsight f;
     auto dist = sampler.sample_fdist(f, 1000, seed, kSampleDepth, pool);
+    auto walked = testing::sample_fdist_chunked(sampler, f, 1000, seed,
+                                                kSampleDepth, pool);
     const InternStats st = sampler.residue_intern_stats();
-    return std::make_pair(dist, st);
+    return std::make_tuple(dist, walked, st);
   };
-  const auto [dist_grown, st_grown] = run(0);
-  const auto [dist_sized, st_sized] = run(kReserve);
+  const auto [dist_grown, walked_grown, st_grown] = run(0);
+  const auto [dist_sized, walked_sized, st_sized] = run(kReserve);
   EXPECT_EQ(dist_grown, dist_sized);
+  EXPECT_EQ(walked_grown, walked_sized);
   // Both warm-ups interned the same key set in the same order; only the
   // grown tables ever rehashed.
   EXPECT_EQ(st_grown.keys, st_sized.keys);

@@ -18,6 +18,7 @@
 #include "psioa/memo.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
+#include "reference_engines.hpp"
 #include "sched/cone_measure.hpp"
 #include "sched/sampler.hpp"
 #include "sched/schedulers.hpp"
@@ -25,6 +26,8 @@
 
 namespace cdse {
 namespace {
+
+using testing::sample_fdist;
 
 constexpr std::size_t kFdistDepth = 4;
 constexpr std::size_t kSampleDepth = 8;

@@ -1,25 +1,34 @@
 #pragma once
-// Test-only reference engines for the exact cone measure.
+// Test-only reference engines.
 //
-// These are the plain, obviously-correct forms of two computations the
+// These are the plain, obviously-correct forms of computations the
 // library does faster: the recursive cone enumerator (one ExecFragment
 // copy per edge) behind the iterative pending-edge engine of
-// sched/exact_engine.hpp, and the per-word distinguisher search (both
-// cones re-enumerated for every word) behind the prefix-sharing and
-// parallel searches of impl/optimal.hpp. The exact-engine and quotient
-// suites pin the production engines against them: same visit order,
-// Rational-equal f-dists, the same best word, epsilon and
-// words_evaluated.
+// sched/exact_engine.hpp; the per-word distinguisher search (both cones
+// re-enumerated for every word) behind the prefix-sharing and parallel
+// searches of impl/optimal.hpp; and the serial sampling walk (one
+// execution at a time, one uniform per pick) behind the batched
+// lockstep sampler of sched/batch_sampler.hpp. The exact-engine and
+// quotient suites pin the production engines against the first two:
+// same visit order, Rational-equal f-dists, the same best word, epsilon
+// and words_evaluated. The sampling suites pin the batched engine
+// against the walk with the chi-square harness (tests/stat_util.hpp),
+// and the snapshot suites use the walk's chunked fan-out to compare
+// frozen views with warmed clones draw for draw.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "impl/optimal.hpp"
 #include "sched/cone_measure.hpp"
+#include "sched/sampler.hpp"
 #include "sched/schedulers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cdse::testing {
 
@@ -145,6 +154,61 @@ inline BestDistinguisher search_best_word_legacy(
   std::vector<ActionId> word;
   detail::search_per_word(lhs, rhs, alphabet, max_len, f, depth, word, best);
   return best;
+}
+
+/// The serial f-dist estimate: `trials` executions walked one at a time
+/// by sample_execution on one stream of `seed`, each weighing
+/// 1 / trials.
+inline Disc<Perception, double> sample_fdist(Psioa& automaton,
+                                             Scheduler& sched,
+                                             const InsightFunction& f,
+                                             std::size_t trials,
+                                             std::uint64_t seed,
+                                             std::size_t max_depth) {
+  Disc<Perception, double> dist;
+  Xoshiro256 rng(seed);
+  const double w = 1.0 / static_cast<double>(trials);
+  for (std::size_t i = 0; i < trials; ++i) {
+    const ExecFragment alpha =
+        sample_execution(automaton, sched, rng, max_depth);
+    dist.add(f.apply(automaton, alpha), w);
+  }
+  return dist;
+}
+
+/// The serial walk fanned over a prepared sampler's views: chunk c of
+/// the pool's static partition walks its trials on its own
+/// worker_view() and worker_scheduler(), drawing from stream c of
+/// `seed`, so the views sample concurrently and fault cold states
+/// through the one shared residue. Counts merge in chunk order and are
+/// divided by `trials`. `stats` (optional) receives the views' snapshot
+/// counters, summed.
+inline Disc<Perception, double> sample_fdist_chunked(
+    const ParallelSampler& sampler, const InsightFunction& f,
+    std::size_t trials, std::uint64_t seed, std::size_t max_depth,
+    ThreadPool& pool, SnapshotStats* stats = nullptr) {
+  std::vector<Disc<Perception, double>> counts(pool.size());
+  std::vector<SnapshotStats> chunk_stats(pool.size());
+  parallel_for_chunks(
+      pool, trials,
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        const std::shared_ptr<SnapshotPsioa> view = sampler.worker_view();
+        const SchedulerPtr sched = sampler.worker_scheduler();
+        Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
+        for (std::size_t i = begin; i < end; ++i) {
+          const ExecFragment alpha =
+              sample_execution(*view, *sched, rng, max_depth);
+          counts[chunk].add(f.apply(*view, alpha), 1.0);
+        }
+        chunk_stats[chunk] = view->snapshot_stats();
+      });
+  Disc<Perception, double> merged;
+  const double n = static_cast<double>(trials);
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    merged.merge(counts[c], [n](double count) { return count / n; });
+    if (stats != nullptr) *stats += chunk_stats[c];
+  }
+  return merged;
 }
 
 }  // namespace cdse::testing

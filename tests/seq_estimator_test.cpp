@@ -363,19 +363,6 @@ TEST(SeqEstWaves, EarlyStopReturnsNormalizedPartial) {
   EXPECT_NEAR(mass, 1.0, 1e-9);
 }
 
-TEST(SeqEstWaves, SerialModeRejected) {
-  // The sequential estimator steps incremental batched waves; kSerial has
-  // no round structure, so the request is rejected up front.
-  ThreadPool pool(1);
-  TraceInsight f;
-  EXPECT_THROW(sequential_balance_epsilon(
-                   ledger_factory("se_l"), uniform_factory(kDepth),
-                   ledger_factory("se_l"), uniform_factory(kDepth), f,
-                   SequentialPolicy::fixed(100), 1, kDepth, pool,
-                   SamplingMode::kSerial),
-               std::invalid_argument);
-}
-
 // -------------------------------------------------------------- coverage
 // Simulation-based calibration of the confidence sequence itself, on
 // synthetic Bernoulli tallies (no automata): with the true epsilon

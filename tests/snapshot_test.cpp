@@ -12,8 +12,9 @@
 // Exact f-dists must be equal as rationals, and sampled executions must
 // be draw-for-draw identical at fixed seeds, across random/composed/
 // hidden/renamed/structured/PCA stacks. The concurrency half hammers one
-// snapshot's overflow path from 8 workers (run under TSan by the CI
-// `tsan` job) and pins seed-reproducibility of ParallelSampler against
+// snapshot's overflow path from 8 concurrent views (run under TSan by the
+// CI `tsan` job) and pins seed-reproducibility of the views, fanned out
+// by the serial walk's chunked reference (reference_engines.hpp), against
 // clone-per-worker references built in the tests (fresh leaf clones and
 // warmed composed clones, one per chunk).
 
@@ -32,6 +33,7 @@
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
 #include "psioa/snapshot.hpp"
+#include "reference_engines.hpp"
 #include "sched/cone_measure.hpp"
 #include "sched/sampler.hpp"
 #include "sched/schedulers.hpp"
@@ -40,6 +42,9 @@
 
 namespace cdse {
 namespace {
+
+using testing::sample_fdist;
+using testing::sample_fdist_chunked;
 
 constexpr std::size_t kFdistDepth = 4;
 constexpr std::size_t kSampleDepth = 8;
@@ -322,8 +327,8 @@ TEST(SnapshotStatsTest, FullyWarmedSamplingNeverOverflows) {
   sampler.prepare(full_plan(kSampleDepth), kSampleDepth);
   ThreadPool pool(4);
   TraceInsight f;
-  (void)sampler.sample_fdist(f, 2000, 99, kSampleDepth, pool);
-  const SnapshotStats& st = sampler.last_stats();
+  SnapshotStats st;
+  (void)sample_fdist_chunked(sampler, f, 2000, 99, kSampleDepth, pool, &st);
   EXPECT_GT(st.row_hits, 0u);
   EXPECT_GT(st.sig_hits, 0u);
   EXPECT_EQ(st.row_overflows, 0u);
@@ -346,8 +351,8 @@ TEST(SnapshotStatsTest, ShallowWarmupOverflowsDeterministically) {
     sampler.prepare(shallow, kSampleDepth);
     ThreadPool pool(4);
     TraceInsight f;
-    *dist = sampler.sample_fdist(f, 2000, 123, kSampleDepth, pool);
-    *stats = sampler.last_stats();
+    *dist = sample_fdist_chunked(sampler, f, 2000, 123, kSampleDepth, pool,
+                                 stats);
   };
   Disc<Perception, double> d1, d2;
   SnapshotStats s1, s2;
@@ -362,7 +367,7 @@ TEST(SnapshotSeedReproducibility, MatchesCloneParallelPathOnLeafSystem) {
   // Clone-per-worker sampling of a coin -- one fresh, unwarmed instance
   // and scheduler per chunk, chunk c on stream c, counts normalized in
   // chunk order -- must be reproduced exactly (same chunks, same streams,
-  // same draws, same merge) by the snapshot path. The coin is a leaf, so
+  // same draws, same merge) by the snapshot views. The coin is a leaf, so
   // the clones walk Rational transitions while the snapshot walks its
   // compiled rows.
   const PsioaFactory fa = [] { return make_coin("sn_coin", Rational(1, 3)); };
@@ -394,7 +399,7 @@ TEST(SnapshotSeedReproducibility, MatchesCloneParallelPathOnLeafSystem) {
 
   ParallelSampler sampler(fa, fs);
   sampler.prepare(full_plan(8), 8);
-  const auto shared = sampler.sample_fdist(f, trials, seed, 8, pool);
+  const auto shared = sample_fdist_chunked(sampler, f, trials, seed, 8, pool);
   EXPECT_EQ(shared, plain);
 }
 
@@ -433,7 +438,8 @@ TEST(SnapshotSeedReproducibility, MatchesWarmedClonePerWorkerPath) {
 
   ParallelSampler sampler(fa, fs);
   sampler.prepare(plan, kSampleDepth);
-  const auto shared = sampler.sample_fdist(f, trials, seed, kSampleDepth, pool);
+  const auto shared =
+      sample_fdist_chunked(sampler, f, trials, seed, kSampleDepth, pool);
   EXPECT_EQ(shared, reference);
 }
 
@@ -453,8 +459,7 @@ TEST(SnapshotConcurrencyStress, EightWorkersHammerOneColdSnapshot) {
     sampler.prepare(cold, 10);
     ThreadPool pool(8);
     TraceInsight f;
-    *dist = sampler.sample_fdist(f, 4000, 555, 10, pool);
-    *stats = sampler.last_stats();
+    *dist = sample_fdist_chunked(sampler, f, 4000, 555, 10, pool, stats);
   };
   Disc<Perception, double> d1, d2;
   SnapshotStats s1, s2;
