@@ -66,7 +66,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # lock-free name reads racing appends, grown-vs-reserved differential,
   # sharded-interner concurrent interning + epoch GC), the
   # session service / soak driver (sharded session table over the pool),
-  # the exact cone-measure engine (ParallelConeEngine subtree fan-out,
+  # the exact cone-measure engine (ParallelConeEngine subtree fan-out and
+  # its stop after a throwing subtree, whose sibling chunk is held on a
+  # latch until the throw has raised the stop flag:
+  # ExactEngineOverflow.ThrowingSubtreeStopsSiblingsAndKeepsCounters;
   # parallel distinguisher search, parallel sweep grids), and the
   # quotient reduction (shared minimized snapshots behind per-worker
   # QuotientPsioa views in all of the above), the batched sampler

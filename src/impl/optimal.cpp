@@ -4,7 +4,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "psioa/snapshot.hpp"
 #include "sched/schedulers.hpp"
 
 namespace cdse {
@@ -63,6 +62,13 @@ void merge(Candidate& best, const Candidate& other, const LexRank& lex) {
   if (other.set) offer(best, other.word, other.eps, lex);
 }
 
+/// Adds one side's reduction to the quotient counters (none: nullptr).
+void count_reduction(ConeStats& stats, const ReducedSystem* red) {
+  if (red == nullptr) return;
+  stats.quotient_states += red->states;
+  stats.quotient_blocks += red->blocks;
+}
+
 /// The prefix-sharing DFS: identical traversal and pruning to the
 /// per-word search, but each word's f-dists come from extending the
 /// parent's cached frontier. Child frontiers are evicted once their
@@ -106,16 +112,12 @@ BestDistinguisher search_best_word(Psioa& lhs, Psioa& rhs,
                                    const ReductionPolicy& policy) {
   // Minimize each side independently; a side whose covering warm-up
   // truncates stays raw (the frontier extension is exact either way).
-  std::optional<ReducedSystem> red_l;
-  std::optional<ReducedSystem> red_r;
-  if (policy.enabled()) {
-    red_l = reduce_for_enumeration(lhs, depth, policy);
-    red_r = reduce_for_enumeration(rhs, depth, policy);
-  }
-  Psioa& el = red_l.has_value() ? *red_l->view : lhs;
-  Psioa& er = red_r.has_value() ? *red_r->view : rhs;
-  ConeFrontierCache cl(el, f, depth);
-  ConeFrontierCache cr(er, f, depth);
+  const std::optional<ReducedSystem> red_l =
+      reduce_for_enumeration(lhs, depth, policy);
+  const std::optional<ReducedSystem> red_r =
+      reduce_for_enumeration(rhs, depth, policy);
+  ConeFrontierCache cl(red_l ? *red_l->view : lhs, f, depth);
+  ConeFrontierCache cr(red_r ? *red_r->view : rhs, f, depth);
   const LexRank lex(alphabet);
   Candidate cand;
   BestDistinguisher best;
@@ -128,14 +130,8 @@ BestDistinguisher search_best_word(Psioa& lhs, Psioa& rhs,
   }
   best.stats = cl.stats();
   best.stats += cr.stats();
-  if (red_l.has_value()) {
-    best.stats.quotient_states += red_l->states;
-    best.stats.quotient_blocks += red_l->blocks;
-  }
-  if (red_r.has_value()) {
-    best.stats.quotient_states += red_r->states;
-    best.stats.quotient_blocks += red_r->blocks;
-  }
+  count_reduction(best.stats, red_l ? &*red_l : nullptr);
+  count_reduction(best.stats, red_r ? &*red_r : nullptr);
   return best;
 }
 
@@ -143,77 +139,41 @@ BestDistinguisher search_best_word_parallel(
     const PsioaFactory& make_lhs, const PsioaFactory& make_rhs,
     const std::vector<ActionId>& alphabet, std::size_t max_len,
     const InsightFunction& f, std::size_t depth, ThreadPool& pool,
-    std::size_t frontier_target, const ReductionPolicy& policy) {
-  // With an enabled policy, minimize each side up front: one covering
-  // freeze + quotient, after which every view (phase 1 and per worker)
-  // is a fresh QuotientPsioa over the shared minimized snapshot. A side
-  // whose warm-up truncates keeps the sampler path below.
-  std::optional<ReducedSystem> red_l;
-  std::optional<ReducedSystem> red_r;
-  if (policy.enabled()) {
-    auto li = make_lhs();
-    auto ri = make_rhs();
-    red_l = reduce_for_enumeration(*li, depth, policy);
-    red_r = reduce_for_enumeration(*ri, depth, policy);
-  }
-
-  // Freeze one warmed instance per unreduced side. The full-horizon walk
-  // compiles every (state, action) row the search can touch, so worker
-  // views almost never fall through to the serialized residue.
+    const ReductionPolicy& policy) {
+  // One engine per side: a full-horizon warm-up and freeze, which
+  // compiles every (state, action) row the search can touch, minimized
+  // under an enabled policy. Every view below is the engine's worker
+  // view: a thin snapshot view, or a QuotientPsioa over the shared
+  // minimized snapshot.
   WarmupPlan plan;
   plan.episodes = 0;
   plan.horizon = depth;
   auto uniform_factory = [depth]() -> SchedulerPtr {
     return std::make_shared<UniformScheduler>(depth);
   };
-  std::optional<ParallelSampler> left;
-  std::optional<ParallelSampler> right;
-  if (!red_l.has_value()) {
-    left.emplace(make_lhs, uniform_factory);
-    left->prepare(plan, depth);
-  }
-  if (!red_r.has_value()) {
-    right.emplace(make_rhs, uniform_factory);
-    right->prepare(plan, depth);
-  }
-  auto left_view = [&]() -> std::shared_ptr<MemoPsioa> {
-    if (red_l.has_value()) {
-      return std::make_shared<QuotientPsioa>(red_l->snapshot);
-    }
-    return left->worker_view();
-  };
-  auto right_view = [&]() -> std::shared_ptr<MemoPsioa> {
-    if (red_r.has_value()) {
-      return std::make_shared<QuotientPsioa>(red_r->snapshot);
-    }
-    return right->worker_view();
-  };
+  ParallelConeEngine left(make_lhs, uniform_factory, policy);
+  ParallelConeEngine right(make_rhs, uniform_factory, policy);
+  left.prepare(plan, depth);
+  right.prepare(plan, depth);
 
   const LexRank lex(alphabet);
   BestDistinguisher best;
   Candidate cand;
   ConeStats stats;
-  if (red_l.has_value()) {
-    stats.quotient_states += red_l->states;
-    stats.quotient_blocks += red_l->blocks;
-  }
-  if (red_r.has_value()) {
-    stats.quotient_states += red_r->states;
-    stats.quotient_blocks += red_r->blocks;
-  }
+  count_reduction(stats, left.reduced());
+  count_reduction(stats, right.reduced());
 
   // Phase 1 (calling thread): breadth-first over the word tree until
-  // enough un-expanded subtrees exist to feed the pool. Expansion uses
-  // the same prune-then-extend rule as the DFS, so phase-1 words plus
-  // the subtree words partition exactly the per-word evaluation set.
-  auto lv = left_view();
-  auto rv = right_view();
+  // four un-expanded subtrees per worker exist to feed the pool.
+  // Expansion uses the same prune-then-extend rule as the DFS, so
+  // phase-1 words plus the subtree words partition exactly the per-word
+  // evaluation set.
+  auto lv = left.worker_view();
+  auto rv = right.worker_view();
   ConeFrontierCache cl(*lv, f, depth);
   ConeFrontierCache cr(*rv, f, depth);
   const std::size_t target =
-      frontier_target != 0
-          ? frontier_target
-          : 4 * std::max<std::size_t>(std::size_t{1}, pool.size());
+      4 * std::max<std::size_t>(std::size_t{1}, pool.size());
   std::deque<std::vector<ActionId>> queue;
   queue.emplace_back();
   while (!queue.empty() && queue.size() < target) {
@@ -240,8 +200,8 @@ BestDistinguisher search_best_word_parallel(
   stats.splits = tasks.size();
 
   // Phase 2: one DFS per task word, fanned over the pool. Each chunk
-  // owns a pair of thin snapshot views and frontier caches (kept across
-  // the chunk's tasks, so sibling tasks share ancestor frontiers too).
+  // owns a pair of worker views and frontier caches (kept across the
+  // chunk's tasks, so sibling tasks share ancestor frontiers too).
   const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, pool.size());
   std::vector<Candidate> task_best(tasks.size());
   std::vector<std::size_t> task_count(tasks.size(), 0);
@@ -249,8 +209,8 @@ BestDistinguisher search_best_word_parallel(
   parallel_for_chunks(
       pool, tasks.size(),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto lw = left_view();
-        auto rw = right_view();
+        auto lw = left.worker_view();
+        auto rw = right.worker_view();
         ConeFrontierCache wl(*lw, f, depth);
         ConeFrontierCache wr(*rw, f, depth);
         for (std::size_t i = begin; i < end; ++i) {

@@ -17,9 +17,10 @@
 // Engines. search_best_word extends each parent word's halted frontier
 // (ConeFrontierCache) instead of re-enumerating the shared prefix cone
 // per word; search_best_word_parallel additionally freezes both systems
-// into shared snapshots and fans independent word subtrees across a
-// ThreadPool. Both visit exactly the words of the plain per-word search
-// (identical pruning, hence identical words_evaluated) and resolve
+// into shared snapshots (one ParallelConeEngine per side) and fans
+// independent word subtrees across a ThreadPool. Both visit exactly the
+// words of the plain per-word search (identical pruning, hence
+// identical words_evaluated) and resolve
 // epsilon ties to the first word in the search pre-order --
 // equivalently, the lexicographically smallest word under the
 // alphabet's order -- so they return the identical word and epsilon,
@@ -59,22 +60,23 @@ BestDistinguisher search_best_word(Psioa& lhs, Psioa& rhs,
                                    std::size_t depth,
                                    const ReductionPolicy& policy = {});
 
-/// Parallel prefix-sharing search. Freezes one warmed instance per side
-/// (WarmupPlan horizon = depth, so workers hit lock-free compiled rows),
-/// expands the word tree breadth-first on the calling thread until at
-/// least `frontier_target` (default 4x pool size) independent subtrees
-/// exist, then fans the subtrees across the pool -- each worker running
-/// the serial prefix-sharing search over its own thin snapshot views.
-/// Per-task results merge in fixed task order under the deterministic
-/// tie-break, so word, epsilon and words_evaluated are identical to the
-/// serial engines at every worker count. With an enabled `policy` a
-/// reduced side skips the ParallelSampler entirely: workers get fresh
-/// QuotientPsioa views over one shared minimized snapshot (per-side
-/// fallback to the sampler path when the covering warm-up truncates).
+/// Parallel prefix-sharing search. Prepares one ParallelConeEngine per
+/// side (WarmupPlan horizon = depth, so workers hit lock-free compiled
+/// rows) and takes every view from them; expands the word tree
+/// breadth-first on the calling thread until at least 4x pool size
+/// independent subtrees exist, then fans the subtrees across the pool --
+/// each worker running the serial prefix-sharing search over its own
+/// worker views. Per-task results merge in fixed task order under the
+/// deterministic tie-break, so word, epsilon and words_evaluated are
+/// identical to the serial engines at every worker count. With an
+/// enabled `policy` each engine minimizes its side, and the workers get
+/// QuotientPsioa views over one shared minimized snapshot per side (per
+/// side, the raw snapshot when the covering warm-up truncates); the
+/// quotient counters equal search_best_word's.
 BestDistinguisher search_best_word_parallel(
     const PsioaFactory& make_lhs, const PsioaFactory& make_rhs,
     const std::vector<ActionId>& alphabet, std::size_t max_len,
     const InsightFunction& f, std::size_t depth, ThreadPool& pool,
-    std::size_t frontier_target = 0, const ReductionPolicy& policy = {});
+    const ReductionPolicy& policy = {});
 
 }  // namespace cdse

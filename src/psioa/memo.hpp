@@ -32,6 +32,10 @@
 // read-only across sampler workers; signature_ref/compiled_row are
 // virtual so those views can serve frozen rows without copying them into
 // per-worker tables.
+//
+// memo_rows() is the one row path of the exact and sampling engines: the
+// automaton itself, or a MemoView over a leaf -- two encodings of one
+// automaton, so no answer depends on which serves the rows.
 
 #include <cstddef>
 #include <functional>
@@ -205,6 +209,16 @@ class MemoView : public MemoPsioa {
 
 inline std::shared_ptr<MemoView> memoize(PsioaPtr a) {
   return std::make_shared<MemoView>(std::move(a));
+}
+
+/// The rows of `automaton`: the automaton itself when it is a MemoPsioa,
+/// otherwise a non-owning MemoView over it, parked in `hold`. The caller
+/// keeps `automaton` alive while it reads rows, and keeps `hold` alive as
+/// long as the returned reference.
+inline MemoPsioa& memo_rows(Psioa& automaton, std::shared_ptr<MemoView>& hold) {
+  if (auto* memo = dynamic_cast<MemoPsioa*>(&automaton)) return *memo;
+  hold = memoize(PsioaPtr(PsioaPtr{}, &automaton));
+  return *hold;
 }
 
 }  // namespace cdse

@@ -14,9 +14,7 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
       sched_(sched),
       markov_(dynamic_cast<MarkovScheduler*>(&sched)),
       table_(table),
-      // Compiled-row fast path mirrors sample_execution's hoisted
-      // detection.
-      memo_(dynamic_cast<MemoPsioa*>(&automaton)),
+      rows_(memo_rows(automaton, hold_)),
       trials_(trials),
       max_depth_(max_depth),
       rng_(rng) {
@@ -38,7 +36,7 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
       sched_(sched),
       markov_(dynamic_cast<MarkovScheduler*>(&sched)),
       table_(table),
-      memo_(dynamic_cast<MemoPsioa*>(&automaton)),
+      rows_(memo_rows(automaton, hold_)),
       trials_(trials),
       max_depth_(max_depth),
       rng_(rng),
@@ -63,8 +61,7 @@ BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
 }
 
 bool BatchSampler::external_at(State q, ActionId a) {
-  return memo_ != nullptr ? memo_->signature_ref(q).is_external(a)
-                          : automaton_.signature(q).is_external(a);
+  return rows_.signature_ref(q).is_external(a);
 }
 
 void BatchSampler::push_terminal(std::int32_t node, std::uint64_t count) {
@@ -144,11 +141,9 @@ void BatchSampler::one_round() {
     // Transition rows of this run, resolved on first use together with
     // whether the action is external at q (signatures are
     // state-dependent, so this is once per run and action). Memo rows
-    // live in node-stable maps; fallback rows (no compiled engine) are
-    // compiled once per run into a deque for address stability.
-    rows_.assign(n_actions, nullptr);
+    // live in node-stable maps.
+    run_rows_.assign(n_actions, nullptr);
     external_.assign(n_actions, 0);
-    row_store_.clear();
 
     for (; i < end; ++i) {
       const std::size_t c = order_[i];
@@ -162,17 +157,12 @@ void BatchSampler::one_round() {
       for (std::size_t s = 0; s < n_actions; ++s) {
         if (act_tally_[s] == 0) continue;
         const ActionId a = choice->actions[s];
-        if (rows_[s] == nullptr) {
+        if (run_rows_[s] == nullptr) {
           ++stats_.row_lookups;
-          if (memo_ != nullptr) {
-            rows_[s] = &memo_->compiled_row(q, a);
-          } else {
-            rows_[s] = &row_store_.emplace_back(
-                CompiledRow::compile(automaton_.transition(q, a)));
-          }
+          run_rows_[s] = &rows_.compiled_row(q, a);
           external_[s] = external_at(q, a) ? 1 : 0;
         }
-        const CompiledRow& row = *rows_[s];
+        const CompiledRow& row = *run_rows_[s];
         const std::int32_t parent = cls_node_[c];
         const std::int32_t trace =
             external_[s] != 0 ? table_.extend(nodes_[parent].trace, a)

@@ -65,7 +65,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -204,7 +204,10 @@ class BatchSampler {
   /// run when set, one real-fragment query per class otherwise.
   MarkovScheduler* markov_ = nullptr;
   PerceptionTable& table_;
-  MemoPsioa* memo_ = nullptr;
+  /// Signatures and rows of automaton_ (memo_rows; hold_ is declared
+  /// first so it is set before rows_ binds to it).
+  std::shared_ptr<MemoView> hold_;
+  MemoPsioa& rows_;
   std::size_t trials_ = 0;
   std::size_t max_depth_ = 0;
   Xoshiro256 rng_;
@@ -231,9 +234,8 @@ class BatchSampler {
   std::vector<std::uint64_t> act_tally_;
   std::vector<std::uint64_t> tgt_tally_;
   // One state run's transition rows and external flags, by action slot.
-  std::vector<const CompiledRow*> rows_;
+  std::vector<const CompiledRow*> run_rows_;
   std::vector<char> external_;
-  std::deque<CompiledRow> row_store_;
 
   // terminal_[0, counted_) has been handed out by take_counts.
   std::size_t counted_ = 0;

@@ -1,6 +1,7 @@
 #include "sched/exact_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <stdexcept>
 #include <utility>
@@ -19,20 +20,74 @@ namespace {
                          "' outside sig(lstate)");
 }
 
+/// The one expansion step of a cone node, shared by enumerate_cone and
+/// the breadth-first phase of ParallelConeEngine::exact_fdist. The
+/// scheduler is asked about `automaton`; signatures and rows come from
+/// `rows`, its memo_rows.
+class ConeStep {
+ public:
+  ConeStep(Psioa& automaton, MemoPsioa& rows, Scheduler& sched,
+           std::size_t max_depth)
+      : automaton_(automaton),
+        rows_(rows),
+        sched_(sched),
+        markov_(dynamic_cast<MarkovScheduler*>(&sched)),
+        max_depth_(max_depth) {}
+
+  /// Expands the node at `path`, reached with cone probability `prob`: a
+  /// depth-capped leaf's mass, or the scheduler's halt mass, goes to
+  /// settle(mass), and every (action, target) edge of the choice, in
+  /// choice then row order, to edge(a, q2, prob * w * tw) and counts in
+  /// frames_pushed. A MarkovScheduler is asked choose_at(lstate, |path|)
+  /// directly, one virtual call instead of two.
+  template <class Settle, class Edge>
+  void expand(const ExecFragment& path, const Rational& prob, ConeStats& cs,
+              Settle&& settle, Edge&& edge) const {
+    if (path.length() >= max_depth_) {
+      settle(prob);
+      ++cs.leaves;
+      return;
+    }
+    const State q = path.lstate();
+    const ActionChoice choice =
+        markov_ != nullptr ? markov_->choose_at(automaton_, q, path.length())
+                           : sched_.choose(automaton_, path);
+    const Rational halt = scheduled_halt_mass(choice, sched_);
+    if (!halt.is_zero()) {
+      settle(prob * halt);
+      ++cs.halts;
+    }
+    const Signature& sig = rows_.signature_ref(q);
+    for (const auto& [a, w] : choice.entries()) {
+      if (!sig.contains(a)) throw_outside_sig(sched_, a);
+      for (const auto& [q2, tw] : rows_.transition_dist(q, a).entries()) {
+        edge(a, q2, prob * w * tw);
+        ++cs.frames_pushed;
+      }
+    }
+  }
+
+ private:
+  Psioa& automaton_;
+  MemoPsioa& rows_;
+  Scheduler& sched_;
+  MarkovScheduler* markov_;
+  std::size_t max_depth_;
+};
+
 }  // namespace
+
+ReducedSystem reduce_snapshot(const CompiledSnapshot& snapshot) {
+  const QuotientSnapshot q = snapshot.quotient(bisimulation_partition(snapshot));
+  return {q.reduced, std::make_shared<QuotientPsioa>(q.reduced),
+          q.original_states, q.blocks};
+}
 
 std::optional<ReducedSystem> reduce_for_enumeration(
     Psioa& automaton, std::size_t max_depth, const ReductionPolicy& policy) {
   if (!policy.enabled() || max_depth == 0) return std::nullopt;
-  // Warm through the automaton's own memo when it has one; otherwise a
-  // non-owning MemoView (the caller keeps ownership of `automaton` and
-  // outlives this call, which is all the view needs).
-  MemoPsioa* warm = dynamic_cast<MemoPsioa*>(&automaton);
-  std::shared_ptr<MemoView> wrapper;
-  if (warm == nullptr) {
-    wrapper = memoize(PsioaPtr(PsioaPtr{}, &automaton));
-    warm = wrapper.get();
-  }
+  std::shared_ptr<MemoView> hold;
+  MemoPsioa& warm = memo_rows(automaton, hold);
   // Covering walk: horizon = max_depth freezes full rows at every state
   // the cone can expand (depth < max_depth) and signatures at the
   // leaves, so the quotient's frontier singletons are never entered.
@@ -41,20 +96,9 @@ std::optional<ReducedSystem> reduce_for_enumeration(
   plan.horizon = max_depth;
   plan.max_states = policy.max_states;
   UniformScheduler uniform(max_depth);
-  const std::size_t visited = warm_automaton(*warm, uniform, plan, max_depth);
+  const std::size_t visited = warm_automaton(warm, uniform, plan, max_depth);
   if (visited >= plan.max_states) return std::nullopt;  // truncated: fall back
-
-  auto snap = warm->freeze();
-  PartitionStats pstats;
-  const SnapshotPartition partition = bisimulation_partition(*snap, &pstats);
-  QuotientSnapshot quotient = snap->quotient(partition);
-
-  ReducedSystem out;
-  out.snapshot = quotient.reduced;
-  out.view = std::make_shared<QuotientPsioa>(quotient.reduced);
-  out.states = snap->state_count();
-  out.blocks = quotient.blocks;
-  return out;
+  return reduce_snapshot(*warm.freeze());
 }
 
 void enumerate_cone(
@@ -65,9 +109,9 @@ void enumerate_cone(
   ConeStats scratch;
   ConeStats& cs = stats != nullptr ? *stats : scratch;
   if (prefix_prob.is_zero()) return;
-  // Memoized instances serve exact rows by reference (no StateDist copy
-  // per edge); everything else falls back to the virtual transition().
-  MemoPsioa* memo = dynamic_cast<MemoPsioa*>(&automaton);
+  std::shared_ptr<MemoView> hold;
+  const ConeStep step(automaton, memo_rows(automaton, hold), sched,
+                      max_depth);
   const std::size_t base_len = path.length();
 
   // A pending edge, not a call frame: (absolute) probability of the child
@@ -84,44 +128,17 @@ void enumerate_cone(
   std::vector<PendingEdge> stack;
 
   auto expand = [&](const Rational& prob) {
-    if (path.length() >= max_depth) {
-      visit(path, prob);
-      ++cs.leaves;
-      return;
-    }
-    const ActionChoice choice = sched.choose(automaton, path);
-    const Rational halt = scheduled_halt_mass(choice, sched);
-    if (!halt.is_zero()) {
-      visit(path, prob * halt);
-      ++cs.halts;
-    }
-    const State q = path.lstate();
     const std::size_t depth = path.length();
     const std::size_t first_child = stack.size();
-    if (memo != nullptr) {
-      const Signature& sig = memo->signature_ref(q);
-      for (const auto& [a, w] : choice.entries()) {
-        if (!sig.contains(a)) throw_outside_sig(sched, a);
-        const StateDist& eta = memo->transition_dist(q, a);
-        for (const auto& [q2, tw] : eta.entries()) {
-          stack.push_back({prob * w * tw, a, q2, depth});
-        }
-      }
-    } else {
-      const Signature sig = automaton.signature(q);
-      for (const auto& [a, w] : choice.entries()) {
-        if (!sig.contains(a)) throw_outside_sig(sched, a);
-        const StateDist eta = automaton.transition(q, a);
-        for (const auto& [q2, tw] : eta.entries()) {
-          stack.push_back({prob * w * tw, a, q2, depth});
-        }
-      }
-    }
+    step.expand(
+        path, prob, cs, [&](const Rational& mass) { visit(path, mass); },
+        [&](ActionId a, State q2, Rational p) {
+          stack.push_back({std::move(p), a, q2, depth});
+        });
     // A recursive walk descends into the first edge first;
     // reversing the freshly pushed run makes the LIFO pops replay that
     // exact pre-order.
     std::reverse(stack.begin() + first_child, stack.end());
-    cs.frames_pushed += stack.size() - first_child;
     cs.frames_peak = std::max(cs.frames_peak, stack.size());
   };
 
@@ -176,7 +193,7 @@ ConeFrontierCache::ConeFrontierCache(Psioa& automaton,
     : automaton_(automaton),
       f_(f),
       max_depth_(max_depth),
-      memo_(dynamic_cast<MemoPsioa*>(&automaton)) {}
+      rows_(memo_rows(automaton, hold_)) {}
 
 const ConeFrontier& ConeFrontierCache::insert(
     const std::vector<ActionId>& word, ConeFrontier fr) {
@@ -215,19 +232,15 @@ ConeFrontier ConeFrontierCache::extend(const ConeFrontier& parent,
   for (const auto& e : parent.live) {
     const State q = e.frag.lstate();
     const std::size_t child_len = e.frag.length() + 1;
-    bool enabled;
-    if (memo_ != nullptr) {
-      enabled = memo_->signature_ref(q).contains(a);
-    } else {
-      enabled = automaton_.signature(q).contains(a);
-    }
-    if (!enabled) {
+    if (!rows_.signature_ref(q).contains(a)) {
       fr.settled.add(e.perc, e.prob);
       fr.settled_max_len = std::max(fr.settled_max_len, e.frag.length());
       ++stats_.halts;
       continue;
     }
-    auto step = [&](State q2, const Rational& tw) {
+    // Memo rows stay put until clear_memo(), so the entries can be read
+    // across f_.apply, which may fault signatures into the same memo.
+    for (const auto& [q2, tw] : rows_.transition_dist(q, a).entries()) {
       ExecFragment child = e.frag;
       child.append(a, q2);
       Rational p = e.prob * tw;
@@ -239,17 +252,6 @@ ConeFrontier ConeFrontierCache::extend(const ConeFrontier& parent,
       } else {
         fr.live.push_back({std::move(child), std::move(p), std::move(perc)});
       }
-    };
-    if (memo_ != nullptr) {
-      // The row reference is only stable until the next compiled_row
-      // call, and f_.apply may fault signatures on snapshot views --
-      // neither touches the row tables, so reading entries across the
-      // step calls is safe; a fresh live fragment never aliases it.
-      const StateDist& eta = memo_->transition_dist(q, a);
-      for (const auto& [q2, tw] : eta.entries()) step(q2, tw);
-    } else {
-      const StateDist eta = automaton_.transition(q, a);
-      for (const auto& [q2, tw] : eta.entries()) step(q2, tw);
     }
   }
   fr.max_reached = fr.settled_max_len;
@@ -294,7 +296,7 @@ ParallelConeEngine::ParallelConeEngine(PsioaFactory make_automaton,
 void ParallelConeEngine::prepare(const WarmupPlan& plan,
                                  std::size_t max_depth) {
   sampler_.prepare(plan, max_depth);
-  quotient_ = QuotientSnapshot{};
+  reduced_.reset();
   if (!policy_.enabled()) return;
   // Reduce only when the snapshot covers the cone: the walk must reach
   // the enumeration depth and must not have truncated on the state cap
@@ -303,119 +305,114 @@ void ParallelConeEngine::prepare(const WarmupPlan& plan,
   auto snap = sampler_.snapshot();
   const std::size_t cap = std::min(plan.max_states, policy_.max_states);
   if (plan.horizon < max_depth || snap->state_count() >= cap) return;
-  PartitionStats pstats;
-  const SnapshotPartition partition = bisimulation_partition(*snap, &pstats);
-  quotient_ = snap->quotient(partition);
+  reduced_ = reduce_snapshot(*snap);
+}
+
+std::shared_ptr<MemoPsioa> ParallelConeEngine::worker_view() const {
+  if (reduced()) return std::make_shared<QuotientPsioa>(reduced_->snapshot);
+  return sampler_.worker_view();
+}
+
+SchedulerPtr ParallelConeEngine::worker_scheduler() const {
+  if (reduced()) return make_sched_();
+  return sampler_.worker_scheduler();
 }
 
 ExactDisc<Perception> ParallelConeEngine::exact_fdist(
-    const InsightFunction& f, std::size_t max_depth, ThreadPool& pool,
-    std::size_t frontier_target) {
+    const InsightFunction& f, std::size_t max_depth, ThreadPool& pool) {
   if (!prepared()) {
     throw std::logic_error("ParallelConeEngine: prepare() before exact_fdist");
   }
-  const std::size_t target =
-      frontier_target != 0
-          ? frontier_target
-          : 4 * std::max<std::size_t>(std::size_t{1}, pool.size());
+  const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, pool.size());
+  const std::size_t target = 4 * lanes;
   ConeStats stats;
   if (reduced()) {
-    stats.quotient_states = quotient_.original_states;
-    stats.quotient_blocks = quotient_.blocks;
+    stats.quotient_states = reduced_->states;
+    stats.quotient_blocks = reduced_->blocks;
   }
-
-  // Views and schedulers: thin snapshot views with frozen choice rows on
-  // the raw path; QuotientPsioa views with *fresh* schedulers on the
-  // reduced path (frozen choice rows are keyed by original handles,
-  // which a block handle could alias -- fresh schedulers re-derive their
-  // rows from block signatures, which is exactly the preserved part).
-  auto make_view = [&]() -> std::shared_ptr<MemoPsioa> {
-    if (reduced()) return std::make_shared<QuotientPsioa>(quotient_.reduced);
-    return sampler_.worker_view();
-  };
-  auto make_worker_sched = [&]() -> SchedulerPtr {
-    if (reduced()) return make_sched_();
-    return sampler_.worker_scheduler();
-  };
-
-  // Phase 1 (calling thread): breadth-first expansion until the frontier
-  // holds enough independent subtrees to keep every worker busy. Halt
-  // and leaf mass discovered on the way accumulates into `base`. Every
-  // child pushed here is an edge enumerate_cone would have pushed, so it
-  // counts in frames_pushed and the total is the serial walk's at every
-  // frontier size.
-  auto main_view = make_view();
-  SchedulerPtr main_sched = make_worker_sched();
-  struct Node {
-    ExecFragment frag;
-    Rational prob;
-  };
-  std::deque<Node> frontier;
-  ExactDisc<Perception> base;
-  frontier.push_back(
-      {ExecFragment::starting_at(main_view->start_state()), Rational(1)});
-  while (!frontier.empty() && frontier.size() < target) {
-    Node n = std::move(frontier.front());
-    frontier.pop_front();
-    if (n.frag.length() >= max_depth) {
-      base.add(f.apply(*main_view, n.frag), n.prob);
-      ++stats.leaves;
-      continue;
-    }
-    const ActionChoice choice = main_sched->choose(*main_view, n.frag);
-    const Rational halt = scheduled_halt_mass(choice, *main_sched);
-    if (!halt.is_zero()) {
-      base.add(f.apply(*main_view, n.frag), n.prob * halt);
-      ++stats.halts;
-    }
-    const State q = n.frag.lstate();
-    const Signature& sig = main_view->signature_ref(q);
-    for (const auto& [a, w] : choice.entries()) {
-      if (!sig.contains(a)) throw_outside_sig(*main_sched, a);
-      const StateDist& eta = main_view->transition_dist(q, a);
-      for (const auto& [q2, tw] : eta.entries()) {
-        ExecFragment child = n.frag;
-        child.append(a, q2);
-        frontier.push_back({std::move(child), n.prob * w * tw});
-        ++stats.frames_pushed;
-      }
-    }
-  }
-  std::vector<Node> tasks;
-  tasks.reserve(frontier.size());
-  for (auto& n : frontier) tasks.push_back(std::move(n));
-  stats.splits = tasks.size();
-
-  // Phase 2: fan the subtrees over the pool. Each chunk drives its own
-  // thin snapshot view and scheduler instance, so the one-thread-per-
-  // instance rule holds; frozen rows are read lock-free, cold misses
-  // serialize through the shared residue. The fixed (chunk-order) merge
-  // of exact partials is order-insensitive, hence bit-identical for any
-  // worker count.
-  const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, pool.size());
   std::vector<ExactDisc<Perception>> partial(lanes);
   std::vector<ConeStats> cstats(lanes);
-  parallel_for_chunks(
-      pool, tasks.size(),
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto view = make_view();
-        SchedulerPtr sched = make_worker_sched();
-        ExactDisc<Perception>& out = partial[chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          ExecFragment path = tasks[i].frag;
-          enumerate_cone(
-              *view, *sched, max_depth, path, tasks[i].prob,
-              [&](const ExecFragment& alpha, const Rational& p) {
-                out.add(f.apply(*view, alpha), p);
-              },
-              &cstats[chunk]);
-        }
-      });
+  // The counters of the work done, written on success and before a
+  // rethrow alike.
+  auto publish = [&] {
+    for (const auto& s : cstats) stats += s;
+    stats_ = stats;
+  };
+
+  ExactDisc<Perception> base;
+  try {
+    // Phase 1 (calling thread): breadth-first expansion until the
+    // frontier holds enough independent subtrees to keep every worker
+    // busy. Halt and leaf mass discovered on the way accumulates into
+    // `base`. Every child pushed here is an edge enumerate_cone would
+    // have pushed, so it counts in frames_pushed and the total is the
+    // serial walk's at every frontier size.
+    auto main_view = worker_view();
+    SchedulerPtr main_sched = worker_scheduler();
+    const ConeStep step(*main_view, *main_view, *main_sched, max_depth);
+    struct Node {
+      ExecFragment frag;
+      Rational prob;
+    };
+    std::deque<Node> frontier;
+    frontier.push_back(
+        {ExecFragment::starting_at(main_view->start_state()), Rational(1)});
+    while (!frontier.empty() && frontier.size() < target) {
+      Node n = std::move(frontier.front());
+      frontier.pop_front();
+      step.expand(
+          n.frag, n.prob, stats,
+          [&](const Rational& mass) {
+            base.add(f.apply(*main_view, n.frag), mass);
+          },
+          [&](ActionId a, State q2, Rational p) {
+            ExecFragment child = n.frag;
+            child.append(a, q2);
+            frontier.push_back({std::move(child), std::move(p)});
+          });
+    }
+    std::vector<Node> tasks;
+    tasks.reserve(frontier.size());
+    for (auto& n : frontier) tasks.push_back(std::move(n));
+    stats.splits = tasks.size();
+
+    // Phase 2: fan the subtrees over the pool. Each chunk drives its own
+    // worker view and scheduler, so the one-thread-per-instance rule
+    // holds; frozen rows are read lock-free, cold misses serialize
+    // through the shared residue. The fixed (chunk-order) merge of exact
+    // partials is order-insensitive, hence bit-identical for any worker
+    // count. A subtree that throws raises `stop`, and no chunk starts a
+    // subtree after it.
+    std::atomic<bool> stop{false};
+    parallel_for_chunks(
+        pool, tasks.size(),
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          auto view = worker_view();
+          SchedulerPtr sched = worker_scheduler();
+          ExactDisc<Perception>& out = partial[chunk];
+          for (std::size_t i = begin; i < end && !stop; ++i) {
+            ExecFragment path = tasks[i].frag;
+            try {
+              enumerate_cone(
+                  *view, *sched, max_depth, path, tasks[i].prob,
+                  [&](const ExecFragment& alpha, const Rational& p) {
+                    out.add(f.apply(*view, alpha), p);
+                  },
+                  &cstats[chunk]);
+            } catch (...) {
+              stop = true;
+              throw;
+            }
+          }
+        });
+  } catch (...) {
+    publish();
+    throw;
+  }
+  publish();
 
   ExactDisc<Perception> result = std::move(base);
   for (auto& p : partial) result.merge(std::move(p));
-  for (const auto& s : cstats) stats += s;
-  stats_ = stats;
   return result;
 }
 

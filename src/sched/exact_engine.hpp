@@ -21,7 +21,8 @@
 //       rows), and per-worker ExactDisc partials merge in fixed frontier
 //       order. Rational addition is associative and commutative and
 //       ExactDisc keeps a canonical sorted form, so the merged measure is
-//       bit-identical for ANY worker count.
+//       bit-identical for ANY worker count. It is the one source of
+//       per-thread views, which the parallel word search takes too.
 //   ConeFrontierCache  -- prefix sharing for off-line (word) schedulers:
 //       the halted frontier of word w is extended by one letter to give
 //       the frontier of w^a, so search_best_word explores the word tree
@@ -30,12 +31,14 @@
 //
 //   ReductionPolicy    -- opt-in bisimulation minimization: frozen
 //       snapshots collapse to their probabilistic-bisimulation quotient
-//       (impl/bisim.hpp + CompiledSnapshot::quotient) before any cone is
-//       enumerated, so every engine above runs over blocks instead of
-//       raw states -- transparently, with epsilon preserved exactly.
+//       in one step, reduce_snapshot, before any cone is enumerated, so
+//       every engine above runs over blocks instead of raw states --
+//       transparently, with epsilon preserved exactly.
 //
-// Every path is exact (Rational end to end); determinism is an algebraic
-// property of the merge, not a scheduling property of the pool.
+// enumerate_cone and the engine's breadth-first phase share one node
+// expansion step; every engine reads rows through memo_rows. Every path
+// is exact (Rational end to end); determinism is an algebraic property
+// of the merge, not a scheduling property of the pool.
 // ConeStats counters make the claimed work reduction observable.
 
 #include <cstddef>
@@ -92,14 +95,18 @@ struct ReducedSystem {
   std::size_t blocks = 0;  ///< blocks after reduction
 };
 
+/// Partitions a snapshot that covers the enumeration depth by
+/// probabilistic bisimulation (impl/bisim.hpp) and quotients it.
+ReducedSystem reduce_snapshot(const CompiledSnapshot& snapshot);
+
 /// Warms `automaton` to a covering snapshot (horizon = max_depth, so
 /// every state the cone can expand is completely frozen), partitions it
 /// by probabilistic bisimulation, and quotients. Returns nullopt when
 /// the policy is off or the covering walk hit policy.max_states -- the
 /// caller then enumerates the original, so wiring the policy through a
 /// checker can never turn a working call into a throwing one. The
-/// automaton is warmed through its own memo when it has one (a MemoView
-/// otherwise) and must outlive nothing: the returned view holds copies.
+/// automaton is warmed through memo_rows and must outlive nothing: the
+/// returned view holds copies.
 std::optional<ReducedSystem> reduce_for_enumeration(
     Psioa& automaton, std::size_t max_depth, const ReductionPolicy& policy);
 
@@ -175,7 +182,8 @@ class ConeFrontierCache {
   Psioa& automaton_;
   const InsightFunction& f_;
   std::size_t max_depth_;
-  MemoPsioa* memo_ = nullptr;  // compiled-row fast path when available
+  std::shared_ptr<MemoView> hold_;  // set before rows_ binds to it
+  MemoPsioa& rows_;                 // memo_rows(automaton_)
   std::map<std::vector<ActionId>, ConeFrontier> cache_;
   ConeStats stats_;
 };
@@ -217,16 +225,15 @@ PrefixStrata expand_prefix_strata(Psioa& automaton, Scheduler& sched,
 /// Deterministic parallel exact f-dists over one frozen snapshot.
 /// prepare() warms one instance (WarmupPlan, as ParallelSampler does) and
 /// freezes its compiled tables; exact_fdist() expands the cone
-/// breadth-first on the calling thread until at least `frontier_target`
-/// independent subtrees exist (default 4x pool size), fans the subtrees
-/// across the pool on thin SnapshotPsioa views, and merges the exact
-/// partials in fixed frontier order. Exactness makes the merge
-/// order-insensitive, so the result is bit-identical to the serial
-/// enumerator at every worker count.
+/// breadth-first on the calling thread until at least 4x pool size
+/// independent subtrees exist, fans the subtrees across the pool on
+/// worker views, and merges the exact partials in fixed frontier order.
+/// Exactness makes the merge order-insensitive, so the result is
+/// bit-identical to the serial enumerator at every worker count.
 class ParallelConeEngine {
  public:
   /// With an enabled `policy`, prepare() additionally minimizes the
-  /// frozen snapshot (bisimulation quotient) and exact_fdist() runs the
+  /// frozen snapshot (reduce_snapshot) and exact_fdist() runs the
   /// identical expansion/fan-out over QuotientPsioa views -- same exact
   /// result, fewer frames. Reduction silently falls back to the raw
   /// snapshot when the warm-up did not cover the enumeration depth
@@ -238,17 +245,27 @@ class ParallelConeEngine {
   void prepare(const WarmupPlan& plan, std::size_t max_depth);
   bool prepared() const { return sampler_.prepared(); }
 
-  /// True when prepare() produced (and exact_fdist() will use) a
-  /// minimized snapshot rather than the raw one.
-  bool reduced() const { return quotient_.reduced != nullptr; }
+  /// The minimized system prepare() produced (and exact_fdist() and the
+  /// worker views use), or nullptr on the raw snapshot.
+  const ReducedSystem* reduced() const {
+    return reduced_.has_value() ? &*reduced_ : nullptr;
+  }
 
+  /// A fresh view / scheduler for one thread (requires prepared()): a
+  /// QuotientPsioa and a new scheduler when reduced() -- frozen choice
+  /// rows are keyed by original handles, which a block handle could
+  /// alias -- else a thin SnapshotPsioa and one adopting the frozen rows.
+  std::shared_ptr<MemoPsioa> worker_view() const;
+  SchedulerPtr worker_scheduler() const;
+
+  /// After a subtree throws, no chunk starts another subtree.
   ExactDisc<Perception> exact_fdist(const InsightFunction& f,
-                                    std::size_t max_depth, ThreadPool& pool,
-                                    std::size_t frontier_target = 0);
+                                    std::size_t max_depth, ThreadPool& pool);
 
-  /// Counters of the most recent exact_fdist (splits = subtrees fanned
-  /// out; frames/leaves/halts summed over the workers + the expansion;
-  /// quotient_states/quotient_blocks filled when reduced()).
+  /// Counters of the most recent exact_fdist, up to the throw if it threw
+  /// (splits = subtrees fanned out; frames/leaves/halts summed over the
+  /// workers + the expansion; quotient_states/quotient_blocks filled
+  /// when reduced()).
   const ConeStats& last_stats() const { return stats_; }
 
  private:
@@ -256,7 +273,7 @@ class ParallelConeEngine {
   SchedulerFactory make_sched_;
   ReductionPolicy policy_;
   ConeStats stats_;
-  QuotientSnapshot quotient_;
+  std::optional<ReducedSystem> reduced_;
 };
 
 }  // namespace cdse

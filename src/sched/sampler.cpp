@@ -15,36 +15,19 @@
 
 namespace cdse {
 
-ExecFragment sample_execution(Psioa& automaton, Scheduler& sched,
+ExecFragment sample_execution(MemoPsioa& automaton, Scheduler& sched,
                               Xoshiro256& rng, std::size_t max_depth) {
   ExecFragment alpha = ExecFragment::starting_at(automaton.start_state());
-  // Memoized automata serve compiled double-CDF rows; the detection is
-  // hoisted out of the step loop (once per execution, not per step).
-  auto* memo = dynamic_cast<MemoPsioa*>(&automaton);
   while (alpha.length() < max_depth) {
     // Draw over {halt} U actions from the scheduler's compiled row.
     const ChoiceRow* choice = sched.choice_row(automaton, alpha);
     if (choice->empty()) break;
     const ActionId chosen = choice->sample(rng.uniform());
     if (chosen == kInvalidAction) break;  // residual mass: halt
-    State next;
-    if (memo != nullptr) {
-      // Fast path: one cached CDF walk, no Rational arithmetic and no
-      // re-derivation of composed signatures or transition products.
-      next = memo->compiled_row(alpha.lstate(), chosen).sample(rng.uniform());
-    } else {
-      const StateDist eta = automaton.transition(alpha.lstate(), chosen);
-      const double v = rng.uniform();
-      double acc = 0.0;
-      next = eta.entries().back().first;
-      for (const auto& [q2, w] : eta.entries()) {
-        acc += w.to_double();
-        if (v < acc) {
-          next = q2;
-          break;
-        }
-      }
-    }
+    // One cached CDF walk: no Rational arithmetic and no re-derivation of
+    // composed signatures or transition products.
+    const State next =
+        automaton.compiled_row(alpha.lstate(), chosen).sample(rng.uniform());
     alpha.append(chosen, next);
   }
   return alpha;

@@ -36,7 +36,7 @@ enum class SamplingMode { kBatched };
 /// Samples one execution under the scheduler, halting when the scheduler
 /// halts or at max_depth: one uniform per pick from the scheduler's and
 /// the automaton's compiled rows. warm_automaton's episodes walk it.
-ExecFragment sample_execution(Psioa& automaton, Scheduler& sched,
+ExecFragment sample_execution(MemoPsioa& automaton, Scheduler& sched,
                               Xoshiro256& rng, std::size_t max_depth);
 
 /// Failure policy for ParallelSampler::sample_fdist. The default guard

@@ -86,7 +86,7 @@ TEST(Sampler, SampleExecutionRespectsScheduler) {
   auto coin = make_coin("cm_f", Rational(1, 2));
   SequenceScheduler sched({act("flip_cm_f"), act("toss_cm_f")});
   Xoshiro256 rng(3);
-  const ExecFragment alpha = sample_execution(*coin, sched, rng, 10);
+  const ExecFragment alpha = sample_execution(*memoize(coin), sched, rng, 10);
   EXPECT_EQ(alpha.length(), 2u);
   EXPECT_EQ(alpha.actions()[0], act("flip_cm_f"));
 }

@@ -62,7 +62,8 @@ TEST(EdgeCases, SamplerOnHaltedSchedulerReturnsStartOnly) {
   auto coin = make_coin("ec_e", Rational(1, 2));
   SequenceScheduler empty_word(std::vector<ActionId>{});
   Xoshiro256 rng(1);
-  const ExecFragment alpha = sample_execution(*coin, empty_word, rng, 10);
+  const ExecFragment alpha =
+      sample_execution(*memoize(coin), empty_word, rng, 10);
   EXPECT_EQ(alpha.length(), 0u);
   EXPECT_EQ(alpha.fstate(), coin->start_state());
 }

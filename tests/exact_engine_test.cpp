@@ -26,11 +26,16 @@
 //                   with depth x branching, not with cone size; and
 //                   ParallelConeEngine pushes exactly the serial frame
 //                   count at every pool size, raw and reduced.
+//   rows         -- a raw leaf and its memoize() view give equal f-dists,
+//                   frontiers and batched tallies (one row path).
 //   validation   -- Def 3.1 side-condition throws propagate through the
 //                   new engines exactly as through the recursive one.
 //   grid/sweep   -- check_implementation_parallel and the parallel
 //                   family sweep are worker-count independent and match
 //                   their serial counterparts row for row.
+//   overflow     -- every exact path ends in the typed overflow error,
+//                   and a throwing subtree stops its siblings and keeps
+//                   the counters of the work done.
 //
 // Suite names all start with "ExactEngine" so scripts/check.sh --tsan
 // can select the concurrency-bearing cases by regex.
@@ -39,8 +44,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +73,7 @@
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
 #include "reference_engines.hpp"
+#include "sched/batch_sampler.hpp"
 #include "sched/schedulers.hpp"
 #include "secure/adversary.hpp"
 #include "secure/emulation.hpp"
@@ -274,23 +285,98 @@ TEST(ExactEngineStacks, ByzantineStack) {
   expect_engines_agree(byzantine_factory("xe_bz"));
 }
 
-TEST(ExactEngineParallel, SmallFrontierTargetStillExact) {
-  // Force the breadth-first expansion to hand out single-node subtrees
-  // (frontier_target = 1 stops expanding immediately) and a huge target
-  // (everything enumerated in phase 1, nothing fanned out): both
-  // degenerate shapes must still match the reference.
+TEST(ExactEngineParallel, SmallConeEnumeratedInPhaseOne) {
+  // A cone with fewer nodes than the breadth-first phase's target (four
+  // subtrees per worker) never fills the frontier: phase 1 enumerates it
+  // whole and fans nothing out.
   const PsioaFactory fa = faulty_channel_factory("xe_ft");
-  const ExactDisc<Perception> want = reference_fdist(fa);
+  constexpr std::size_t kSmallDepth = 2;
   TraceInsight f;
-  ParallelConeEngine engine(fa, uniform_factory(kDepth));
+  PsioaPtr sys = fa();
+  UniformScheduler sched(kSmallDepth);
+  ConeStats serial;
+  const ExactDisc<Perception> want =
+      exact_fdist(*sys, sched, f, kSmallDepth, &serial);
+  ThreadPool pool(8);
+  ASSERT_LT(serial.frames_pushed + 1, 4 * pool.size());  // all its nodes
+  ParallelConeEngine engine(fa, uniform_factory(kSmallDepth));
   WarmupPlan plan;
   plan.episodes = 0;
-  plan.horizon = kDepth + 1;
-  engine.prepare(plan, kDepth + 1);
-  ThreadPool pool(4);
-  EXPECT_EQ(engine.exact_fdist(f, kDepth + 1, pool, 1), want);
-  EXPECT_EQ(engine.exact_fdist(f, kDepth + 1, pool, 100000), want);
+  plan.horizon = kSmallDepth;
+  engine.prepare(plan, kSmallDepth);
+  EXPECT_EQ(engine.exact_fdist(f, kSmallDepth, pool), want);
   EXPECT_EQ(engine.last_stats().splits, 0u);
+  EXPECT_EQ(engine.last_stats().frames_pushed, serial.frames_pushed);
+}
+
+// ------------------------------------------------------------------- rows
+
+TEST(ExactEngineRows, RawLeafAndMemoViewAgree) {
+  // memo_rows reads a raw leaf through a MemoView of its own; handing
+  // the engines the leaf or its memoize() view must give Rational-equal
+  // f-dists and frontiers and bit-identical batched tallies.
+  Xoshiro256 gen(2024);
+  RandomPsioaConfig cfg;
+  cfg.n_states = 5;
+  cfg.enable_odds = 6;
+  const std::string tag = "xe_rw";
+  std::shared_ptr<ExplicitPsioa> leaf =
+      make_random_psioa(tag + "_leaf", tag, cfg, gen);
+  std::shared_ptr<MemoView> view = memoize(leaf);
+  TraceInsight f;
+  constexpr std::size_t kRowDepth = 6;
+
+  UniformScheduler s_raw(kRowDepth);
+  UniformScheduler s_memo(kRowDepth);
+  ConeStats raw_stats;
+  ConeStats memo_stats;
+  const ExactDisc<Perception> raw =
+      exact_fdist(*leaf, s_raw, f, kRowDepth, &raw_stats);
+  EXPECT_EQ(raw, exact_fdist(*view, s_memo, f, kRowDepth, &memo_stats));
+  EXPECT_GT(raw.entries().size(), 1u);
+  EXPECT_EQ(raw_stats.frames_pushed, memo_stats.frames_pushed);
+
+  const std::vector<ActionId> alphabet{act("rout0_" + tag),
+                                       act("rout1_" + tag),
+                                       act("rint0_" + tag)};
+  ConeFrontierCache raw_cache(*leaf, f, kRowDepth);
+  ConeFrontierCache memo_cache(*view, f, kRowDepth);
+  std::vector<std::vector<ActionId>> words{{}};
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const ConeFrontier& a = raw_cache.frontier(words[w]);
+    const ConeFrontier& b = memo_cache.frontier(words[w]);
+    EXPECT_EQ(a.fdist, b.fdist);
+    EXPECT_EQ(a.settled, b.settled);
+    EXPECT_EQ(a.max_reached, b.max_reached);
+    ASSERT_EQ(a.live.size(), b.live.size());
+    for (std::size_t i = 0; i < a.live.size(); ++i) {
+      EXPECT_EQ(a.live[i].frag, b.live[i].frag);
+      EXPECT_EQ(a.live[i].prob, b.live[i].prob);
+      EXPECT_EQ(a.live[i].perc, b.live[i].perc);
+    }
+    if (words[w].size() < 3) {
+      for (ActionId x : alphabet) {
+        std::vector<ActionId> child = words[w];
+        child.push_back(x);
+        words.push_back(std::move(child));
+      }
+    }
+  }
+  EXPECT_EQ(raw_cache.stats().leaves, memo_cache.stats().leaves);
+
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    UniformScheduler b_raw(kRowDepth);
+    UniformScheduler b_memo(kRowDepth);
+    BatchStats raw_batch;
+    BatchStats memo_batch;
+    const Disc<Perception, double> t_raw = sample_fdist_batched(
+        *leaf, b_raw, f, 4096, seed, kRowDepth, &raw_batch);
+    const Disc<Perception, double> t_memo = sample_fdist_batched(
+        *view, b_memo, f, 4096, seed, kRowDepth, &memo_batch);
+    EXPECT_TRUE(t_raw == t_memo) << "seed " << seed;
+    EXPECT_EQ(raw_batch.split_draws, memo_batch.split_draws);
+    EXPECT_EQ(raw_batch.row_lookups, memo_batch.row_lookups);
+  }
 }
 
 // --------------------------------------------------------------- frontier
@@ -556,7 +642,7 @@ TEST(ExactEngineFrames, ParallelFramesPushedEqualSerialAtEveryPoolSize) {
        {ReductionPolicy::none(), ReductionPolicy::bisimulation()}) {
     ParallelConeEngine engine(fa, uniform_factory(kDepth), policy);
     engine.prepare(plan, depth);
-    ASSERT_EQ(engine.reduced(), policy.enabled());
+    ASSERT_EQ(engine.reduced() != nullptr, policy.enabled());
     const ConeStats& want = policy.enabled() ? reduced : raw;
     for (std::size_t workers : kWorkerCounts) {
       ThreadPool pool(workers);
@@ -774,6 +860,116 @@ TEST(ExactEngineOverflow, ParallelEngineThrowsTypedErrorAtOneWorker) {
 
 TEST(ExactEngineOverflow, ParallelEngineThrowsTypedErrorAtFourWorkers) {
   expect_parallel_overflow(4);
+}
+
+/// Shared by the LatchScheduler instances of one engine: the subtree
+/// roots their choose() saw, and a latch the instance that threw opens
+/// when it is destroyed -- which the engine does only after the throw
+/// has stopped further subtrees.
+struct SubtreeProbe {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  bool timed_out = false;
+  std::vector<std::vector<ActionId>> roots;
+};
+
+/// Uniform choices, plus the probe: at a subtree root (length kRootLen)
+/// it records the root, throws at `thrower`, and waits at `waiter` until
+/// the thrower's instance is gone.
+class LatchScheduler : public Scheduler {
+ public:
+  static constexpr std::size_t kRootLen = 3;
+
+  LatchScheduler(std::shared_ptr<SubtreeProbe> probe, std::size_t depth,
+                 std::vector<ActionId> thrower, std::vector<ActionId> waiter)
+      : probe_(std::move(probe)),
+        inner_(depth),
+        thrower_(std::move(thrower)),
+        waiter_(std::move(waiter)) {}
+  LatchScheduler(const LatchScheduler&) = delete;
+  LatchScheduler& operator=(const LatchScheduler&) = delete;
+  ~LatchScheduler() override {
+    if (!threw_) return;
+    {
+      std::lock_guard<std::mutex> lock(probe_->mu);
+      probe_->open = true;
+    }
+    probe_->cv.notify_all();
+  }
+
+  ActionChoice choose(Psioa& automaton, const ExecFragment& alpha) override {
+    if (alpha.length() == kRootLen) {
+      std::unique_lock<std::mutex> lock(probe_->mu);
+      probe_->roots.push_back(alpha.actions());
+      if (alpha.actions() == thrower_) {
+        threw_ = true;
+        throw std::runtime_error("xe_latch: subtree down");
+      }
+      if (alpha.actions() == waiter_ &&
+          !probe_->cv.wait_for(lock, std::chrono::seconds(60),
+                               [this] { return probe_->open; })) {
+        probe_->timed_out = true;
+      }
+    }
+    return inner_.choose(automaton, alpha);
+  }
+  std::string name() const override { return "xe_latch"; }
+
+ private:
+  std::shared_ptr<SubtreeProbe> probe_;
+  UniformScheduler inner_;
+  std::vector<ActionId> thrower_;
+  std::vector<ActionId> waiter_;
+  bool threw_ = false;
+};
+
+TEST(ExactEngineOverflow, ThrowingSubtreeStopsSiblingsAndKeepsCounters) {
+  // One state with two self-loop outputs: the cone is the binary tree of
+  // action words. At 2 workers phase 1 expands it to the 8 roots of
+  // length 3, in breadth-first order, and chunk 0 takes the 4 that start
+  // with the smaller action id, chunk 1 the other 4. Chunk 0 throws in
+  // its first subtree; chunk 1 holds its first subtree open until the
+  // throwing scheduler is destroyed, then must start no further subtree.
+  const ActionId x = act("xe_lt_x");
+  const ActionId y = act("xe_lt_y");
+  const ActionId lo = std::min(x, y);
+  const ActionId hi = std::max(x, y);
+  const PsioaFactory make_loop = [x, y]() -> PsioaPtr {
+    auto loop = std::make_shared<ExplicitPsioa>("xe_lt_loop");
+    const State s = loop->add_state("s");
+    loop->set_start(s);
+    Signature sig;
+    sig.out = {std::min(x, y), std::max(x, y)};
+    loop->set_signature(s, sig);
+    loop->add_step(s, x, s);
+    loop->add_step(s, y, s);
+    loop->validate();
+    return loop;
+  };
+  constexpr std::size_t kLoopDepth = 5;
+  auto probe = std::make_shared<SubtreeProbe>();
+  const std::vector<ActionId> thrower{lo, lo, lo};
+  const std::vector<ActionId> waiter{hi, lo, lo};
+  ParallelConeEngine engine(make_loop, [=]() -> SchedulerPtr {
+    return std::make_shared<LatchScheduler>(probe, kLoopDepth, thrower,
+                                            waiter);
+  });
+  WarmupPlan plan;
+  plan.episodes = 0;  // no warm-up walk may reach a subtree root
+  plan.horizon = kLoopDepth;
+  engine.prepare(plan, kLoopDepth);
+  ThreadPool pool(2);
+  EXPECT_THROW(engine.exact_fdist(TraceInsight(), kLoopDepth, pool),
+               std::runtime_error);
+  EXPECT_FALSE(probe->timed_out);
+  EXPECT_EQ(engine.last_stats().splits, 8u);
+  EXPECT_GT(engine.last_stats().frames_pushed, 0u);
+  ASSERT_FALSE(probe->roots.empty());
+  for (const auto& root : probe->roots) {
+    EXPECT_TRUE(root == thrower || root == waiter)
+        << "a subtree started after the throw";
+  }
 }
 
 TEST(ExactEngineOverflow, SplitSequentialEpsilonThrowsTypedError) {

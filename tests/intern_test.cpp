@@ -358,10 +358,12 @@ Observation observe(const PsioaFactory& fa, std::size_t reserve,
   PsioaPtr sys = fa();
   if (reserve > 0) sys->reserve_interning(reserve);
   obs.exact = exact_of(*sys);
+  std::shared_ptr<MemoView> hold;
+  MemoPsioa& rows = memo_rows(*sys, hold);
   for (int t = 0; t < 12; ++t) {
     UniformScheduler sched(kSampleDepth);
     Xoshiro256 rng(seed + t);
-    obs.runs.push_back(sample_execution(*sys, sched, rng, kSampleDepth));
+    obs.runs.push_back(sample_execution(rows, sched, rng, kSampleDepth));
   }
   obs.sampled = sampled_of(*sys, seed);
   return obs;

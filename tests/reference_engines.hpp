@@ -158,7 +158,8 @@ inline BestDistinguisher search_best_word_legacy(
 
 /// The serial f-dist estimate: `trials` executions walked one at a time
 /// by sample_execution on one stream of `seed`, each weighing
-/// 1 / trials.
+/// 1 / trials. The walk reads rows through memo_rows(automaton); the
+/// scheduler and `f` see the automaton the walk runs on.
 inline Disc<Perception, double> sample_fdist(Psioa& automaton,
                                              Scheduler& sched,
                                              const InsightFunction& f,
@@ -167,11 +168,12 @@ inline Disc<Perception, double> sample_fdist(Psioa& automaton,
                                              std::size_t max_depth) {
   Disc<Perception, double> dist;
   Xoshiro256 rng(seed);
+  std::shared_ptr<MemoView> hold;
+  MemoPsioa& rows = memo_rows(automaton, hold);
   const double w = 1.0 / static_cast<double>(trials);
   for (std::size_t i = 0; i < trials; ++i) {
-    const ExecFragment alpha =
-        sample_execution(automaton, sched, rng, max_depth);
-    dist.add(f.apply(automaton, alpha), w);
+    const ExecFragment alpha = sample_execution(rows, sched, rng, max_depth);
+    dist.add(f.apply(rows, alpha), w);
   }
   return dist;
 }

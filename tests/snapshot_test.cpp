@@ -210,7 +210,8 @@ TEST(SnapshotEquivalenceStacks, PcaLedgerStack) {
 
 TEST(SnapshotEquivalenceStacks, RandomLeafThroughMemoView) {
   // A leaf factory: ParallelSampler wraps it in a MemoView; the direct
-  // reference is the bare leaf on the historical convert-per-step path.
+  // reference is the bare leaf, read through a fresh, unwarmed MemoView
+  // of its own (memo_rows) where an engine needs rows.
   const std::string tag = "sn_leaf";
   PsioaFactory fa = [tag]() -> PsioaPtr {
     Xoshiro256 rng(4242);
@@ -223,6 +224,8 @@ TEST(SnapshotEquivalenceStacks, RandomLeafThroughMemoView) {
   sampler.prepare(full_plan(kSampleDepth), kSampleDepth);
   auto view = sampler.worker_view();
   PsioaPtr leaf = fa();
+  std::shared_ptr<MemoView> hold;
+  MemoPsioa& leaf_rows = memo_rows(*leaf, hold);
 
   EXPECT_EQ(exact_of(*view), exact_of(*leaf));
   for (int t = 0; t < 12; ++t) {
@@ -231,7 +234,8 @@ TEST(SnapshotEquivalenceStacks, RandomLeafThroughMemoView) {
     Xoshiro256 rv(9000 + t);
     Xoshiro256 rl(9000 + t);
     const ExecFragment av = sample_execution(*view, *sv, rv, kSampleDepth);
-    const ExecFragment al = sample_execution(*leaf, *sl, rl, kSampleDepth);
+    const ExecFragment al =
+        sample_execution(leaf_rows, *sl, rl, kSampleDepth);
     // Leaf handles are shared by the view (MemoView keeps the inner
     // automaton's state space), so states compare as well.
     EXPECT_EQ(av, al);
@@ -368,8 +372,8 @@ TEST(SnapshotSeedReproducibility, MatchesCloneParallelPathOnLeafSystem) {
   // and scheduler per chunk, chunk c on stream c, counts normalized in
   // chunk order -- must be reproduced exactly (same chunks, same streams,
   // same draws, same merge) by the snapshot views. The coin is a leaf, so
-  // the clones walk Rational transitions while the snapshot walks its
-  // compiled rows.
+  // the clones walk the rows of a fresh MemoView each while the snapshot
+  // walks its frozen rows.
   const PsioaFactory fa = [] { return make_coin("sn_coin", Rational(1, 3)); };
   const SchedulerFactory fs = [] {
     return std::make_shared<UniformScheduler>(8);
@@ -383,7 +387,7 @@ TEST(SnapshotSeedReproducibility, MatchesCloneParallelPathOnLeafSystem) {
   parallel_for_chunks(
       pool, trials,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        PsioaPtr clone = fa();
+        std::shared_ptr<MemoView> clone = memoize(fa());
         SchedulerPtr sched = fs();
         Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
         for (std::size_t i = begin; i < end; ++i) {

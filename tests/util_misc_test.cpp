@@ -6,7 +6,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/interner.hpp"
 #include "util/poly.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -14,18 +13,6 @@
 
 namespace cdse {
 namespace {
-
-TEST(Interner, AssignsDenseIdsAndRoundTrips) {
-  Interner in;
-  const auto a = in.intern("alpha");
-  const auto b = in.intern("beta");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(in.intern("alpha"), a);
-  EXPECT_EQ(in.name(a), "alpha");
-  EXPECT_EQ(in.lookup("beta"), b);
-  EXPECT_EQ(in.lookup("gamma"), Interner::kInvalid);
-  EXPECT_EQ(in.size(), 2u);
-}
 
 TEST(Rng, DeterministicPerSeed) {
   Xoshiro256 a(42), b(42), c(43);
