@@ -143,7 +143,7 @@ BestDistinguisher search_best_word_parallel(
   // One engine per side: a full-horizon warm-up and freeze, which
   // compiles every (state, action) row the search can touch, minimized
   // under an enabled policy. Every view below is the engine's worker
-  // view: a thin snapshot view, or a QuotientPsioa over the shared
+  // view: a thin snapshot view, or a frozen-only view over the shared
   // minimized snapshot.
   WarmupPlan plan;
   plan.episodes = 0;

@@ -69,10 +69,10 @@ BestDistinguisher search_best_word(Psioa& lhs, Psioa& rhs,
 /// worker views. Per-task results merge in fixed task order under the
 /// deterministic tie-break, so word, epsilon and words_evaluated are
 /// identical to the serial engines at every worker count. With an
-/// enabled `policy` each engine minimizes its side, and the workers get
-/// QuotientPsioa views over one shared minimized snapshot per side (per
-/// side, the raw snapshot when the covering warm-up truncates); the
-/// quotient counters equal search_best_word's.
+/// enabled `policy` each engine swaps its side for the quotient, and the
+/// workers get frozen-only views over one shared minimized snapshot per
+/// side (per side, the raw snapshot when the covering warm-up
+/// truncates); the quotient counters equal search_best_word's.
 BestDistinguisher search_best_word_parallel(
     const PsioaFactory& make_lhs, const PsioaFactory& make_rhs,
     const std::vector<ActionId>& alphabet, std::size_t max_len,

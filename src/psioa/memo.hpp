@@ -27,11 +27,12 @@
 // warms) its own tables. Memoization is always on; clear_memo() drops
 // the tables, so the next access recomputes each row once.
 //
-// freeze() (psioa/snapshot.hpp) lifts a warmed instance's tables into an
-// immutable CompiledSnapshot that thin SnapshotPsioa views share
-// read-only across sampler workers; signature_ref/compiled_row are
-// virtual so those views can serve frozen rows without copying them into
-// per-worker tables.
+// freeze() (psioa/snapshot.hpp) hands a warmed instance's tables over to
+// an immutable CompiledSnapshot that thin SnapshotPsioa views share
+// read-only across sampler workers: one owner per table, so the instance
+// keeps an empty memo and computes only what the snapshot lacks.
+// signature_ref/compiled_row are virtual so those views can serve frozen
+// rows without copying them into per-worker tables.
 //
 // memo_rows() is the one row path of the exact and sampling engines: the
 // automaton itself, or a MemoView over a leaf -- two encodings of one
@@ -67,14 +68,21 @@ struct CompiledRow {
   std::vector<double> cdf;    ///< running sums of dist weights as doubles
   SplitRow split;             ///< multinomial class splits, same support
 
-  static CompiledRow compile(StateDist d) {
+  /// Compiles `d` with its targets in entry order, or in `order` (a
+  /// permutation of entry indices) when one is given: the snapshot
+  /// overflow path orders targets by encoding (psioa/snapshot.hpp).
+  static CompiledRow compile(StateDist d,
+                             const std::vector<std::size_t>* order = nullptr) {
+    const auto& entries = d.entries();
+    const std::size_t n = entries.size();
     CompiledRow row;
-    row.targets.reserve(d.entries().size());
-    row.cdf.reserve(d.entries().size());
+    row.targets.reserve(n);
+    row.cdf.reserve(n);
     std::vector<double> weights;
-    weights.reserve(d.entries().size());
+    weights.reserve(n);
     double acc = 0.0;
-    for (const auto& [q2, w] : d.entries()) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto& [q2, w] = entries[order != nullptr ? (*order)[k] : k];
       const double wd = w.to_double();
       acc += wd;
       row.targets.push_back(q2);
@@ -96,6 +104,14 @@ struct CompiledRow {
     }
     return targets.back();
   }
+};
+
+/// The memo of one state: its resolved signature, once computed, and its
+/// compiled rows by action. A MemoPsioa keeps one per touched state, and
+/// a CompiledSnapshot freezes exactly these tables.
+struct StateMemo {
+  std::optional<Signature> sig;
+  std::unordered_map<ActionId, CompiledRow> rows;
 };
 
 /// Cache counters, exposed for the regression tests and the E10 bench.
@@ -122,7 +138,8 @@ class MemoPsioa : public Psioa {
 
   /// The compiled sampling row for (q, a) (computes on miss). The
   /// reference stays valid until clear_memo() or invalidate_states()
-  /// drops the row. Virtual for the same reason as signature_ref.
+  /// drops the row, or the snapshot a freeze() handed it to is gone.
+  /// Virtual for the same reason as signature_ref.
   virtual const CompiledRow& compiled_row(State q, ActionId a);
 
   /// The cached exact transition distribution by reference: what
@@ -149,27 +166,27 @@ class MemoPsioa : public Psioa {
   /// multiple snapshots over one instance must sequence GC themselves.
   bool snapshot_outstanding() const { return !last_snapshot_.expired(); }
 
-  /// Copies the currently cached signatures and compiled rows into an
+  /// Hands the currently cached signatures and compiled rows over to an
   /// immutable CompiledSnapshot (psioa/snapshot.hpp) that SnapshotPsioa
-  /// views share read-only across sampler workers. The snapshot captures
-  /// this instance's state-handle space: views are only meaningful
-  /// together with a SnapshotResidue built over this same instance.
+  /// views share read-only across sampler workers, and leaves this
+  /// instance's memo empty: a later read recomputes (and re-caches) what
+  /// it touches, so a second freeze() captures only the rows computed
+  /// since the first. References into the memo move with the tables and
+  /// stay valid while the snapshot lives. The snapshot captures this
+  /// instance's state-handle space: views that can compute past it need
+  /// a SnapshotResidue built over this same instance.
   std::shared_ptr<const CompiledSnapshot> freeze();
 
   const MemoStats& memo_stats() const { return stats_; }
 
  protected:
   /// The uncached semantics, implemented by each wrapper. Called at most
-  /// once per reachable state / (state, action) between clear_memo()s.
+  /// once per reachable state / (state, action) between clear_memo()s
+  /// and freeze()s.
   virtual Signature compute_signature(State q) = 0;
   virtual StateDist compute_transition(State q, ActionId a) = 0;
 
  private:
-  struct StateMemo {
-    std::optional<Signature> sig;
-    std::unordered_map<ActionId, CompiledRow> rows;
-  };
-
   MemoStats stats_;
   std::unordered_map<State, StateMemo> memo_;
   std::weak_ptr<const CompiledSnapshot> last_snapshot_;  // freeze() guard

@@ -11,7 +11,7 @@ namespace cdse {
 
 CompiledSnapshot::CompiledSnapshot(
     State start, std::string source,
-    std::unordered_map<State, FrozenState> states)
+    std::unordered_map<State, StateMemo> states)
     : start_(start), source_(std::move(source)), states_(std::move(states)) {
   for (const auto& [q, fs] : states_) {
     (void)q;
@@ -38,6 +38,7 @@ QuotientSnapshot CompiledSnapshot::quotient(
   QuotientSnapshot out;
   out.original_states = states_.size();
   out.blocks = partition.blocks;
+  const auto& block_of = partition.block_of;
 
   // Representative per block: the smallest member handle. Bisimulation
   // guarantees every complete member yields the same merged row, so the
@@ -48,8 +49,8 @@ QuotientSnapshot CompiledSnapshot::quotient(
   std::vector<char> has_rep(partition.blocks, 0);
   for (const auto& [q, fs] : states_) {
     (void)fs;
-    auto it = partition.block_of.find(q);
-    if (it == partition.block_of.end()) {
+    auto it = block_of.find(q);
+    if (it == block_of.end()) {
       throw std::invalid_argument(
           "CompiledSnapshot::quotient: partition misses state " +
           std::to_string(q));
@@ -62,7 +63,6 @@ QuotientSnapshot CompiledSnapshot::quotient(
       rep[it->second] = q;
       has_rep[it->second] = 1;
     }
-    out.block_of.emplace(q, static_cast<State>(it->second));
   }
   for (std::size_t b = 0; b < partition.blocks; ++b) {
     if (!has_rep[b]) {
@@ -71,11 +71,11 @@ QuotientSnapshot CompiledSnapshot::quotient(
     }
   }
 
-  std::unordered_map<State, FrozenState> blocks;
+  std::unordered_map<State, StateMemo> blocks;
   blocks.reserve(partition.blocks);
   for (std::size_t b = 0; b < partition.blocks; ++b) {
-    const FrozenState& src = states_.at(rep[b]);
-    FrozenState fs;
+    const StateMemo& src = states_.at(rep[b]);
+    StateMemo fs;
     fs.sig = src.sig;
     for (const auto& [a, row] : src.rows) {
       // Remap targets block-wise and merge their exact weights. The
@@ -85,12 +85,12 @@ QuotientSnapshot CompiledSnapshot::quotient(
       StateDist merged;
       bool covered = true;
       for (const auto& [q2, w] : row.dist.entries()) {
-        auto it = out.block_of.find(q2);
-        if (it == out.block_of.end()) {
+        auto it = block_of.find(q2);
+        if (it == block_of.end()) {
           covered = false;
           break;
         }
-        merged.add(it->second, w);
+        merged.add(static_cast<State>(it->second), w);
       }
       if (!covered) {
         // Only frontier states can reach an un-interned target; their
@@ -103,27 +103,22 @@ QuotientSnapshot CompiledSnapshot::quotient(
     blocks.emplace(static_cast<State>(b), std::move(fs));
   }
 
-  auto start_it = out.block_of.find(start_);
-  if (start_it == out.block_of.end()) {
+  if (!states_.count(start_)) {
     throw std::invalid_argument(
         "CompiledSnapshot::quotient: start state not in the snapshot");
   }
   out.reduced = std::make_shared<const CompiledSnapshot>(
-      start_it->second, "quotient(" + source_ + ")", std::move(blocks));
+      static_cast<State>(block_of.at(start_)), "quotient(" + source_ + ")",
+      std::move(blocks));
   return out;
 }
 
 std::shared_ptr<const CompiledSnapshot> MemoPsioa::freeze() {
-  std::unordered_map<State, CompiledSnapshot::FrozenState> frozen;
-  frozen.reserve(memo_.size());
-  for (const auto& [q, m] : memo_) {
-    CompiledSnapshot::FrozenState fs;
-    fs.sig = m.sig;
-    fs.rows = m.rows;
-    frozen.emplace(q, std::move(fs));
-  }
+  // The memo moves over whole: the snapshot becomes the one owner of
+  // every row computed so far, and this instance starts an empty memo.
+  const State start = start_state();
   auto snapshot = std::make_shared<const CompiledSnapshot>(
-      start_state(), name(), std::move(frozen));
+      start, name(), std::exchange(memo_, {}));
   // Session GC consults this: a live snapshot pins the handle space.
   last_snapshot_ = snapshot;
   return snapshot;
@@ -168,22 +163,7 @@ CompiledRow compile_row_by_encoding(StateDist d, Psioa& encoder) {
                    [&](std::size_t i, std::size_t j) {
                      return encoding_less(enc[i], enc[j]);
                    });
-  CompiledRow row;
-  row.targets.reserve(entries.size());
-  row.cdf.reserve(entries.size());
-  std::vector<double> weights;
-  weights.reserve(entries.size());
-  double acc = 0.0;
-  for (std::size_t i : order) {
-    const double w = entries[i].second.to_double();
-    acc += w;
-    row.targets.push_back(entries[i].first);
-    row.cdf.push_back(acc);
-    weights.push_back(w);
-  }
-  row.split = SplitRow::build(weights);
-  row.dist = std::move(d);
-  return row;
+  return CompiledRow::compile(std::move(d), &order);
 }
 
 SnapshotPsioa::SnapshotPsioa(std::shared_ptr<const CompiledSnapshot> snapshot,
@@ -191,6 +171,16 @@ SnapshotPsioa::SnapshotPsioa(std::shared_ptr<const CompiledSnapshot> snapshot,
     : MemoPsioa("snapshot(" + snapshot->source() + ")"),
       snap_(std::move(snapshot)),
       residue_(std::move(residue)) {}
+
+void SnapshotPsioa::frozen_miss(State q, std::optional<ActionId> a) {
+  const std::string what =
+      a.has_value() ? "row for (" + state_label(q) + ", " +
+                          ActionTable::instance().name(*a) + ")"
+                    : "signature for " + state_label(q);
+  throw std::logic_error("SnapshotPsioa: no frozen " + what + " in " +
+                         snap_->source() +
+                         "; the enumeration left the frozen horizon");
+}
 
 const Signature& SnapshotPsioa::signature_ref(State q) {
   if (const Signature* s = snap_->find_signature(q)) {
@@ -214,6 +204,7 @@ const CompiledRow& SnapshotPsioa::compiled_row(State q, ActionId a) {
   auto it = over_rows_.find(key);
   if (it != over_rows_.end()) return it->second;
   ++sstats_.row_overflows;
+  if (residue_ == nullptr) frozen_miss(q, a);
   std::lock_guard<std::mutex> lock(residue_->mu);
   CompiledRow row =
       compile_row_by_encoding(residue_->warm->transition(q, a),
@@ -222,59 +213,34 @@ const CompiledRow& SnapshotPsioa::compiled_row(State q, ActionId a) {
 }
 
 BitString SnapshotPsioa::encode_state(State q) {
+  // Frozen-only states are blocks: the id is the whole structural content.
+  if (residue_ == nullptr) return BitString::from_uint(q);
   std::lock_guard<std::mutex> lock(residue_->mu);
   return residue_->warm->encode_state(q);
 }
 
 std::string SnapshotPsioa::state_label(State q) {
+  if (residue_ == nullptr) return "block" + std::to_string(q);
   std::lock_guard<std::mutex> lock(residue_->mu);
   return residue_->warm->state_label(q);
 }
 
 InternStats SnapshotPsioa::intern_stats() const {
+  if (residue_ == nullptr) return {};
   std::lock_guard<std::mutex> lock(residue_->mu);
   return residue_->warm->intern_stats();
 }
 
 Signature SnapshotPsioa::compute_signature(State q) {
+  if (residue_ == nullptr) frozen_miss(q);
   std::lock_guard<std::mutex> lock(residue_->mu);
   return residue_->warm->signature(q);
 }
 
 StateDist SnapshotPsioa::compute_transition(State q, ActionId a) {
+  if (residue_ == nullptr) frozen_miss(q, a);
   std::lock_guard<std::mutex> lock(residue_->mu);
   return residue_->warm->transition(q, a);
-}
-
-// -- quotient views ---------------------------------------------------------
-
-QuotientPsioa::QuotientPsioa(std::shared_ptr<const CompiledSnapshot> reduced)
-    : MemoPsioa(reduced->source()), snap_(std::move(reduced)) {}
-
-const Signature& QuotientPsioa::signature_ref(State q) {
-  if (const Signature* s = snap_->find_signature(q)) return *s;
-  throw std::logic_error("QuotientPsioa: no frozen signature for " +
-                         state_label(q) +
-                         "; the enumeration left the minimized horizon");
-}
-
-const CompiledRow& QuotientPsioa::compiled_row(State q, ActionId a) {
-  if (const CompiledRow* r = snap_->find_row(q, a)) return *r;
-  throw std::logic_error("QuotientPsioa: no frozen row for (" +
-                         state_label(q) + ", " +
-                         ActionTable::instance().name(a) +
-                         "); the enumeration left the minimized horizon");
-}
-
-Signature QuotientPsioa::compute_signature(State q) {
-  throw std::logic_error("QuotientPsioa: cannot compute signature of " +
-                         state_label(q) + "; quotients are frozen-only");
-}
-
-StateDist QuotientPsioa::compute_transition(State q, ActionId a) {
-  (void)a;
-  throw std::logic_error("QuotientPsioa: cannot compute transition of " +
-                         state_label(q) + "; quotients are frozen-only");
 }
 
 }  // namespace cdse

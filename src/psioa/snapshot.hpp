@@ -7,10 +7,11 @@
 // states) memory and a cold start per worker. This layer splits a warmed
 // instance into an immutable majority and a mutable residue:
 //
-//   CompiledSnapshot -- a read-only copy of the warm instance's resolved
-//       Signatures and CompiledRow CDFs, held behind shared_ptr<const>
-//       and shared by every worker without synchronization. One copy,
-//       regardless of worker count.
+//   CompiledSnapshot -- the warm instance's resolved Signatures and
+//       CompiledRow CDFs, handed over by freeze() (the instance keeps
+//       none of them), held behind shared_ptr<const> and shared by every
+//       worker without synchronization. One copy, regardless of worker
+//       count.
 //   SnapshotResidue  -- the warm instance itself plus a mutex. The warm
 //       instance is the *handle authority*: every State handle in the
 //       snapshot was interned by it, and any state discovered after the
@@ -23,10 +24,13 @@
 //       on a cold miss, to one locked compute on the residue. Workers
 //       own a view each, so the one-thread-per-instance rule holds for
 //       the view's overflow tables exactly as it does for MemoPsioa.
+//       Built without a residue, a view is frozen-only: the view of a
+//       quotient snapshot, whose block states no instance could compute,
+//       where a miss throws.
 //
-// Determinism. Frozen rows are byte-copies of the warm instance's rows,
-// so a view's draws are draw-for-draw identical to a clone warmed by the
-// same deterministic warm-up (tests/snapshot_test.cpp proves this
+// Determinism. Frozen rows are the warm instance's own rows, so a view's
+// draws are draw-for-draw identical to a clone warmed by the same
+// deterministic warm-up (tests/snapshot_test.cpp proves this
 // differentially against the clone recomputing its rows as well). Overflow
 // rows are compiled with their targets ordered by encode_state() rather
 // than by State handle: post-freeze handle values depend on which worker
@@ -60,17 +64,12 @@ struct SnapshotPartition {
 class QuotientSnapshot;
 
 /// Immutable post-warmup tables of one MemoPsioa instance. Constructed
-/// by MemoPsioa::freeze(); never mutated afterwards, so concurrent reads
-/// need no synchronization.
+/// by MemoPsioa::freeze(), which hands its memo over, or by quotient();
+/// never mutated afterwards, so concurrent reads need no synchronization.
 class CompiledSnapshot {
  public:
-  struct FrozenState {
-    std::optional<Signature> sig;
-    std::unordered_map<ActionId, CompiledRow> rows;
-  };
-
   CompiledSnapshot(State start, std::string source,
-                   std::unordered_map<State, FrozenState> states);
+                   std::unordered_map<State, StateMemo> states);
 
   /// Start state of the source instance (valid in its handle space).
   State start_state() const { return start_; }
@@ -86,18 +85,18 @@ class CompiledSnapshot {
 
   /// The whole frozen table, for offline passes that walk every state
   /// (the bisimulation partitioner, the quotient builder).
-  const std::unordered_map<State, FrozenState>& frozen_states() const {
+  const std::unordered_map<State, StateMemo>& frozen_states() const {
     return states_;
   }
 
   /// Collapses this snapshot along `partition`: the quotient's states
   /// are the blocks, its rows are the representative member's rows with
-  /// targets remapped block-wise and weights merged exactly (Rational
-  /// sums through the canonical sorted-merge of measure/disc.hpp). The
-  /// result is an ordinary immutable snapshot -- shareable across
-  /// workers like any frozen snapshot, just smaller. Throws
-  /// std::invalid_argument when the partition does not cover every
-  /// state, contains an out-of-range id, or has an empty block.
+  /// targets remapped block-wise through partition.block_of and weights
+  /// merged exactly (Rational sums through the canonical sorted-merge of
+  /// measure/disc.hpp). The result is an ordinary immutable snapshot --
+  /// shareable across workers like any frozen snapshot, just smaller.
+  /// Throws std::invalid_argument when the partition does not cover
+  /// every state, contains an out-of-range id, or has an empty block.
   QuotientSnapshot quotient(const SnapshotPartition& partition) const;
 
   std::size_t state_count() const { return states_.size(); }
@@ -106,18 +105,17 @@ class CompiledSnapshot {
  private:
   State start_;
   std::string source_;
-  std::unordered_map<State, FrozenState> states_;
+  std::unordered_map<State, StateMemo> states_;
   std::size_t row_count_ = 0;
 };
 
-/// A minimized snapshot plus the remap that produced it. `reduced` owns
-/// copies of the merged rows, so it stays valid after the source
-/// snapshot (and the warm instance behind it) are gone.
+/// A minimized snapshot and its census. `reduced` owns the merged rows,
+/// so it stays valid after the source snapshot (and the warm instance
+/// behind it) are gone; the remap that produced it is the partition's
+/// block_of.
 class QuotientSnapshot {
  public:
   std::shared_ptr<const CompiledSnapshot> reduced;
-  /// Original handle -> block handle (the block id, as a State).
-  std::unordered_map<State, State> block_of;
   std::size_t original_states = 0;
   std::size_t blocks = 0;
   /// Rows of frontier (incompletely warmed) states dropped because a
@@ -169,10 +167,19 @@ CompiledRow compile_row_by_encoding(StateDist d, Psioa& encoder);
 /// Thin per-worker view over a shared snapshot. Exactly one thread may
 /// drive a view (its overflow memo is unsynchronized, like any
 /// MemoPsioa); any number of views may share one snapshot + residue.
+///
+/// Without a residue the view is frozen-only, the view of a quotient
+/// snapshot: its states are blocks, which exist only in the quotient's
+/// handle space, so no instance could compute a missed row, and states
+/// are encoded and labelled by their id. A lookup outside the frozen
+/// tables throws std::logic_error: it means the enumeration left the
+/// frozen horizon, and recomputing would break the exactness contract.
+/// Callers guarantee coverage by quotienting a snapshot whose warm-up
+/// covers the enumeration depth (warmup_covers, sched/sampler.hpp).
 class SnapshotPsioa final : public MemoPsioa {
  public:
-  SnapshotPsioa(std::shared_ptr<const CompiledSnapshot> snapshot,
-                std::shared_ptr<SnapshotResidue> residue);
+  explicit SnapshotPsioa(std::shared_ptr<const CompiledSnapshot> snapshot,
+                         std::shared_ptr<SnapshotResidue> residue = nullptr);
 
   State start_state() override { return snap_->start_state(); }
 
@@ -186,14 +193,16 @@ class SnapshotPsioa final : public MemoPsioa {
   const SnapshotStats& snapshot_stats() const { return sstats_; }
 
   /// Interning counters of the shared handle authority (the residue's
-  /// warm instance), taken under the residue lock. Views intern nothing
-  /// themselves, so this is the whole stack's arena footprint.
+  /// warm instance), taken under the residue lock; zero when frozen-only.
+  /// Views intern nothing themselves, so this is the whole stack's arena
+  /// footprint.
   InternStats intern_stats() const override;
 
  protected:
   // Cold-miss path: one serialized compute on the residue's warm
   // instance, which also interns any newly discovered states so handles
-  // stay consistent across every view of this snapshot.
+  // stay consistent across every view of this snapshot. A frozen-only
+  // view throws instead.
   Signature compute_signature(State q) override;
   StateDist compute_transition(State q, ActionId a) override;
 
@@ -214,49 +223,16 @@ class SnapshotPsioa final : public MemoPsioa {
     }
   };
 
+  // A frozen-only view's miss on q's signature, or on its row for `a`:
+  // throws std::logic_error naming it and the frozen snapshot.
+  [[noreturn]] void frozen_miss(State q,
+                                std::optional<ActionId> a = std::nullopt);
+
   std::shared_ptr<const CompiledSnapshot> snap_;
-  std::shared_ptr<SnapshotResidue> residue_;
+  std::shared_ptr<SnapshotResidue> residue_;  // null: frozen-only
   std::unordered_map<State, Signature> over_sigs_;
   std::unordered_map<RowKey, CompiledRow, RowKeyHash> over_rows_;
   SnapshotStats sstats_;
-};
-
-/// Frozen-only view over a quotient snapshot: state handles are block
-/// ids, rows are the exactly-merged block rows. Unlike SnapshotPsioa
-/// there is no residue -- blocks exist only in the quotient's handle
-/// space, so there is no warm instance that could compute a missed row.
-/// A lookup outside the frozen tables therefore throws std::logic_error:
-/// it means the enumeration left the minimized horizon, and silently
-/// recomputing would break the exactness contract. Callers guarantee
-/// coverage by quotienting a snapshot whose warm-up horizon is at least
-/// the enumeration depth (reduce_for_enumeration enforces this).
-///
-/// Views carry no mutable state beyond the base counters, but workers
-/// still get one instance each (one-thread-per-instance, as everywhere).
-class QuotientPsioa final : public MemoPsioa {
- public:
-  explicit QuotientPsioa(std::shared_ptr<const CompiledSnapshot> reduced);
-
-  State start_state() override { return snap_->start_state(); }
-
-  const Signature& signature_ref(State q) override;
-  const CompiledRow& compiled_row(State q, ActionId a) override;
-
-  /// Blocks are synthetic: the id is the whole structural content.
-  BitString encode_state(State q) override { return BitString::from_uint(q); }
-  std::string state_label(State q) override {
-    return "block" + std::to_string(q);
-  }
-
-  const CompiledSnapshot& snapshot() const { return *snap_; }
-
- protected:
-  // No fallback engine exists for a quotient; see the class comment.
-  Signature compute_signature(State q) override;
-  StateDist compute_transition(State q, ActionId a) override;
-
- private:
-  std::shared_ptr<const CompiledSnapshot> snap_;
 };
 
 }  // namespace cdse

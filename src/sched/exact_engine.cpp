@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "impl/bisim.hpp"
 #include "psioa/memo.hpp"
 #include "sched/schedulers.hpp"
 
@@ -77,15 +76,9 @@ class ConeStep {
 
 }  // namespace
 
-ReducedSystem reduce_snapshot(const CompiledSnapshot& snapshot) {
-  const QuotientSnapshot q = snapshot.quotient(bisimulation_partition(snapshot));
-  return {q.reduced, std::make_shared<QuotientPsioa>(q.reduced),
-          q.original_states, q.blocks};
-}
-
 std::optional<ReducedSystem> reduce_for_enumeration(
     Psioa& automaton, std::size_t max_depth, const ReductionPolicy& policy) {
-  if (!policy.enabled() || max_depth == 0) return std::nullopt;
+  if (!policy.enabled()) return std::nullopt;
   std::shared_ptr<MemoView> hold;
   MemoPsioa& warm = memo_rows(automaton, hold);
   // Covering walk: horizon = max_depth freezes full rows at every state
@@ -94,10 +87,9 @@ std::optional<ReducedSystem> reduce_for_enumeration(
   WarmupPlan plan;
   plan.episodes = 0;
   plan.horizon = max_depth;
-  plan.max_states = policy.max_states;
   UniformScheduler uniform(max_depth);
   const std::size_t visited = warm_automaton(warm, uniform, plan, max_depth);
-  if (visited >= plan.max_states) return std::nullopt;  // truncated: fall back
+  if (!warmup_covers(plan, visited, max_depth)) return std::nullopt;
   return reduce_snapshot(*warm.freeze());
 }
 
@@ -289,33 +281,14 @@ void ConeFrontierCache::evict(const std::vector<ActionId>& word) {
 ParallelConeEngine::ParallelConeEngine(PsioaFactory make_automaton,
                                        SchedulerFactory make_sched,
                                        ReductionPolicy policy)
-    : sampler_(std::move(make_automaton), make_sched),
-      make_sched_(std::move(make_sched)),
+    : sampler_(std::move(make_automaton), std::move(make_sched)),
       policy_(policy) {}
 
 void ParallelConeEngine::prepare(const WarmupPlan& plan,
                                  std::size_t max_depth) {
   sampler_.prepare(plan, max_depth);
   reduced_.reset();
-  if (!policy_.enabled()) return;
-  // Reduce only when the snapshot covers the cone: the walk must reach
-  // the enumeration depth and must not have truncated on the state cap
-  // (state_count counts every memoized state, so hitting either cap
-  // shows up as state_count >= the cap).
-  auto snap = sampler_.snapshot();
-  const std::size_t cap = std::min(plan.max_states, policy_.max_states);
-  if (plan.horizon < max_depth || snap->state_count() >= cap) return;
-  reduced_ = reduce_snapshot(*snap);
-}
-
-std::shared_ptr<MemoPsioa> ParallelConeEngine::worker_view() const {
-  if (reduced()) return std::make_shared<QuotientPsioa>(reduced_->snapshot);
-  return sampler_.worker_view();
-}
-
-SchedulerPtr ParallelConeEngine::worker_scheduler() const {
-  if (reduced()) return make_sched_();
-  return sampler_.worker_scheduler();
+  if (policy_.enabled()) reduced_ = sampler_.reduce();
 }
 
 ExactDisc<Perception> ParallelConeEngine::exact_fdist(

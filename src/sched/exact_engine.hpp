@@ -21,8 +21,9 @@
 //       rows), and per-worker ExactDisc partials merge in fixed frontier
 //       order. Rational addition is associative and commutative and
 //       ExactDisc keeps a canonical sorted form, so the merged measure is
-//       bit-identical for ANY worker count. It is the one source of
-//       per-thread views, which the parallel word search takes too.
+//       bit-identical for ANY worker count. Its ParallelSampler owns the
+//       tables and hands out the per-thread views, which the parallel
+//       word search takes too.
 //   ConeFrontierCache  -- prefix sharing for off-line (word) schedulers:
 //       the halted frontier of word w is extended by one letter to give
 //       the frontier of w^a, so search_best_word explores the word tree
@@ -33,7 +34,9 @@
 //       snapshots collapse to their probabilistic-bisimulation quotient
 //       in one step, reduce_snapshot, before any cone is enumerated, so
 //       every engine above runs over blocks instead of raw states --
-//       transparently, with epsilon preserved exactly.
+//       transparently, with epsilon preserved exactly. Both reduction
+//       paths quotient only under one covering rule (warmup_covers), and
+//       a reduced system keeps the quotient alone.
 //
 // enumerate_cone and the engine's breadth-first phase share one node
 // expansion step; every engine reads rows through memo_rows. Every path
@@ -69,10 +72,6 @@ struct ReductionPolicy {
   };
 
   Mode mode = Mode::kNone;
-  /// Warm-up state cap for the reduction's covering walk. When the walk
-  /// truncates, reduction falls back to the unreduced path instead of
-  /// producing a quotient that cannot cover the cone.
-  std::size_t max_states = std::size_t{1} << 20;
 
   bool enabled() const { return mode == Mode::kBisimulation; }
 
@@ -84,29 +83,19 @@ struct ReductionPolicy {
   }
 };
 
-/// One minimized system, ready for any exact engine: `view` is a
-/// QuotientPsioa the caller can hand to enumerate_cone /
-/// ConeFrontierCache exactly like the original automaton, and
-/// `snapshot` backs additional per-worker views for parallel fan-out.
-struct ReducedSystem {
-  std::shared_ptr<const CompiledSnapshot> snapshot;  ///< the quotient
-  std::shared_ptr<MemoPsioa> view;                   ///< QuotientPsioa over it
-  std::size_t states = 0;  ///< snapshot states before reduction
-  std::size_t blocks = 0;  ///< blocks after reduction
-};
-
-/// Partitions a snapshot that covers the enumeration depth by
-/// probabilistic bisimulation (impl/bisim.hpp) and quotients it.
-ReducedSystem reduce_snapshot(const CompiledSnapshot& snapshot);
+// ReducedSystem and reduce_snapshot, the one reduction step, live in
+// sched/sampler.hpp beside ParallelSampler::reduce.
 
 /// Warms `automaton` to a covering snapshot (horizon = max_depth, so
-/// every state the cone can expand is completely frozen), partitions it
-/// by probabilistic bisimulation, and quotients. Returns nullopt when
-/// the policy is off or the covering walk hit policy.max_states -- the
-/// caller then enumerates the original, so wiring the policy through a
-/// checker can never turn a working call into a throwing one. The
-/// automaton is warmed through memo_rows and must outlive nothing: the
-/// returned view holds copies.
+/// every state the cone can expand is completely frozen), freezes it,
+/// partitions it by probabilistic bisimulation, and quotients. Returns
+/// nullopt, before freezing, when the policy is off or the walk does not
+/// cover max_depth (warmup_covers: depth 0, or a walk that stopped at
+/// WarmupPlan::max_states) -- the caller then enumerates the original,
+/// so wiring the policy through a checker can never turn a working call
+/// into a throwing one. The automaton is warmed through memo_rows, and
+/// on success the freeze has taken its memo, so the caller is left with
+/// an empty one; the returned view reads only the quotient's own rows.
 std::optional<ReducedSystem> reduce_for_enumeration(
     Psioa& automaton, std::size_t max_depth, const ReductionPolicy& policy);
 
@@ -232,12 +221,12 @@ PrefixStrata expand_prefix_strata(Psioa& automaton, Scheduler& sched,
 /// bit-identical to the serial enumerator at every worker count.
 class ParallelConeEngine {
  public:
-  /// With an enabled `policy`, prepare() additionally minimizes the
-  /// frozen snapshot (reduce_snapshot) and exact_fdist() runs the
-  /// identical expansion/fan-out over QuotientPsioa views -- same exact
-  /// result, fewer frames. Reduction silently falls back to the raw
-  /// snapshot when the warm-up did not cover the enumeration depth
-  /// (plan.horizon < max_depth) or truncated on plan.max_states.
+  /// With an enabled `policy`, prepare() additionally swaps the frozen
+  /// snapshot for its quotient (ParallelSampler::reduce), releasing the
+  /// raw system, and exact_fdist() runs the identical expansion/fan-out
+  /// over frozen-only views -- same exact result, fewer frames.
+  /// Reduction silently keeps the raw snapshot when the warm-up did not
+  /// cover the enumeration depth (warmup_covers).
   ParallelConeEngine(PsioaFactory make_automaton, SchedulerFactory make_sched,
                      ReductionPolicy policy = {});
 
@@ -251,12 +240,14 @@ class ParallelConeEngine {
     return reduced_.has_value() ? &*reduced_ : nullptr;
   }
 
-  /// A fresh view / scheduler for one thread (requires prepared()): a
-  /// QuotientPsioa and a new scheduler when reduced() -- frozen choice
-  /// rows are keyed by original handles, which a block handle could
-  /// alias -- else a thin SnapshotPsioa and one adopting the frozen rows.
-  std::shared_ptr<MemoPsioa> worker_view() const;
-  SchedulerPtr worker_scheduler() const;
+  /// A fresh view / scheduler for one thread (requires prepared()), the
+  /// sampler's: a frozen-only view over the quotient and a new scheduler
+  /// when reduced(), else a thin SnapshotPsioa and a scheduler adopting
+  /// the frozen choice rows.
+  std::shared_ptr<SnapshotPsioa> worker_view() const {
+    return sampler_.worker_view();
+  }
+  SchedulerPtr worker_scheduler() const { return sampler_.worker_scheduler(); }
 
   /// After a subtree throws, no chunk starts another subtree.
   ExactDisc<Perception> exact_fdist(const InsightFunction& f,
@@ -270,7 +261,6 @@ class ParallelConeEngine {
 
  private:
   ParallelSampler sampler_;
-  SchedulerFactory make_sched_;
   ReductionPolicy policy_;
   ConeStats stats_;
   std::optional<ReducedSystem> reduced_;

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "impl/bisim.hpp"
 #include "psioa/memo.hpp"
 
 namespace cdse {
@@ -97,6 +98,19 @@ std::size_t warm_automaton(MemoPsioa& automaton, Scheduler& sched,
   return visited;
 }
 
+bool warmup_covers(const WarmupPlan& plan, std::size_t visited,
+                   std::size_t max_depth) {
+  // A walk that ran visited the start state, so visited > 0 says it ran.
+  return visited > 0 && plan.horizon >= max_depth &&
+         visited < plan.max_states;
+}
+
+ReducedSystem reduce_snapshot(const CompiledSnapshot& snapshot) {
+  const QuotientSnapshot q = snapshot.quotient(bisimulation_partition(snapshot));
+  return {q.reduced, std::make_shared<SnapshotPsioa>(q.reduced),
+          q.original_states, q.blocks};
+}
+
 ParallelSampler::ParallelSampler(PsioaFactory make_automaton,
                                  SchedulerFactory make_sched)
     : make_automaton_(std::move(make_automaton)),
@@ -107,17 +121,30 @@ void ParallelSampler::prepare(const WarmupPlan& plan, std::size_t max_depth) {
   auto memo = std::dynamic_pointer_cast<MemoPsioa>(p);
   if (memo == nullptr) memo = memoize(std::move(p));  // leaf: caching view
   SchedulerPtr sched = make_sched_();
-  warm_automaton(*memo, *sched, plan, max_depth);
-  warm_ = std::move(memo);
-  snapshot_ = warm_->freeze();
-  residue_ = std::make_shared<SnapshotResidue>(warm_);
+  covers_ = warmup_covers(plan, warm_automaton(*memo, *sched, plan, max_depth),
+                          max_depth);
+  snapshot_ = memo->freeze();
+  residue_ = std::make_shared<SnapshotResidue>(std::move(memo));
   choice_rows_ = sched->freeze_choice_rows();
   last_stats_ = SnapshotStats{};
 }
 
+std::optional<ReducedSystem> ParallelSampler::reduce() {
+  if (!prepared()) {
+    throw std::logic_error("ParallelSampler: prepare() before reduce()");
+  }
+  if (!covers_) return std::nullopt;
+  ReducedSystem red = reduce_snapshot(*snapshot_);
+  snapshot_ = red.snapshot;
+  residue_.reset();
+  choice_rows_.reset();
+  return red;
+}
+
 InternStats ParallelSampler::residue_intern_stats() const {
-  if (warm_ == nullptr) return {};
-  return warm_->intern_stats();
+  if (residue_ == nullptr) return {};
+  std::lock_guard<std::mutex> lock(residue_->mu);
+  return residue_->warm->intern_stats();
 }
 
 std::shared_ptr<SnapshotPsioa> ParallelSampler::worker_view() const {

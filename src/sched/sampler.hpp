@@ -1,5 +1,6 @@
 #pragma once
-// Monte-Carlo f-dist estimation over one shared frozen snapshot.
+// Monte-Carlo f-dist estimation over one shared frozen snapshot, and
+// the owner of that snapshot for the exact engines too.
 //
 // The exact enumerator is the ground truth for small systems; sampling
 // covers the ones whose execution trees are too large (the family sweeps
@@ -14,9 +15,15 @@
 // the one-execution walk, stays for warm_automaton's episodes; the
 // serial estimators built on it are test-side references
 // (tests/reference_engines.hpp).
+//
+// Every compiled table has one owner: the frozen snapshot takes the warm
+// instance's rows, the instance stays behind only as the residue that
+// computes what the snapshot lacks, and reduce() swaps all of it for the
+// bisimulation quotient, the one table a reduced exact engine keeps.
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,12 +105,36 @@ struct WarmupPlan {
 std::size_t warm_automaton(MemoPsioa& automaton, Scheduler& sched,
                            const WarmupPlan& plan, std::size_t max_depth);
 
+/// The covering rule of every reduction: a warm-up under `plan` whose
+/// walk visited `visited` states compiled every state an enumeration to
+/// `max_depth` can expand when the walk ran, reached max_depth and did
+/// not stop at plan.max_states. Only such a snapshot may be quotiented.
+bool warmup_covers(const WarmupPlan& plan, std::size_t visited,
+                   std::size_t max_depth);
+
+/// One minimized system, ready for any exact engine: `view` is a
+/// frozen-only SnapshotPsioa over the quotient that the caller can hand
+/// to enumerate_cone / ConeFrontierCache exactly like the original
+/// automaton, and `snapshot` backs additional per-worker views for
+/// parallel fan-out.
+struct ReducedSystem {
+  std::shared_ptr<const CompiledSnapshot> snapshot;  ///< the quotient
+  std::shared_ptr<SnapshotPsioa> view;  ///< frozen-only view over it
+  std::size_t states = 0;  ///< snapshot states before reduction
+  std::size_t blocks = 0;  ///< blocks after reduction
+};
+
+/// Partitions a snapshot that covers the enumeration depth by
+/// probabilistic bisimulation (impl/bisim.hpp) and quotients it.
+ReducedSystem reduce_snapshot(const CompiledSnapshot& snapshot);
+
 /// Monte-Carlo estimation over one shared frozen snapshot: prepare()
 /// builds a single warm instance from the factories, runs the warm-up
-/// plan, and freezes its compiled tables (and the scheduler's per-state
-/// choice rows); every run then samples through a thin SnapshotPsioa
-/// view -- no per-run clone, no per-run warm-up, one copy of the
-/// compiled tables however many views sample at once.
+/// plan, and hands its compiled tables (and the scheduler's per-state
+/// choice rows) over to the frozen snapshot; every run then samples
+/// through a thin SnapshotPsioa view -- no per-run clone, no per-run
+/// warm-up, one copy of the compiled tables however many views sample
+/// at once.
 class ParallelSampler {
  public:
   ParallelSampler(PsioaFactory make_automaton, SchedulerFactory make_sched);
@@ -114,6 +145,16 @@ class ParallelSampler {
   /// what it throws propagates from prepare().
   void prepare(const WarmupPlan& plan, std::size_t max_depth);
   bool prepared() const { return snapshot_ != nullptr; }
+
+  /// Swaps the prepared tables for their bisimulation quotient
+  /// (reduce_snapshot): the quotient becomes the snapshot, and the warm
+  /// instance, the raw snapshot, the residue and the frozen choice rows
+  /// are released. Worker views are then frozen-only and worker
+  /// schedulers start empty, because frozen choice rows are keyed by
+  /// original handles, which a block handle could alias. Returns
+  /// nullopt, and changes nothing, when prepare()'s walk did not cover
+  /// its max_depth (warmup_covers). Requires prepared().
+  std::optional<ReducedSystem> reduce();
 
   /// f-dist estimate from `trials` executions: one IncrementalFdistRun
   /// on stream 0 of `seed`, its terminal counts divided by `trials`.
@@ -147,7 +188,7 @@ class ParallelSampler {
   /// IncrementalFdistRun. Exposed for the differential tests and for
   /// callers integrating the snapshot into their own fan-out (views are
   /// safe to use concurrently, one thread per view). Requires
-  /// prepared().
+  /// prepared(). After reduce(), views are frozen-only.
   std::shared_ptr<SnapshotPsioa> worker_view() const;
   SchedulerPtr worker_scheduler() const;
 
@@ -162,17 +203,17 @@ class ParallelSampler {
   const BatchStats& last_batch_stats() const { return last_batch_stats_; }
 
   /// Interning counters of the warm instance (the handle authority all
-  /// views share). Zero-valued before prepare(). Read by the E10 bench
-  /// to attribute warm-up memory to the handle store.
+  /// views share). Zero-valued before prepare() and after reduce(). Read
+  /// by the E10 bench to attribute warm-up memory to the handle store.
   InternStats residue_intern_stats() const;
 
  private:
   PsioaFactory make_automaton_;
   SchedulerFactory make_sched_;
-  std::shared_ptr<MemoPsioa> warm_;
   std::shared_ptr<const CompiledSnapshot> snapshot_;
-  std::shared_ptr<SnapshotResidue> residue_;
+  std::shared_ptr<SnapshotResidue> residue_;  // holds the warm instance
   std::shared_ptr<const FrozenChoiceTable> choice_rows_;
+  bool covers_ = false;  // prepare()'s walk covered its max_depth
   SnapshotStats last_stats_;
   BatchStats last_batch_stats_;
 };

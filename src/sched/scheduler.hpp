@@ -125,13 +125,13 @@ class Scheduler {
   virtual const ChoiceRow* choice_row(Psioa& automaton,
                                       const ExecFragment& alpha);
 
-  /// Copies this scheduler's per-state row memo into an immutable table
-  /// that fresh worker instances adopt via adopt_choice_rows(). Returns
-  /// nullptr for schedulers without a per-state memo (sequence, task,
+  /// Hands this scheduler's per-state row memo over to an immutable
+  /// table that fresh worker instances adopt via adopt_choice_rows(),
+  /// leaving the memo empty (as MemoPsioa::freeze does). Returns nullptr
+  /// for schedulers without a per-state memo (sequence, task,
   /// oblivious): their decisions are not a function of lstate, so there
   /// is nothing sound to share.
-  virtual std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows()
-      const {
+  virtual std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows() {
     return nullptr;
   }
 

@@ -10,6 +10,16 @@ ActionSet schedulable_actions(Psioa& automaton, State q, bool local_only) {
   return set::unite(sig.out, sig.internal);
 }
 
+const ChoiceRow* StateChoiceScheduler::choice_row_at(Psioa& automaton,
+                                                     State q,
+                                                     std::size_t len) {
+  // The choice is a function of lstate alone below the depth bound, so
+  // the compiled row memoizes per state.
+  if (len >= bound_) return &halt_row_;
+  return cache_.get(automaton, q,
+                    [&] { return choose_at(automaton, q, len); });
+}
+
 ActionChoice UniformScheduler::choose_at(Psioa& automaton, State q,
                                          std::size_t len) {
   ActionChoice c;
@@ -19,15 +29,6 @@ ActionChoice UniformScheduler::choose_at(Psioa& automaton, State q,
   const Rational w(1, static_cast<std::int64_t>(enabled.size()));
   for (ActionId a : enabled) c.add(a, w);
   return c;
-}
-
-const ChoiceRow* UniformScheduler::choice_row_at(Psioa& automaton, State q,
-                                                 std::size_t len) {
-  // The choice is a function of lstate alone once the depth bound is
-  // cleared, so the compiled row memoizes per state.
-  if (len >= bound_) return &halt_row_;
-  return cache_.get(automaton, q,
-                    [&] { return choose_at(automaton, q, len); });
 }
 
 ActionChoice PriorityScheduler::choose_at(Psioa& automaton, State q,
@@ -42,13 +43,6 @@ ActionChoice PriorityScheduler::choose_at(Psioa& automaton, State q,
     }
   }
   return c;
-}
-
-const ChoiceRow* PriorityScheduler::choice_row_at(Psioa& automaton, State q,
-                                                  std::size_t len) {
-  if (len >= bound_) return &halt_row_;
-  return cache_.get(automaton, q,
-                    [&] { return choose_at(automaton, q, len); });
 }
 
 ActionChoice SequenceScheduler::choose_at(Psioa& automaton, State q,

@@ -24,16 +24,20 @@
 //                          sufficient sense" schema of Section 4.4, which
 //                          is creation-oblivious for PCA because created
 //                          automata never appear in the decision input.
+// Uniform and priority read only lstate below a depth bound, so they
+// share one base, StateChoiceScheduler, which memoizes their compiled
+// rows per state and freezes and adopts them for the sampler's workers.
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sched/scheduler.hpp"
 
 namespace cdse {
 
-/// Per-state ChoiceRow memo shared by the schedulers whose decision is a
-/// function of lstate(alpha) only (uniform, priority). The cache is
+/// Per-state ChoiceRow memo of a StateChoiceScheduler, whose decision is
+/// a function of lstate(alpha) only below its bound. The cache is
 /// keyed by the automaton instance it was warmed against and clears on
 /// a change, so a scheduler reused across automata stays correct.
 ///
@@ -65,11 +69,11 @@ class StateChoiceCache {
     frozen_ = std::move(frozen);
   }
 
-  /// Copies the local memo (frozen rows are not duplicated) into a new
-  /// immutable table.
-  std::shared_ptr<const FrozenChoiceTable> freeze() const {
+  /// Hands the local memo (frozen rows are not duplicated) over to a new
+  /// immutable table and leaves the memo empty.
+  std::shared_ptr<const FrozenChoiceTable> freeze() {
     auto table = std::make_shared<FrozenChoiceTable>();
-    table->rows = rows_;
+    table->rows = std::exchange(rows_, {});
     return table;
   }
 
@@ -87,56 +91,53 @@ class StateChoiceCache {
 /// `local_only` flag selecting between the two readings.
 ActionSet schedulable_actions(Psioa& automaton, State q, bool local_only);
 
-class UniformScheduler : public MarkovScheduler {
+/// A MarkovScheduler whose choice is a function of lstate alone below a
+/// depth bound, and a halt from it on (uniform, priority): it memoizes
+/// one compiled row per state, hands that memo over as a
+/// FrozenChoiceTable and adopts one. Subclasses implement choose_at.
+class StateChoiceScheduler : public MarkovScheduler {
  public:
-  explicit UniformScheduler(std::size_t depth_bound, bool local_only = false)
-      : bound_(depth_bound), local_only_(local_only) {}
-  ActionChoice choose_at(Psioa& automaton, State q, std::size_t len) override;
   const ChoiceRow* choice_row_at(Psioa& automaton, State q,
-                                 std::size_t len) override;
-  std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows()
-      const override {
+                                 std::size_t len) final;
+  std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows() final {
     return cache_.freeze();
   }
   void adopt_choice_rows(
-      std::shared_ptr<const FrozenChoiceTable> table) override {
+      std::shared_ptr<const FrozenChoiceTable> table) final {
     cache_.adopt(std::move(table));
   }
-  std::string name() const override { return "uniform"; }
 
- private:
+ protected:
+  StateChoiceScheduler(std::size_t depth_bound, bool local_only)
+      : bound_(depth_bound), local_only_(local_only) {}
+
   std::size_t bound_;
   bool local_only_;
+
+ private:
   StateChoiceCache cache_;
   ChoiceRow halt_row_;
 };
 
-class PriorityScheduler : public MarkovScheduler {
+class UniformScheduler : public StateChoiceScheduler {
+ public:
+  explicit UniformScheduler(std::size_t depth_bound, bool local_only = false)
+      : StateChoiceScheduler(depth_bound, local_only) {}
+  ActionChoice choose_at(Psioa& automaton, State q, std::size_t len) override;
+  std::string name() const override { return "uniform"; }
+};
+
+class PriorityScheduler : public StateChoiceScheduler {
  public:
   PriorityScheduler(std::vector<ActionId> priority, std::size_t depth_bound,
                     bool local_only = false)
-      : priority_(std::move(priority)),
-        bound_(depth_bound),
-        local_only_(local_only) {}
+      : StateChoiceScheduler(depth_bound, local_only),
+        priority_(std::move(priority)) {}
   ActionChoice choose_at(Psioa& automaton, State q, std::size_t len) override;
-  const ChoiceRow* choice_row_at(Psioa& automaton, State q,
-                                 std::size_t len) override;
-  std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows()
-      const override {
-    return cache_.freeze();
-  }
-  void adopt_choice_rows(
-      std::shared_ptr<const FrozenChoiceTable> table) override {
-    cache_.adopt(std::move(table));
-  }
   std::string name() const override { return "priority"; }
 
  private:
   std::vector<ActionId> priority_;
-  std::size_t bound_;
-  bool local_only_;
-  StateChoiceCache cache_;
-  ChoiceRow halt_row_;
 };
 
 class SequenceScheduler : public MarkovScheduler {
@@ -175,8 +176,7 @@ class BoundedScheduler : public Scheduler {
                               const ExecFragment& alpha) override;
   // Below the bound the wrapper is transparent, so freezing/adoption
   // passes straight through to the inner scheduler's memo.
-  std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows()
-      const override {
+  std::shared_ptr<const FrozenChoiceTable> freeze_choice_rows() override {
     return inner_->freeze_choice_rows();
   }
   void adopt_choice_rows(

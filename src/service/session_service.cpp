@@ -75,6 +75,8 @@ MacSessionService::MacSessionService(const Options& opts)
   }
   tpl.set_destruction_observer(nullptr);
 
+  // freeze() takes the template's rows: from here on every row is read
+  // through a view, and the template (the residue) computes only misses.
   snapshot_ = tpl.freeze();
   residue_ = std::make_shared<SnapshotResidue>(pair_.real_pca);
 

@@ -16,8 +16,9 @@
 // is a million *cursors* over ONE frozen single-session template:
 //
 //   template  -- make_mac_service_pair({k}, tag).real_pca, warmed over
-//                its 5 reachable states and frozen (MemoPsioa::freeze)
-//                into a CompiledSnapshot every worker shares read-only.
+//                its 5 reachable states and frozen (MemoPsioa::freeze
+//                hands its rows over) into a CompiledSnapshot every
+//                worker shares read-only.
 //                Forge rows sample through CompiledRow::sample, so the
 //                hot path performs no Rational arithmetic.
 //   session   -- a record in a sharded table: template-state cursor, a

@@ -26,6 +26,8 @@
 //                   with depth x branching, not with cone size; and
 //                   ParallelConeEngine pushes exactly the serial frame
 //                   count at every pool size, raw and reduced.
+//   release      -- a reduced engine keeps only its quotient: prepare()
+//                   releases the raw system.
 //   rows         -- a raw leaf and its memoize() view give equal f-dists,
 //                   frontiers and batched tallies (one row path).
 //   validation   -- Def 3.1 side-condition throws propagate through the
@@ -652,6 +654,46 @@ TEST(ExactEngineFrames, ParallelFramesPushedEqualSerialAtEveryPoolSize) {
       EXPECT_EQ(engine.last_stats().leaves, want.leaves);
       EXPECT_EQ(engine.last_stats().halts, want.halts);
     }
+  }
+}
+
+// ---------------------------------------------------------------- release
+
+TEST(ExactEngineRelease, ReducedEngineReleasesItsRawSystem) {
+  // A reduced engine keeps only its quotient, so prepare() under
+  // bisimulation() must drop the raw system -- warm instance, raw
+  // snapshot and residue -- which the automaton's deleter observes.
+  // Without reduction the raw system is the engine's working set.
+  const PsioaFactory inner = fork_product_factory("xe_rel");
+  const std::size_t depth = kDepth + 1;
+  TraceInsight f;
+  ExactDisc<Perception> want;
+  {
+    PsioaPtr sys = inner();
+    UniformScheduler sched(kDepth);
+    want = exact_fdist(*sys, sched, f, depth);
+  }
+  WarmupPlan plan;
+  plan.episodes = 0;
+  plan.horizon = depth;
+  for (const ReductionPolicy& policy :
+       {ReductionPolicy::none(), ReductionPolicy::bisimulation()}) {
+    auto released = std::make_shared<bool>(false);
+    const PsioaFactory fa = [inner, released]() -> PsioaPtr {
+      return std::shared_ptr<MemoView>(new MemoView(inner()),
+                                       [released](MemoView* p) {
+                                         *released = true;
+                                         delete p;
+                                       });
+    };
+    ParallelConeEngine engine(fa, uniform_factory(kDepth), policy);
+    engine.prepare(plan, depth);
+    EXPECT_EQ(*released, policy.enabled())
+        << "reduced=" << policy.enabled();
+    EXPECT_EQ(engine.reduced() != nullptr, policy.enabled());
+    ThreadPool pool(2);
+    EXPECT_EQ(engine.exact_fdist(f, depth, pool), want)
+        << "reduced=" << policy.enabled();
   }
 }
 

@@ -7,7 +7,8 @@
 //                   draw for draw (same targets modulo rename, the same
 //                   cdf doubles). Merged same-signature branches lump;
 //                   invalid partitions throw; frontier states stay
-//                   singletons.
+//                   singletons; a frozen-only view throws outside the
+//                   quotient; a truncated warm-up is not reduced.
 //   differential -- epsilon on the quotient == epsilon on the original,
 //                   EXACTLY (Rational-equal), across the same stack zoo
 //                   the exact-engine suite pins (random composed,
@@ -262,7 +263,7 @@ TEST(QuotientUnit, MergedBranchesLumpAndWeightsSumExactly) {
   TraceInsight f;
   UniformScheduler s_orig(8);
   const ExactDisc<Perception> want = exact_fdist_recursive(*split, s_orig, f, 8);
-  QuotientPsioa view(q.reduced);
+  SnapshotPsioa view(q.reduced);
   UniformScheduler s_red(8);
   EXPECT_EQ(exact_fdist(view, s_red, f, 8), want);
 }
@@ -296,11 +297,67 @@ TEST(QuotientUnit, FrontierStatesStaySingletons) {
   EXPECT_GE(pstats.blocks, pstats.frontier);
 }
 
+TEST(QuotientUnit, FrozenOnlyViewThrowsOutsideTheQuotient) {
+  // A view without a residue has no instance to compute a miss on: a
+  // lookup outside the quotient's frozen tables must throw, never
+  // recompute. A shallow horizon leaves depth-cut blocks whose
+  // signatures are frozen but whose rows are not.
+  const auto snap = freeze_stack(ledger_factory("qt_fo"), 2);
+  const ReducedSystem red = reduce_snapshot(*snap);
+  SnapshotPsioa& view = *red.view;
+  const State start = view.start_state();
+  EXPECT_EQ(view.state_label(start), "block" + std::to_string(start));
+  EXPECT_TRUE(view.encode_state(start) == BitString::from_uint(start));
+  (void)view.signature_ref(start);  // frozen: served
+
+  const State outside = static_cast<State>(red.blocks);  // no such block
+  try {
+    (void)view.signature_ref(outside);
+    ADD_FAILURE() << "a signature miss did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("frozen horizon"),
+              std::string::npos)
+        << e.what();
+  }
+
+  bool cut_found = false;
+  for (const auto& [b, fs] : red.snapshot->frozen_states()) {
+    if (!fs.sig.has_value()) continue;
+    for (ActionId a : fs.sig->all()) {
+      if (fs.rows.count(a) != 0) continue;
+      cut_found = true;
+      EXPECT_THROW((void)view.compiled_row(b, a), std::logic_error);
+      break;
+    }
+    if (cut_found) break;
+  }
+  EXPECT_TRUE(cut_found);
+}
+
 TEST(QuotientUnit, ReduceForEnumerationFallsBackOnTruncation) {
-  ReductionPolicy tiny = ReductionPolicy::bisimulation();
+  // A walk that stops at WarmupPlan::max_states does not cover the cone:
+  // the engine keeps its raw snapshot, whose residue computes the rest,
+  // and answers exactly.
+  WarmupPlan tiny;
+  tiny.episodes = 0;
+  tiny.horizon = kDepth + 1;
   tiny.max_states = 2;  // the ledger blows past this immediately
-  PsioaPtr sys = ledger_factory("qt_tr")();
-  EXPECT_FALSE(reduce_for_enumeration(*sys, 6, tiny).has_value());
+  const PsioaFactory fa = ledger_factory("qt_tr");
+  ParallelConeEngine engine(fa, uniform_factory(kDepth),
+                            ReductionPolicy::bisimulation());
+  engine.prepare(tiny, kDepth + 1);
+  EXPECT_EQ(engine.reduced(), nullptr);
+  ThreadPool pool(2);
+  TraceInsight f;
+  EXPECT_EQ(engine.exact_fdist(f, kDepth + 1, pool), reference_fdist(fa));
+  // Nor does a horizon-0 warm-up, whose walk never runs: at depth 0 the
+  // engine stays raw instead of quotienting an empty snapshot.
+  ParallelConeEngine shallow(fa, uniform_factory(kDepth),
+                             ReductionPolicy::bisimulation());
+  shallow.prepare(WarmupPlan{}, 0);
+  EXPECT_EQ(shallow.reduced(), nullptr);
+  EXPECT_EQ(shallow.exact_fdist(f, 0, pool).total(), Rational(1));
+  // reduce_for_enumeration falls back at depth 0 and under none().
   PsioaPtr sys2 = ledger_factory("qt_tr2")();
   EXPECT_FALSE(
       reduce_for_enumeration(*sys2, 0, ReductionPolicy::bisimulation())

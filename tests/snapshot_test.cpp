@@ -264,6 +264,34 @@ TEST(CompiledSnapshotTest, FreezeCapturesWarmedTables) {
   EXPECT_EQ(snap->find_row(State{0xdeadbeefULL}, ActionId{0}), nullptr);
 }
 
+TEST(CompiledSnapshotTest, FreezeHandsOverItsTables) {
+  // freeze() hands the memo over to the snapshot: the instance is left
+  // with an empty memo, so re-reading a frozen row recomputes it, and the
+  // recomputed row equals the frozen one.
+  const PsioaFactory fa = composed_factory(15, "sn_hnd");
+  auto clone = warmed_clone(fa, uniform_factory(kSampleDepth),
+                            full_plan(kSampleDepth), kSampleDepth);
+  auto snap = clone->freeze();
+  ASSERT_GT(snap->row_count(), 0u);
+  // Nothing was computed since: a second freeze() captures nothing.
+  EXPECT_EQ(clone->freeze()->state_count(), 0u);
+  const MemoStats before = clone->memo_stats();
+  std::size_t rows = 0;
+  for (const auto& [q, fs] : snap->frozen_states()) {
+    for (const auto& [a, row] : fs.rows) {
+      const CompiledRow& again = clone->compiled_row(q, a);
+      EXPECT_EQ(again.dist, row.dist);
+      EXPECT_EQ(again.targets, row.targets);
+      EXPECT_EQ(again.cdf, row.cdf);
+      ++rows;
+    }
+  }
+  EXPECT_EQ(clone->memo_stats().row_computes, before.row_computes + rows);
+  EXPECT_EQ(clone->memo_stats().row_hits, before.row_hits);
+  // A freeze after the re-reads captures exactly the recomputed rows.
+  EXPECT_EQ(clone->freeze()->row_count(), rows);
+}
+
 TEST(CompiledSnapshotTest, SnapshotIsImmutableUnderViewOverflow) {
   // A view faulting cold states must grow its own overflow memo and the
   // residue, never the frozen tables.
@@ -318,6 +346,8 @@ TEST(FrozenChoiceTableTest, BoundedWrapperForwardsFreezeAndAdopt) {
   auto table = bounded.freeze_choice_rows();
   ASSERT_NE(table, nullptr);
   EXPECT_FALSE(table->rows.empty());
+  // The rows were handed over: the inner scheduler's memo is empty now.
+  EXPECT_TRUE(bounded.freeze_choice_rows()->rows.empty());
   auto inner2 = std::make_shared<UniformScheduler>(kSampleDepth, true);
   BoundedScheduler bounded2(inner2, kSampleDepth);
   bounded2.adopt_choice_rows(table);
